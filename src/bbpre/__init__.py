@@ -31,12 +31,10 @@ from .model import (
     check_homogeneity,
     check_lipschitz,
     check_superadditivity,
-    log_noise_scale,
     mate_array,
     monogamous,
-    noise_components,
+    noise_scales,
     polygamous,
-    walk_increment,
     walk_increments,
 )
 from .rng import derive_stream
@@ -48,22 +46,17 @@ from .simulator import (
     Trajectory,
     bundle_diagnostics,
     evolve_step,
-    residual_diagnostics,
     run_coupled,
     run_frozen_bundle,
     run_until_extinction,
-    run_with_environment,
 )
 from .stats import (
-    EmpiricalCdf,
     ExperimentConfig,
     LemmaSweep,
     LemmaSweepConfig,
     ReplicateRecord,
     SummaryReport,
     SummaryRow,
-    default_max_steps,
-    empirical_cdf,
     ks_statistic,
     lemma_bound_sweep,
     loglog_slope,
@@ -75,11 +68,9 @@ from .walk import (
     HittingResult,
     HittingSpec,
     ThetaDistribution,
-    WalkState,
+    default_max_steps,
     hitting_time,
-    model_increment_source,
     theta_distribution,
-    walk_step,
 )
 
 __version__ = "0.1.0"

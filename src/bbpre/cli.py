@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MODEL_PRESETS, build_model_triple, load_config_file
-from .errors import BbpreError, ConfigurationError, ExcessCensoringError, OverflowGuardError
+from .errors import BbpreError, ConfigurationError
 from .limit_law import FirstPassageLaw
 from .model import audit_conditions
 from .rng import derive_stream
@@ -136,7 +136,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n0", type=_positive_int("--n0", 3), default=100_000, help="initial couple count >= 3")
     p.add_argument("--epsilon", type=_positive_float("--epsilon"), default=1.0,
                    help="window scale: k = floor(epsilon ln^2 N) (default 1.0)")
-    p.add_argument("--recording", choices=["terminal", "sparse", "full"], default="terminal")
 
     p = sub.add_parser("audit", help="run the condition checks and moment audits")
     _add_model_flags(p)
@@ -151,7 +150,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-grid", type=_parse_grid, default=(1000, 100_000, 100_000_000),
                    help="comma-separated strictly increasing counts >= 3 (default 1000,100000,100000000)")
     p.add_argument("--epsilon", type=_positive_float("--epsilon"), default=1.0)
-    p.add_argument("--recording", choices=["terminal", "sparse", "full"], default="terminal")
 
     p = sub.add_parser("limit-law", help="tabulate the reference law to CSV")
     p.add_argument("--sigma", type=_positive_float("--sigma"), default=1.0,
@@ -215,11 +213,9 @@ def _cmd_coupled(args) -> int:
         n_grid=(args.n0,),
         replicates=args.replicates,
         epsilon=args.epsilon,
-        beta=args.beta if args.beta is not None else 3.0,
         master_seed=args.seed,
         threads=args.threads,
         max_steps=args.max_steps,
-        recording=args.recording,
     )
     records = run_replicates(config, 0)
     if args.out:
@@ -263,11 +259,9 @@ def _cmd_experiment(args) -> int:
         n_grid=args.n_grid,
         replicates=args.replicates,
         epsilon=args.epsilon,
-        beta=args.beta if args.beta is not None else 3.0,
         master_seed=args.seed,
         threads=args.threads,
         max_steps=args.max_steps,
-        recording=args.recording,
     )
     t0 = time.monotonic()
     report = run_experiment(config, out_prefix=args.out)
@@ -361,9 +355,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         _emit_error("configuration", str(exc))
         return 1
-    except (ExcessCensoringError, OverflowGuardError) as exc:
-        _emit_error("runtime", str(exc))
-        return 2
     except BbpreError as exc:
         _emit_error("runtime", str(exc))
         return 2

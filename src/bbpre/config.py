@@ -1,6 +1,7 @@
 """Structured config for models and experiments (JSON file + flag overrides).
 
-Schema (all sections optional; command-line flags override file values):
+Schema (all sections optional, no other top-level keys; command-line
+flags override file values):
 
     {
       "env":       {"kind": "normal", "mean": 0.0, "std": 0.5},
@@ -8,11 +9,7 @@ Schema (all sections optional; command-line flags override file values):
                     "mean_f": {"scale": 1.0, "shift": 0.0},
                     "mean_m": {"scale": 1.0, "shift": 0.0},
                     "beta": 3.0},
-      "rule":      {"kind": "monogamous", "alpha": 0.5, "d": 1},
-      "experiment": {"n_grid": [1000, 100000, 100000000],
-                     "replicates": 2000, "epsilon": 1.0,
-                     "seed": 42, "threads": 1,
-                     "max_steps": null, "recording": "terminal"}
+      "rule":      {"kind": "monogamous", "alpha": 0.5, "d": 1}
     }
 
 Mean maps are ``scale * exp(eta + shift)`` (give ``{"constant": v}``
@@ -20,7 +17,8 @@ for an environment-independent mean).  The monogamous capacity ``d`` is
 a positive integer or a step table
 ``{"breakpoints": [...], "values": [...]}``.  ``alpha`` must satisfy
 ``1/alpha < beta`` so the derived moment order ``1 + delta`` stays
-below ``beta``.
+below ``beta``; ``beta`` also sets the hitting threshold of coupled
+runs.
 """
 
 from __future__ import annotations
@@ -170,6 +168,7 @@ def build_model_triple(
 ) -> tuple[EnvironmentModel, OffspringModel, MatingRule]:
     """Assemble (env, offspring, rule) from a config dict plus flag overrides."""
     cfg = file_config or {}
+    _require_keys(cfg, {"env", "offspring", "rule"}, "config")
     env = build_env(cfg.get("env"), sigma_env=sigma_env)
     rule = build_rule(cfg.get("rule"), kind=rule_kind, alpha=alpha, d=d)
     off_section = dict(cfg.get("offspring") or {})

@@ -18,9 +18,10 @@ Every rule carries a real-valued approximant ``g`` that is Lipschitz
 and positively homogeneous in its first two arguments, the Lipschitz
 scale ``lipschitz(z)``, a residual scale ``rho(z)`` bounding
 ``|L - g| <= rho(z) (x + y)^alpha``, and the exponent ``alpha`` in
-(0, 1).  The associated random walk increment is
+(0, 1).  ``g`` and ``log_g`` accept arrays.  The associated random
+walk increment is
 
-    walk_increment(eta) = ln g(mean_f(eta), mean_m(eta), eta),
+    xi(eta) = ln g(mean_f(eta), mean_m(eta), eta),
 
 and the per-step noise scale entering the residual diagnostics is
 
@@ -61,11 +62,8 @@ __all__ = [
     "polygamous",
     "asexual",
     "mate_array",
-    "approximant_array",
-    "walk_increment",
     "walk_increments",
-    "noise_components",
-    "log_noise_scale",
+    "noise_scales",
     "analytic_sigma_xi",
     "ConditionCheck",
     "ConditionReport",
@@ -138,10 +136,10 @@ class ExpMeanMap:
             return math.inf if self.scale > 0 else 0.0
         return self.scale * math.exp(x)
 
-    def log(self, eta):
+    def log(self, eta: np.ndarray) -> np.ndarray:
         if self.scale <= 0.0:
-            return np.full(np.shape(eta), -np.inf) if isinstance(eta, np.ndarray) else -math.inf
-        return math.log(self.scale) + (np.asarray(eta, dtype=float) if isinstance(eta, np.ndarray) else eta) + self.shift
+            return np.full(eta.shape, -np.inf)
+        return math.log(self.scale) + eta + self.shift
 
 
 @dataclass(frozen=True)
@@ -155,11 +153,8 @@ class ConstantMeanMap:
             return np.full(eta.shape, self.value, dtype=float)
         return self.value
 
-    def log(self, eta):
-        lv = math.log(self.value) if self.value > 0.0 else -math.inf
-        if isinstance(eta, np.ndarray):
-            return np.full(eta.shape, lv)
-        return lv
+    def log(self, eta: np.ndarray) -> np.ndarray:
+        return np.full(eta.shape, math.log(self.value) if self.value > 0.0 else -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +273,6 @@ class OffspringModel:
         if not self.moment_order > 1.0:
             raise ConfigurationError(f"moment_order must exceed 1, got {self.moment_order}")
 
-    # conditional means -----------------------------------------------------
-
-    def conditional_mean_f(self, eta):
-        return self.mean_f(eta)
-
-    def conditional_mean_m(self, eta):
-        return self.mean_m(eta)
-
-    def log_mean_f(self, eta):
-        if hasattr(self.mean_f, "log"):
-            return self.mean_f.log(eta)
-        v = self.mean_f(eta)
-        return math.log(v) if v > 0 else -math.inf
-
-    def log_mean_m(self, eta):
-        if hasattr(self.mean_m, "log"):
-            return self.mean_m.log(eta)
-        v = self.mean_m(eta)
-        return math.log(v) if v > 0 else -math.inf
-
     # sampling --------------------------------------------------------------
 
     def sample_totals(self, n_pairs: int, eta: float, stream: np.random.Generator) -> tuple[int, int]:
@@ -319,17 +294,8 @@ class OffspringModel:
 
     # moments ---------------------------------------------------------------
 
-    def centered_abs_moments(self, eta, order: Optional[float] = None) -> tuple[float, float]:
-        """Conditional E|F - EF|^order and E|M - EM|^order at ``eta``."""
-        p = self.moment_order if order is None else order
-        if self.kind == "deterministic":
-            return 0.0, 0.0
-        return (
-            _poisson_centered_abs_moment(float(self.mean_f(eta)), p),
-            _poisson_centered_abs_moment(float(self.mean_m(eta)), p),
-        )
-
-    def centered_abs_moments_array(self, eta: np.ndarray, order: Optional[float] = None):
+    def centered_abs_moments(self, eta: np.ndarray, order: Optional[float] = None):
+        """Conditional E|F - EF|^order and E|M - EM|^order over an environment array."""
         p = self.moment_order if order is None else order
         if self.kind == "deterministic":
             z = np.zeros(eta.shape)
@@ -361,7 +327,7 @@ class _MonogamousG:
     d: Callable
 
     def __call__(self, x, y, z):
-        return min(float(x), float(y) * float(self.d(z)))
+        return np.minimum(x, y * np.asarray(self.d(z), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -369,8 +335,7 @@ class _MonogamousLogG:
     d: Callable
 
     def __call__(self, lx, ly, z):
-        dv = float(self.d(z))
-        return min(lx, ly + (math.log(dv) if dv > 0 else -math.inf))
+        return np.minimum(lx, ly + np.log(np.asarray(self.d(z), dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -389,7 +354,7 @@ def _polygamous_l(x, y, z):
 
 
 def _polygamous_g(x, y, z):
-    return float(x)
+    return np.asarray(x, dtype=float)
 
 
 def _first_log(lx, ly, z):
@@ -409,7 +374,8 @@ class MatingRule:
     residual scale; ``alpha`` the residual exponent in (0, 1), with
     ``delta = 1/alpha - 1``.  ``log_g``, when present, evaluates
     ``g`` in the log domain and keeps the walk increments exact for the
-    built-in rules.  ``d`` is the monogamous pairing capacity map.
+    built-in rules.  ``g``, ``log_g``, ``lipschitz`` and ``rho`` must
+    accept arrays.  ``d`` is the monogamous pairing capacity map.
     """
 
     kind: str
@@ -497,82 +463,53 @@ def mate_array(rule: MatingRule, f: np.ndarray, m: np.ndarray, eta) -> np.ndarra
     return np.array([rule.L(int(a), int(b), float(z)) for a, b, z in zip(f, m, zs)])
 
 
-def approximant_array(rule: MatingRule, x: np.ndarray, y: np.ndarray, eta) -> np.ndarray:
-    """Vectorized ``g`` for the built-in rules (python loop otherwise)."""
-    if rule.kind == "monogamous":
-        return np.minimum(x, y * np.asarray(rule.d(eta), dtype=float))
-    if rule.kind in ("polygamous", "asexual"):
-        return np.asarray(x, dtype=float).copy()
-    zs = np.broadcast_to(np.asarray(eta, dtype=float), np.shape(x))
-    return np.array([rule.g(float(a), float(b), float(z)) for a, b, z in zip(x, y, zs)])
-
-
 # ---------------------------------------------------------------------------
 # Walk increments and noise scales
 # ---------------------------------------------------------------------------
 
 
-def walk_increment(rule: MatingRule, model: OffspringModel, eta: float) -> float:
-    """ln g evaluated at the conditional offspring means.
+def _log_mean(mean_map: Callable, eta: np.ndarray) -> np.ndarray:
+    if hasattr(mean_map, "log"):
+        return mean_map.log(eta)
+    return np.log(np.asarray(mean_map(eta), dtype=float))
+
+
+def _log_g_at_means(rule: MatingRule, model: OffspringModel, eta) -> np.ndarray:
+    """ln g at the conditional offspring means; -inf where g vanishes.
 
     Uses the log-domain form of ``g`` when available, which keeps the
-    identity ``walk_increment(eta) == eta`` exact for the canonical
-    model instead of round-tripping through exp/log.
+    identity ``xi(eta) == eta`` exact for the canonical model instead of
+    round-tripping through exp/log.
     """
-    if rule.log_g is not None:
-        v = rule.log_g(model.log_mean_f(eta), model.log_mean_m(eta), eta)
-    else:
-        gv = rule.g(model.conditional_mean_f(eta), model.conditional_mean_m(eta), eta)
-        if not gv > 0.0:
-            raise DegenerateModelError(f"g at the conditional means is {gv!r} at eta={eta}; ln g undefined")
-        v = math.log(gv)
-    if not math.isfinite(v):
-        raise DegenerateModelError(f"walk increment is {v!r} at eta={eta}")
-    return float(v)
-
-
-def walk_increments(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> np.ndarray:
-    """Vectorized walk increments over an environment array."""
     eta = np.asarray(eta, dtype=float)
-    if rule.kind in ("monogamous", "polygamous", "asexual") and hasattr(model.mean_f, "log"):
-        lf = np.asarray(model.mean_f.log(eta), dtype=float)
-        if rule.kind == "monogamous":
-            lm = np.asarray(model.mean_m.log(eta), dtype=float)
-            d = np.asarray(rule.d(eta), dtype=float)
-            with np.errstate(divide="ignore"):
-                out = np.minimum(lf, lm + np.log(d))
-        else:
-            out = lf
-    else:
-        out = np.array([walk_increment(rule, model, float(e)) for e in eta])
-    if not np.all(np.isfinite(out)):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rule.log_g is not None:
+            return np.asarray(rule.log_g(_log_mean(model.mean_f, eta), _log_mean(model.mean_m, eta), eta), dtype=float)
+        return np.log(np.asarray(rule.g(model.mean_f(eta), model.mean_m(eta), eta), dtype=float))
+
+
+def walk_increments(rule: MatingRule, model: OffspringModel, eta) -> np.ndarray:
+    """Walk increments ``xi(eta)`` over an environment array; a non-finite one is an error."""
+    xi = _log_g_at_means(rule, model, eta)
+    if not np.all(np.isfinite(xi)):
         raise DegenerateModelError("walk increment is non-finite for some sampled environment values")
-    return out
+    return xi
 
 
-def noise_components(rule: MatingRule, model: OffspringModel, eta: float) -> tuple[float, float, float]:
-    """The three components whose log forms the per-step noise scale."""
-    p = 1.0 + rule.delta
-    w1 = float(rule.lipschitz(eta)) ** p + float(rule.rho(eta)) ** p
-    w2 = float(model.conditional_mean_f(eta)) + float(model.conditional_mean_m(eta))
-    cf, cm = model.centered_abs_moments(eta, p)
-    return w1, w2, cf + cm
+def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tuple:
+    """Per-step noise scale ``zeta`` and its components ``(omega1, omega2, omega3)``.
 
-
-def log_noise_scale(rule: MatingRule, model: OffspringModel, eta: float) -> float:
-    """zeta = ln+ of the summed noise components at ``eta``."""
-    w1, w2, w3 = noise_components(rule, model, eta)
-    return max(0.0, math.log(w1 + w2 + w3))
-
-
-def _log_noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> np.ndarray:
+    ``zeta = ln+ (omega1 + omega2 + omega3)`` elementwise over an
+    environment array; see the module docstring for the components.
+    """
     p = 1.0 + rule.delta
     lip = np.asarray(rule.lipschitz(eta), dtype=float)
     rho = np.asarray(rule.rho(eta), dtype=float)
     w1 = np.broadcast_to(lip**p + rho**p, eta.shape)
     w2 = np.asarray(model.mean_f(eta), dtype=float) + np.asarray(model.mean_m(eta), dtype=float)
-    cf, cm = model.centered_abs_moments_array(eta, p)
-    return np.maximum(0.0, np.log(w1 + w2 + cf + cm))
+    cf, cm = model.centered_abs_moments(eta, p)
+    zeta = np.maximum(0.0, np.log(w1 + w2 + cf + cm))
+    return zeta, w1, w2, cf + cm
 
 
 def analytic_sigma_xi(rule: MatingRule, env: EnvironmentModel, model: OffspringModel) -> Optional[float]:
@@ -701,7 +638,7 @@ def check_lipschitz(
     pts = stream.uniform(0.0, box, size=(trials, 4))
     z = _env_draws(env_model, stream, trials)
     x, y, u, v = (pts[:, i] for i in range(4))
-    lhs = np.abs(approximant_array(rule, x, y, z) - approximant_array(rule, u, v, z))
+    lhs = np.abs(rule.g(x, y, z) - rule.g(u, v, z))
     lam = np.broadcast_to(np.asarray(rule.lipschitz(z), dtype=float), lhs.shape)
     rhs = lam * (np.abs(x - u) + np.abs(y - v))
     bad = np.where(lhs > rhs + 1e-12 * (1.0 + rhs))[0]
@@ -731,8 +668,8 @@ def check_homogeneity(
     y = stream.uniform(0.0, box, size=trials)
     t = stream.uniform(0.0, 10.0, size=trials)
     z = _env_draws(env_model, stream, trials)
-    tg = t * approximant_array(rule, x, y, z)
-    lhs = np.abs(approximant_array(rule, t * x, t * y, z) - tg)
+    tg = t * rule.g(x, y, z)
+    lhs = np.abs(rule.g(t * x, t * y, z) - tg)
     bad = np.where(lhs > 1e-12 * (1.0 + np.abs(tg)))[0]
     witnesses = [
         (float(x[i]), float(y[i]), float(t[i]), float(z[i]), float(lhs[i]))
@@ -764,7 +701,7 @@ def check_approximation(
     y = stream.integers(0, count_range + 1, size=grid).astype(np.int64)
     y[(x + y) == 0] = 1
     z = _env_draws(env_model, stream, grid)
-    resid = np.abs(mate_array(rule, x, y, z).astype(float) - approximant_array(rule, x.astype(float), y.astype(float), z))
+    resid = np.abs(mate_array(rule, x, y, z).astype(float) - rule.g(x.astype(float), y.astype(float), z))
     scale = (x + y).astype(float) ** rule.alpha
     ratio = resid / scale
     bound = np.broadcast_to(np.asarray(rule.rho(z), dtype=float), ratio.shape)
@@ -838,17 +775,9 @@ def audit_conditions(
 
     # zeta needs per-eta centered moments; cap the subsample when the
     # moment order forces the series evaluation
-    p = 1.0 + rule.delta
-    zeta_n = samples if p == 2.0 else min(samples, 20_000)
-    eta_z = eta[:zeta_n]
-    zeta = _log_noise_scales(rule, offspring_model, eta_z)
+    zeta_n = samples if 1.0 + rule.delta == 2.0 else min(samples, 20_000)
+    zeta, w1, w2, w3 = noise_scales(rule, offspring_model, eta[:zeta_n])
     abs_zeta, se_abs_zeta = _mean_se(np.abs(zeta) ** p_beta)
-    lip = np.broadcast_to(np.asarray(rule.lipschitz(eta_z), dtype=float), eta_z.shape)
-    rho = np.broadcast_to(np.asarray(rule.rho(eta_z), dtype=float), eta_z.shape)
-    w1 = lip**p + rho**p
-    w2 = np.asarray(offspring_model.mean_f(eta_z), dtype=float) + np.asarray(offspring_model.mean_m(eta_z), dtype=float)
-    cf, cm = offspring_model.centered_abs_moments_array(eta_z, p)
-    w3 = cf + cm
 
     checks["C6"] = ConditionCheck(
         condition="C6",

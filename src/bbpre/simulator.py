@@ -5,12 +5,16 @@ environment, sample the two offspring totals, mate.  Zero couples is
 absorbing.  Counts are Python ints, so they never wrap; offspring means
 beyond the sampling guard abort the replicate with an overflow tag.
 
+Each replicate splits its stream in two: one child draws the whole
+environment path up to the step cap in one call, the other the
+offspring noise, so the walk's law is unaffected by how much offspring
+randomness a path consumes.  The walk is computed from that path as an
+array; only the process runs step by step, and only while it is alive.
+
 ``run_coupled`` drives the process and the associated walk from one
-environment sequence (two child streams per replicate: one for the
-environment, one for offspring noise, so the walk's law is unaffected
-by how much offspring randomness a path consumes).  It records the
-hitting step, the couple counts at the hitting step and ``k`` steps
-later with ``k = floor(epsilon * ln^2 N)``, and the extinction step.
+environment path.  It records the hitting step, the couple counts at
+the hitting step and ``k`` steps later with
+``k = floor(epsilon * ln^2 N)``, and the extinction step.
 
 ``run_frozen_bundle`` runs many offspring randomizations over a single
 frozen environment path; the bundle diagnostics estimate the
@@ -30,21 +34,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateModelError, OverflowGuardError
+from .errors import ConfigurationError, OverflowGuardError
 from .model import (
     EnvironmentModel,
     MatingRule,
     OffspringModel,
+    _log_g_at_means,
     mate_array,
-    walk_increment,
+    noise_scales,
     walk_increments,
-    _log_noise_scales,
 )
-from .walk import HittingSpec
+from .walk import HittingSpec, hitting_time
 
 __all__ = [
     "StepRecord",
@@ -53,12 +57,10 @@ __all__ = [
     "evolve_step",
     "run_until_extinction",
     "run_coupled",
-    "run_with_environment",
     "FrozenBundle",
     "run_frozen_bundle",
     "DiagnosticTable",
     "bundle_diagnostics",
-    "residual_diagnostics",
 ]
 
 RECORDING_MODES = ("terminal", "sparse", "full")
@@ -102,7 +104,8 @@ class CoupledRun:
     ``theta`` is None when the walk never reached the threshold within
     the step cap; the comparison counts are None when unobserved (theta
     censored, or theta + k beyond the cap while the process was still
-    alive).  ``k`` is exactly ``floor(epsilon * ln^2 n0)``.
+    alive, or at or after an overflow step).  ``k`` is exactly
+    ``floor(epsilon * ln^2 n0)``.
     """
 
     trajectory: Trajectory
@@ -131,16 +134,9 @@ def evolve_step(
     return rule.mate(f_total, m_total, eta), f_total, m_total
 
 
-def _increment_or_neg_inf(rule: MatingRule, offspring_model: OffspringModel, eta: float) -> float:
-    # extinction-only runs tolerate a vanishing approximant: the growth
-    # factor e^xi is then exactly 0, which keeps the residual identity valid
-    try:
-        return walk_increment(rule, offspring_model, eta)
-    except DegenerateModelError:
-        return -math.inf
-
-
 def _record_stride(n0: int, recording: str) -> Optional[int]:
+    if recording not in RECORDING_MODES:
+        raise ConfigurationError(f"unknown recording mode {recording!r} (choose from {RECORDING_MODES})")
     if recording == "full":
         return 1
     if recording == "sparse":
@@ -149,21 +145,58 @@ def _record_stride(n0: int, recording: str) -> Optional[int]:
 
 
 class _Recorder:
-    """Collects step records honoring the recording mode."""
+    """Builds the step records a recording mode keeps: every ``stride``-th step and the last."""
 
-    def __init__(self, n0: int, recording: str):
-        if recording not in RECORDING_MODES:
-            raise ConfigurationError(f"unknown recording mode {recording!r} (choose from {RECORDING_MODES})")
-        self.stride = _record_stride(n0, recording)
+    def __init__(self, stride: int, xi: np.ndarray):
+        self.stride = stride
+        self.xi = xi.tolist()
+        self.walk_sum = np.cumsum(xi).tolist()
         self.steps: list[StepRecord] = []
 
-    def record(self, rec: StepRecord, terminal: bool = False) -> None:
-        if self.stride is None:
-            return
-        if terminal or rec.n % self.stride == 0:
-            if self.steps and self.steps[-1].n == rec.n:
-                return
-            self.steps.append(rec)
+    def offer(self, n: int, eta: float, f_total: int, m_total: int, n_prev: int, n_next: int, last: bool) -> None:
+        if last or n % self.stride == 0:
+            xi = self.xi[n - 1]
+            residual = n_next - n_prev * math.exp(xi)
+            self.steps.append(StepRecord(n, eta, f_total, m_total, n_next, xi, self.walk_sum[n - 1], residual))
+
+
+def _run_process(
+    rule: MatingRule,
+    offspring_model: OffspringModel,
+    traj: Trajectory,
+    eta: list,
+    stream: np.random.Generator,
+    recorder: Optional[_Recorder],
+) -> list:
+    """Evolve ``traj`` along the path ``eta`` until extinction, the path's end or an overflow.
+
+    Returns the couple count after each step that completed.  On
+    overflow ``steps_run`` is the overflow step, ``final_n`` the count
+    before it, and no steps are recorded.
+    """
+    counts = []
+    n_cur = traj.n0
+    last = len(eta)
+    for n, e in enumerate(eta, start=1):
+        try:
+            n_next, f_total, m_total = evolve_step(rule, offspring_model, n_cur, e, stream)
+        except OverflowGuardError:
+            traj.overflow = True
+            traj.steps_run = n
+            traj.final_n = n_cur
+            return counts
+        counts.append(n_next)
+        if recorder is not None:
+            recorder.offer(n, e, f_total, m_total, n_cur, n_next, n_next == 0 or n == last)
+        n_cur = n_next
+        if n_cur == 0:
+            traj.tau = n
+            break
+    traj.steps_run = len(counts)
+    traj.final_n = n_cur
+    if recorder is not None:
+        traj.steps = recorder.steps
+    return counts
 
 
 def run_until_extinction(
@@ -180,35 +213,14 @@ def run_until_extinction(
         raise ConfigurationError(f"n0 must be >= 1, got {n0}")
     if max_steps < 1:
         raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
+    stride = _record_stride(n0, recording)
     env_rng, off_rng = stream.spawn(2)
-    rec = _Recorder(n0, recording)
+    eta = env_model.sample(env_rng, size=max_steps)
+    # extinction-only runs tolerate a vanishing approximant: the growth
+    # factor e^xi is then exactly 0, which keeps the residual identity valid
+    recorder = None if stride is None else _Recorder(stride, _log_g_at_means(rule, offspring_model, eta))
     traj = Trajectory(n0=n0, recording=recording)
-    n_cur = n0
-    s = 0.0
-    for n in range(1, max_steps + 1):
-        eta = float(env_model.sample(env_rng))
-        try:
-            n_next, f_total, m_total = evolve_step(rule, offspring_model, n_cur, eta, off_rng)
-        except OverflowGuardError:
-            traj.overflow = True
-            traj.steps_run = n
-            traj.final_n = n_cur
-            return traj
-        xi = _increment_or_neg_inf(rule, offspring_model, eta)
-        s += xi
-        residual = n_next - n_cur * math.exp(xi)
-        n_cur = n_next
-        dead = n_cur == 0
-        rec.record(
-            StepRecord(n, eta, f_total, m_total, n_cur, xi, s, residual),
-            terminal=dead or n == max_steps,
-        )
-        traj.steps_run = n
-        if dead:
-            traj.tau = n
-            break
-    traj.final_n = n_cur
-    traj.steps = rec.steps
+    _run_process(rule, offspring_model, traj, eta.tolist(), off_rng, recorder)
     return traj
 
 
@@ -217,113 +229,43 @@ def run_coupled(
     env_model: EnvironmentModel,
     offspring_model: OffspringModel,
     n0: int,
-    beta: float,
     epsilon: float,
     max_steps: Optional[int],
     stream: np.random.Generator,
-    recording: str = "terminal",
 ) -> CoupledRun:
-    """One environment sequence drives both the process and the walk.
+    """One environment path drives both the process and the walk.
 
-    The walk keeps moving after extinction (environment draws continue)
-    until the hitting step is resolved or the cap is reached; once the
-    process is extinct, counts at later steps are zero by absorption, so
-    the comparison count at ``theta + k`` never needs extra simulation.
+    The walk covers the whole path up to the cap, so ``theta`` may come
+    after extinction; the hitting threshold uses the offspring model's
+    ``beta``.  The process runs only while it is alive: a count after
+    ``tau`` is 0 by absorption.
     """
     if n0 < 3:
         raise ConfigurationError(f"coupled runs need n0 >= 3, got {n0}")
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    spec = HittingSpec(n0=n0, beta=beta, max_steps=max_steps)
+    spec = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps)
     k = int(math.floor(epsilon * spec.log2_n0))
     env_rng, off_rng = stream.spawn(2)
-    rec = _Recorder(n0, recording)
-    traj = Trajectory(n0=n0, recording=recording)
+    eta = env_model.sample(env_rng, size=spec.max_steps)
+    hit = hitting_time(spec, walk_increments(rule, offspring_model, eta))
+    traj = Trajectory(n0=n0, recording="terminal")
+    counts = _run_process(rule, offspring_model, traj, eta.tolist(), off_rng, None)
     run = CoupledRun(trajectory=traj, epsilon=epsilon, k=k)
 
-    n_cur = n0
-    s = 0.0
-    n = 0
-    while n < spec.max_steps:
-        tau_open = traj.tau is None and not traj.overflow and n_cur > 0
-        theta_open = run.theta is None
-        window_open = run.theta is not None and run.n_at_theta_plus_k is None
-        if not (tau_open or theta_open or window_open):
-            break
-        n += 1
-        eta = float(env_model.sample(env_rng))
-        f_total = m_total = 0
-        n_prev = n_cur
-        if n_cur > 0:
-            try:
-                n_cur, f_total, m_total = evolve_step(rule, offspring_model, n_cur, eta, off_rng)
-            except OverflowGuardError:
-                traj.overflow = True
-                traj.steps_run = n
-                traj.final_n = n_cur
-                return run
-            if n_cur == 0:
-                traj.tau = n
-        xi = walk_increment(rule, offspring_model, eta)
-        s += xi
-        residual = n_cur - n_prev * math.exp(xi)
-        rec.record(
-            StepRecord(n, eta, f_total, m_total, n_cur, xi, s, residual),
-            terminal=(traj.tau == n) or n == spec.max_steps,
-        )
-        traj.steps_run = n
-        if run.theta is None and s <= spec.threshold:
-            run.theta = n
-            run.S_theta = s
-            run.xi_theta = xi
-            run.n_at_theta = n_cur
-            if k == 0:
-                run.n_at_theta_plus_k = n_cur
-        elif run.theta is not None and run.n_at_theta_plus_k is None and n == run.theta + k:
-            run.n_at_theta_plus_k = n_cur
-        if (
-            run.theta is not None
-            and run.n_at_theta_plus_k is None
-            and traj.tau is not None
-            and run.theta + k >= traj.tau
-        ):
-            run.n_at_theta_plus_k = 0
-    traj.final_n = n_cur
-    traj.steps = rec.steps
+    def count_at(n: int) -> Optional[int]:
+        if n <= len(counts):
+            return counts[n - 1]
+        return 0 if traj.tau is not None else None
+
+    if not traj.overflow:
+        # the run ends once the process is extinct and the walk has hit
+        traj.steps_run = spec.max_steps if hit.theta is None or traj.tau is None else max(traj.tau, hit.theta)
+    if hit.theta is not None and (not traj.overflow or hit.theta < traj.steps_run):
+        run.theta, run.S_theta, run.xi_theta = hit.theta, hit.S_theta, hit.xi_theta
+        run.n_at_theta = count_at(hit.theta)
+        run.n_at_theta_plus_k = count_at(hit.theta + k)
     return run
-
-
-def run_with_environment(
-    rule: MatingRule,
-    offspring_model: OffspringModel,
-    n0: int,
-    eta_path: np.ndarray,
-    stream: np.random.Generator,
-) -> Trajectory:
-    """Run the full horizon of a frozen environment path with full recording.
-
-    Unlike ``run_until_extinction`` the trajectory continues (as zeros)
-    after extinction so bundles over one path stay step-aligned.
-    """
-    if n0 < 1:
-        raise ConfigurationError(f"n0 must be >= 1, got {n0}")
-    eta_path = np.asarray(eta_path, dtype=float)
-    xi_path = walk_increments(rule, offspring_model, eta_path)
-    traj = Trajectory(n0=n0, recording="full")
-    n_cur = n0
-    s = 0.0
-    for i, (eta, xi) in enumerate(zip(eta_path, xi_path)):
-        n = i + 1
-        n_next, f_total, m_total = evolve_step(rule, offspring_model, n_cur, float(eta), stream)
-        s += float(xi)
-        residual = n_next - n_cur * math.exp(float(xi))
-        if n_next == 0 and n_cur > 0:
-            traj.tau = n
-        n_cur = n_next
-        traj.steps.append(StepRecord(n, float(eta), f_total, m_total, n_cur, float(xi), s, residual))
-    traj.steps_run = eta_path.size
-    traj.final_n = n_cur
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +364,7 @@ def bundle_diagnostics(
     steps = cols - 1
     delta = rule.delta
     p = 1.0 + delta
-    zeta = _log_noise_scales(rule, offspring_model, bundle.eta)
+    zeta = noise_scales(rule, offspring_model, bundle.eta)[0]
     xi = bundle.xi
     S = bundle.walk_sum
     r2 = np.full(steps, np.nan)
@@ -455,36 +397,3 @@ def bundle_diagnostics(
         r4=r4,
         replicates=reps,
     )
-
-
-def residual_diagnostics(
-    trajectories: Sequence[Trajectory],
-    rule: MatingRule,
-    offspring_model: OffspringModel,
-) -> DiagnosticTable:
-    """Diagnostic ratios from fully recorded trajectories sharing one environment.
-
-    Validates that at least two replicates are present, that recording is
-    full, and that all trajectories carry the identical environment
-    sequence, then reduces to the bundle computation.
-    """
-    if len(trajectories) < 2:
-        raise ConfigurationError("diagnostics need at least 2 replicates per frozen environment")
-    ref = trajectories[0]
-    if ref.recording != "full" or any(t.recording != "full" for t in trajectories):
-        raise ConfigurationError("diagnostics need full recording")
-    steps = len(ref.steps)
-    if steps < 1 or any(len(t.steps) != steps for t in trajectories):
-        raise ConfigurationError("trajectories must share one fully recorded horizon")
-    eta = np.array([s.eta for s in ref.steps])
-    for t in trajectories[1:]:
-        other = np.array([s.eta for s in t.steps])
-        if not np.array_equal(eta, other):
-            raise ConfigurationError("trajectories do not share a frozen environment sequence")
-    xi = np.array([s.increment for s in ref.steps])
-    counts = np.zeros((len(trajectories), steps + 1), dtype=np.int64)
-    counts[:, 0] = ref.n0
-    for r, t in enumerate(trajectories):
-        counts[r, 1:] = [s.n_pairs for s in t.steps]
-    bundle = FrozenBundle(n0=ref.n0, eta=eta, xi=xi, walk_sum=np.cumsum(xi), counts=counts)
-    return bundle_diagnostics(bundle, rule, offspring_model)

@@ -49,10 +49,9 @@ from .simulator import (
     run_frozen_bundle,
     run_until_extinction,
 )
+from .walk import default_max_steps
 
 __all__ = [
-    "EmpiricalCdf",
-    "empirical_cdf",
     "ks_statistic",
     "ReplicateRecord",
     "ExperimentConfig",
@@ -66,7 +65,6 @@ __all__ = [
     "LemmaSweep",
     "lemma_bound_sweep",
     "loglog_slope",
-    "default_max_steps",
 ]
 
 AUDIT_STREAM_KEY = 2**31
@@ -74,38 +72,9 @@ SIGMA_STREAM_KEY = 2**31 + 1
 CENSORING_SLACK = 0.05
 
 
-def default_max_steps(n0: int) -> int:
-    return int(math.ceil(50.0 * math.log(n0) ** 2))
-
-
 # ---------------------------------------------------------------------------
-# Empirical CDF and KS distance
+# KS distance
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous step function with jumps 1/n at the order statistics."""
-
-    values: np.ndarray
-    n: int
-
-    def __call__(self, t):
-        idx = np.searchsorted(self.values, t, side="right")
-        out = idx / self.n
-        return float(out) if np.ndim(t) == 0 else out
-
-    @property
-    def jump_points(self) -> np.ndarray:
-        return self.values
-
-
-def empirical_cdf(samples: Sequence[float]) -> EmpiricalCdf:
-    """Empirical distribution function of a nonempty sample."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        raise ValueError("empirical_cdf needs a nonempty sample")
-    return EmpiricalCdf(values=arr, n=arr.size)
 
 
 def ks_statistic(samples: Sequence[float], law: FirstPassageLaw, n_total: Optional[int] = None) -> float:
@@ -193,11 +162,9 @@ class ExperimentConfig:
     n_grid: tuple
     replicates: int = 2000
     epsilon: float = 1.0
-    beta: float = 3.0
     master_seed: int = 42
     threads: int = 1
     max_steps: Optional[int] = None
-    recording: str = "terminal"
     sigma_xi: Optional[float] = None
     audit_samples: int = 100_000
     sigma_mc_samples: int = 1_000_000
@@ -213,8 +180,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.beta > 1:
-            raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
 
 
 def _record_from_run(run: CoupledRun, replicate_id: int) -> ReplicateRecord:
@@ -233,11 +198,11 @@ def _record_from_run(run: CoupledRun, replicate_id: int) -> ReplicateRecord:
 
 
 def _coupled_chunk(args) -> list[ReplicateRecord]:
-    (env, offspring, rule, n0, beta, epsilon, max_steps, master_seed, grid_index, start, stop) = args
+    (env, offspring, rule, n0, epsilon, max_steps, master_seed, grid_index, start, stop) = args
     out = []
     for rep in range(start, stop):
         stream = derive_stream(master_seed, grid_index, rep)
-        run = run_coupled(rule, env, offspring, n0, beta, epsilon, max_steps, stream)
+        run = run_coupled(rule, env, offspring, n0, epsilon, max_steps, stream)
         out.append(_record_from_run(run, rep))
     return out
 
@@ -265,7 +230,6 @@ def run_replicates(config: ExperimentConfig, grid_index: int) -> list[ReplicateR
             config.offspring,
             config.rule,
             n0,
-            config.beta,
             config.epsilon,
             max_steps,
             config.master_seed,
@@ -541,7 +505,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         total_steps=sum(r.total_steps for r in rows),
         master_seed=config.master_seed,
         epsilon=config.epsilon,
-        beta=config.beta,
+        beta=config.offspring.beta,
     )
     if out_prefix is not None:
         out_prefix = Path(out_prefix)

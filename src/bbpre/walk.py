@@ -1,6 +1,7 @@
 """The associated random walk and its hitting time below a moving threshold.
 
-The walk sums the model's log-scale increments.  For an initial couple
+The walk ``S_n = xi(eta_1) + ... + xi(eta_n)`` sums the model's
+log-scale increments along one environment path.  For an initial couple
 count ``N`` and moment parameter ``beta > 1`` the hitting threshold is
 
     threshold = ln^gamma(N) - ln(N),    gamma = 2 / (1 + beta) < 1,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -24,36 +25,18 @@ from .errors import ConfigurationError
 from .model import EnvironmentModel, MatingRule, OffspringModel, walk_increments
 
 __all__ = [
-    "WalkState",
-    "walk_step",
+    "default_max_steps",
     "HittingSpec",
     "HittingResult",
     "hitting_time",
-    "model_increment_source",
     "ThetaDistribution",
     "theta_distribution",
 ]
 
 
-@dataclass(frozen=True)
-class WalkState:
-    """Value object for the running walk; history records (n, increment, sum)."""
-
-    n: int = 0
-    S: float = 0.0
-    history: Optional[tuple] = None
-
-    @classmethod
-    def start(cls, record_history: bool = False) -> "WalkState":
-        return cls(n=0, S=0.0, history=() if record_history else None)
-
-
-def walk_step(state: WalkState, xi_value: float) -> WalkState:
-    """Advance the walk by one increment, returning a new state."""
-    n = state.n + 1
-    s = state.S + xi_value
-    history = None if state.history is None else state.history + ((n, xi_value, s),)
-    return WalkState(n=n, S=s, history=history)
+def default_max_steps(n0: int) -> int:
+    """The default step cap, ``ceil(50 ln^2 n0)``."""
+    return int(math.ceil(50.0 * math.log(n0) ** 2))
 
 
 @dataclass(frozen=True)
@@ -76,7 +59,7 @@ class HittingSpec:
         if not self.beta > 1.0:
             raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
         if self.max_steps is None:
-            object.__setattr__(self, "max_steps", int(math.ceil(50.0 * math.log(self.n0) ** 2)))
+            object.__setattr__(self, "max_steps", default_max_steps(self.n0))
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
 
@@ -112,59 +95,21 @@ class HittingResult:
         return self.theta is None
 
 
-IncrementSource = Union[Iterable[float], Callable[[int], np.ndarray]]
+def hitting_time(spec: HittingSpec, increments: np.ndarray) -> HittingResult:
+    """First step at or below the threshold of the walk with these increments.
 
-
-def hitting_time(spec: HittingSpec, increments: IncrementSource, block: int = 1024) -> HittingResult:
-    """First step at or below the threshold, scanning increments in blocks.
-
-    ``increments`` is either an iterable of floats or a callable
-    ``draw(k) -> ndarray`` producing the next ``k`` increments.
+    The walk is the cumulative sum of the first ``spec.max_steps``
+    increments, summed from 0 in order.
     """
-    if callable(increments):
-        draw = increments
-    else:
-        it = iter(increments)
-
-        def draw(k: int) -> np.ndarray:
-            return np.fromiter(it, dtype=float, count=k)
-
-    thr = spec.threshold
-    s = 0.0
-    done = 0
-    while done < spec.max_steps:
-        k = min(block, spec.max_steps - done)
-        xs = np.asarray(draw(k), dtype=float)
-        if xs.size != k:
-            raise ValueError("increment source exhausted before max_steps")
-        cums = s + np.cumsum(xs)
-        hit = cums <= thr
-        if hit.any():
-            j = int(hit.argmax())
-            return HittingResult(
-                theta=done + j + 1,
-                S_theta=float(cums[j]),
-                xi_theta=float(xs[j]),
-                steps_run=done + j + 1,
-            )
-        s = float(cums[-1])
-        done += k
-    return HittingResult(theta=None, S_theta=s, xi_theta=math.nan, steps_run=spec.max_steps)
-
-
-def model_increment_source(
-    rule: MatingRule,
-    env_model: EnvironmentModel,
-    offspring_model: OffspringModel,
-    stream: np.random.Generator,
-) -> Callable[[int], np.ndarray]:
-    """Block source of walk increments driven by fresh environment draws."""
-
-    def draw(k: int) -> np.ndarray:
-        eta = np.asarray(env_model.sample(stream, size=k), dtype=float)
-        return walk_increments(rule, offspring_model, eta)
-
-    return draw
+    xs = np.asarray(increments, dtype=float)
+    if xs.size < spec.max_steps:
+        raise ValueError(f"hitting_time needs {spec.max_steps} increments, got {xs.size}")
+    sums = np.cumsum(xs[: spec.max_steps])
+    hit = sums <= spec.threshold
+    if not hit.any():
+        return HittingResult(theta=None, S_theta=float(sums[-1]), xi_theta=math.nan, steps_run=spec.max_steps)
+    j = int(hit.argmax())
+    return HittingResult(theta=j + 1, S_theta=float(sums[j]), xi_theta=float(xs[j]), steps_run=j + 1)
 
 
 @dataclass(frozen=True)
@@ -200,7 +145,8 @@ def theta_distribution(
     out = []
     censored = 0
     for child in stream.spawn(replicates):
-        res = hitting_time(spec, model_increment_source(rule, env_model, offspring_model, child))
+        eta = env_model.sample(child, size=spec.max_steps)
+        res = hitting_time(spec, walk_increments(rule, offspring_model, eta))
         if res.censored:
             censored += 1
         else:

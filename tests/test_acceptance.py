@@ -32,7 +32,7 @@ from bbpre import (
     run_experiment,
     run_until_extinction,
 )
-from bbpre.stats import default_max_steps
+from bbpre.walk import default_max_steps
 
 ACCEPT_SEED = 42
 GRID = (1_000, 100_000, 100_000_000)
@@ -48,7 +48,6 @@ def canonical_config(**kw):
         n_grid=GRID,
         replicates=REPLICATES,
         epsilon=1.0,
-        beta=3.0,
         master_seed=ACCEPT_SEED,
         threads=2,
     )

@@ -226,3 +226,38 @@ def test_parser_covers_stable_flag_names():
     text = parser.format_help()
     for sub in ("simulate", "coupled", "audit", "experiment", "limit-law", "lemma-sweep"):
         assert sub in text
+
+
+def test_config_beta_sets_threshold_and_summary(tmp_path, capsys):
+    # one beta: the config file's offspring.beta drives the hitting threshold,
+    # the summary's global.beta and the audit's C5 alike
+    cfg = tmp_path / "beta.json"
+    cfg.write_text(json.dumps({"offspring": {"beta": 5}}))
+    exp = ["experiment", "--n-grid", "100", "--replicates", "20", "--seed", "1", "--threads", "1"]
+    code, _, _ = run_cli(capsys, *exp, "--config", str(cfg), "--out", str(tmp_path / "b"))
+    assert code == 0
+    payload = json.loads((tmp_path / "b_summary.json").read_text())
+    assert payload["global"]["beta"] == 5.0
+    assert payload["global"]["condition_report"]["conditions"]["C5"]["detail"]["beta"] == 5.0
+    coupled = ["coupled", "--n0", "500", "--replicates", "20", "--seed", "2"]
+    for name, extra in (("file", ["--config", str(cfg)]), ("flag", ["--beta", "5"]), ("default", [])):
+        code, _, _ = run_cli(capsys, *coupled, *extra, "--out", str(tmp_path / f"{name}.csv"))
+        assert code == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    assert (tmp_path / "file.csv").read_bytes() != (tmp_path / "default.csv").read_bytes()
+
+
+def test_recording_is_a_simulate_flag_only(capsys):
+    for sub in ("coupled", "experiment"):
+        code, _, stderr = run_cli(capsys, sub, "--recording", "full")
+        assert code == 1
+        assert json.loads(stderr.strip().splitlines()[-1])["error"] == "configuration"
+
+
+def test_unknown_top_level_config_keys_are_rejected(tmp_path, capsys):
+    for content in ({"bogus": 1}, {"experiment": {}}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        code, _, stderr = run_cli(capsys, "simulate", "--config", str(cfg), "--n0", "50", "--replicates", "2")
+        assert code == 1
+        assert json.loads(stderr.strip().splitlines()[-1])["error"] == "configuration"

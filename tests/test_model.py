@@ -24,9 +24,8 @@ from bbpre import (
     check_superadditivity,
     derive_stream,
     monogamous,
-    noise_components,
+    noise_scales,
     polygamous,
-    walk_increment,
     walk_increments,
 )
 from bbpre.model import _poisson_centered_abs_moment
@@ -119,7 +118,8 @@ def test_deterministic_family():
     model = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.0), mean_m=ConstantMeanMap(2.0))
     rng = np.random.default_rng(4)
     assert model.sample_totals(7, -0.3, rng) == (7, 14)
-    assert model.centered_abs_moments(0.0) == (0.0, 0.0)
+    cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]))
+    assert not cf.any() and not cm.any()
     bad = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.5), mean_m=ConstantMeanMap(1.0))
     with pytest.raises(ConfigurationError):
         bad.sample_totals(3, 0.0, rng)
@@ -220,25 +220,20 @@ def test_rules_and_models_pickle():
 
 def test_walk_increment_canonical_identity_is_exact():
     rule, model = monogamous(1), OffspringModel()
-    for eta in (-2.0, -0.37, 0.0, 0.3, 1.7, 11.0):
-        assert walk_increment(rule, model, eta) == eta
-    etas = np.random.default_rng(3).standard_normal(1000)
+    etas = np.concatenate([[-2.0, -0.37, 0.0, 0.3, 1.7, 11.0], np.random.default_rng(3).standard_normal(1000)])
     assert np.array_equal(walk_increments(rule, model, etas), etas)
 
 
 def test_walk_increment_examples():
     rule = monogamous(1)
-    assert walk_increment(rule, OffspringModel(), 0.0) == 0.0
-    assert walk_increment(rule, OffspringModel(), 0.3) == 0.3
+    assert np.array_equal(walk_increments(rule, OffspringModel(), np.array([0.0, 0.3])), [0.0, 0.3])
     lopsided = OffspringModel(mean_f=ExpMeanMap(), mean_m=ExpMeanMap(scale=1.2))
-    for eta in (-1.0, 0.0, 2.2):
-        assert walk_increment(rule, lopsided, eta) == eta  # min selects the smaller female mean
+    etas = np.array([-1.0, 0.0, 2.2])
+    assert np.array_equal(walk_increments(rule, lopsided, etas), etas)  # min selects the smaller female mean
 
 
 def test_walk_increment_degenerate_model():
     dead = OffspringModel(mean_f=ExpMeanMap(scale=0.0), mean_m=ExpMeanMap(scale=0.0))
-    with pytest.raises(DegenerateModelError):
-        walk_increment(monogamous(1), dead, 0.0)
     with pytest.raises(DegenerateModelError):
         walk_increments(monogamous(1), dead, np.zeros(3))
 
@@ -385,10 +380,11 @@ def test_audit_polygamous_reports_approximation_witness(canonical_env, canonical
 
 
 def test_omega_components_at_eta_zero(canonical_rule, canonical_offspring):
-    w1, w2, w3 = noise_components(canonical_rule, canonical_offspring, 0.0)
-    assert w2 == 2.0  # mean_f + mean_m = 1 + 1 exactly
-    assert w1 == 2.0  # lipschitz^2 + rho^2 with both scales 1
-    assert w3 == 2.0  # two Poisson(1) variances at moment order 2
+    zeta, w1, w2, w3 = noise_scales(canonical_rule, canonical_offspring, np.zeros(1))
+    assert w2[0] == 2.0  # mean_f + mean_m = 1 + 1 exactly
+    assert w1[0] == 2.0  # lipschitz^2 + rho^2 with both scales 1
+    assert w3[0] == 2.0  # two Poisson(1) variances at moment order 2
+    assert zeta[0] == math.log(6.0)
 
 
 def test_audit_requires_enough_samples(canonical_env, canonical_offspring, canonical_rule):

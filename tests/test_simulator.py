@@ -11,19 +11,15 @@ from bbpre import (
     ExpMeanMap,
     FirstPassageLaw,
     OffspringModel,
-    Trajectory,
     asexual,
     bundle_diagnostics,
     derive_stream,
     evolve_step,
     monogamous,
-    residual_diagnostics,
     run_coupled,
     run_frozen_bundle,
     run_until_extinction,
-    run_with_environment,
 )
-from bbpre.simulator import StepRecord
 
 
 def canonical():
@@ -198,44 +194,51 @@ def test_censoring_fraction_bounded_by_limit_law_tail():
 
 def test_coupled_window_size_is_exact():
     env, off, rule = canonical()
-    run = run_coupled(rule, env, off, 1000, 3.0, 1.0, 50, derive_stream(9))
+    run = run_coupled(rule, env, off, 1000, 1.0, 50, derive_stream(9))
     assert run.k == math.floor(math.log(1000) ** 2)
-    run = run_coupled(rule, env, off, 1000, 3.0, 0.5, 50, derive_stream(9))
+    run = run_coupled(rule, env, off, 1000, 0.5, 50, derive_stream(9))
     assert run.k == math.floor(0.5 * math.log(1000) ** 2)
 
 
 def test_coupled_degenerate_environment_censors_theta():
     env = EnvironmentModel(std=0.0)
     off = OffspringModel()
-    run = run_coupled(monogamous(1), env, off, 10, 3.0, 1.0, 300, derive_stream(10))
+    run = run_coupled(monogamous(1), env, off, 10, 1.0, 300, derive_stream(10))
     assert run.theta is None
     assert run.n_at_theta is None and run.n_at_theta_plus_k is None
     assert math.isnan(run.S_theta)
 
 
 def test_coupled_bookkeeping_matches_full_recording():
+    # oracles on the same replicate stream: a fully recorded extinction run
+    # gives the counts, and the cumulative sum of the environment child
+    # stream gives the walk (the canonical increment is eta itself)
     env, off, rule = canonical()
+    cap = 3_000
+    spec_thr = math.exp(0.5 * math.log(math.log(100))) - math.log(100)
     hits = 0
     for seed in range(30):
-        run = run_coupled(rule, env, off, 100, 3.0, 0.2, 3_000, derive_stream(11, seed), recording="full")
-        traj = run.trajectory
-        counts = {s.n: s.n_pairs for s in traj.steps}
+        run = run_coupled(rule, env, off, 100, 0.2, cap, derive_stream(11, seed))
+        full = run_until_extinction(rule, env, off, 100, cap, derive_stream(11, seed), recording="full")
+        counts = {s.n: s.n_pairs for s in full.steps}
+        assert len(counts) == full.steps_run
+        assert (run.trajectory.tau, run.trajectory.final_n) == (full.tau, full.final_n)
+
+        def count_at(n):
+            if n in counts:
+                return counts[n]
+            return 0 if full.tau is not None else None  # absorbed, or past the cap
+
+        walk = np.cumsum(env.sample(derive_stream(11, seed).spawn(2)[0], size=cap))
         if run.theta is None:
+            assert np.all(walk > spec_thr)
             continue
         hits += 1
-        assert run.n_at_theta == counts[run.theta]
-        target = run.theta + run.k
-        if run.n_at_theta_plus_k is not None:
-            if target in counts:
-                assert run.n_at_theta_plus_k == counts[target]
-            else:
-                assert traj.tau is not None and traj.tau <= target
-                assert run.n_at_theta_plus_k == 0
-        walk = {s.n: s.walk_sum for s in traj.steps}
-        spec_thr = math.exp(0.5 * math.log(math.log(100))) - math.log(100)
-        assert walk[run.theta] <= spec_thr
-        assert all(walk[n] > spec_thr for n in range(1, run.theta))
-        assert run.S_theta == pytest.approx(walk[run.theta])
+        assert run.n_at_theta == count_at(run.theta)
+        assert run.n_at_theta_plus_k == count_at(run.theta + run.k)
+        assert walk[run.theta - 1] <= spec_thr
+        assert np.all(walk[: run.theta - 1] > spec_thr)
+        assert run.S_theta == walk[run.theta - 1]
     assert hits >= 20
 
 
@@ -244,7 +247,7 @@ def test_coupled_walk_continues_after_extinction():
     env, off, rule = canonical()
     found = False
     for seed in range(60):
-        run = run_coupled(rule, env, off, 10, 3.0, 0.05, 4_000, derive_stream(12, seed))
+        run = run_coupled(rule, env, off, 10, 0.05, 4_000, derive_stream(12, seed))
         if run.theta is not None and run.trajectory.tau is not None and run.theta > run.trajectory.tau:
             assert run.n_at_theta == 0
             assert run.n_at_theta_plus_k == 0
@@ -256,7 +259,7 @@ def test_coupled_walk_continues_after_extinction():
 def test_coupled_requires_n0_at_least_three():
     env, off, rule = canonical()
     with pytest.raises(ConfigurationError):
-        run_coupled(rule, env, off, 2, 3.0, 1.0, 100, derive_stream(13))
+        run_coupled(rule, env, off, 2, 1.0, 100, derive_stream(13))
 
 
 # ---------------------------------------------------------------------------
@@ -303,51 +306,3 @@ def test_bundle_r3_inequality_canonical():
     ok = ~np.isnan(table.r3)
     assert ok.all()
     assert np.all(table.r3[ok] <= 1.0 + 4.0 * table.r3_se[ok])
-
-
-def test_residual_diagnostics_from_trajectories_matches_bundle_path():
-    env, off, rule = canonical()
-    bundle = run_frozen_bundle(rule, env, off, 200, 15, 8, derive_stream(18))
-    trajectories = []
-    for r in range(bundle.counts.shape[0]):
-        steps = [
-            StepRecord(
-                n=j,
-                eta=float(bundle.eta[j - 1]),
-                f_total=0,
-                m_total=0,
-                n_pairs=int(bundle.counts[r, j]),
-                increment=float(bundle.xi[j - 1]),
-                walk_sum=float(bundle.walk_sum[j - 1]),
-                residual=float(bundle.counts[r, j] - bundle.counts[r, j - 1] * math.exp(bundle.xi[j - 1])),
-            )
-            for j in range(1, 16)
-        ]
-        trajectories.append(Trajectory(n0=200, recording="full", steps=steps, steps_run=15))
-    table_a = residual_diagnostics(trajectories, rule, off)
-    table_b = bundle_diagnostics(bundle, rule, off)
-    for field in ("r2", "r3", "r3_se", "r4"):
-        assert np.allclose(getattr(table_a, field), getattr(table_b, field), rtol=1e-12, equal_nan=True)
-
-
-def test_residual_diagnostics_validation():
-    env, off, rule = canonical()
-    t1 = run_with_environment(rule, off, 50, np.zeros(5), derive_stream(19))
-    with pytest.raises(ConfigurationError):
-        residual_diagnostics([t1], rule, off)
-    t2 = run_with_environment(rule, off, 50, np.ones(5) * 0.1, derive_stream(20))
-    with pytest.raises(ConfigurationError):
-        residual_diagnostics([t1, t2], rule, off)  # different environments
-    t3 = run_until_extinction(rule, env, off, 50, 100, derive_stream(21), recording="sparse")
-    with pytest.raises(ConfigurationError):
-        residual_diagnostics([t3, t3], rule, off)
-
-
-def test_run_with_environment_continues_past_extinction():
-    env = EnvironmentModel(std=0.0)
-    off = OffspringModel(mean_f=ExpMeanMap(shift=-2.0), mean_m=ExpMeanMap(shift=-2.0))
-    traj = run_with_environment(monogamous(1), off, 2, np.zeros(30), derive_stream(22))
-    assert traj.steps_run == 30
-    assert len(traj.steps) == 30
-    if traj.tau is not None:
-        assert all(s.n_pairs == 0 for s in traj.steps[traj.tau - 1 :])

@@ -13,7 +13,6 @@ from bbpre import (
     LemmaSweepConfig,
     OffspringModel,
     ExperimentConfig,
-    empirical_cdf,
     ks_statistic,
     lemma_bound_sweep,
     loglog_slope,
@@ -33,7 +32,6 @@ def small_config(**kw):
         n_grid=(100, 1000),
         replicates=150,
         epsilon=1.0,
-        beta=3.0,
         master_seed=42,
         threads=1,
         audit_samples=2_000,
@@ -43,27 +41,11 @@ def small_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# empirical cdf and KS
+# KS distance
 # ---------------------------------------------------------------------------
 
 
-def test_empirical_cdf_single_point():
-    f = empirical_cdf([0.5])
-    assert f(0.49) == 0.0
-    assert f(0.5) == 1.0
-    assert f(2.0) == 1.0
-
-
-def test_empirical_cdf_duplicates_accumulate_mass():
-    f = empirical_cdf([1.0, 1.0, 2.0, 3.0])
-    assert f(1.0) == 0.5
-    assert f(2.5) == 0.75
-    assert f(3.0) == 1.0
-
-
-def test_empirical_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        empirical_cdf([])
+def test_ks_statistic_rejects_empty():
     with pytest.raises(ValueError):
         ks_statistic([], FirstPassageLaw(1.0))
 
@@ -83,10 +65,10 @@ def test_ks_jump_formula_agrees_with_grid_scan():
     law = FirstPassageLaw(1.0)
     samples = law.sample(np.random.default_rng(32), size=2_000)
     d_jump = ks_statistic(samples, law)
-    f = empirical_cdf(samples)
     xs = np.sort(samples)
     grid = np.unique(np.concatenate([xs, xs - 1e-12, np.linspace(0.0, xs.max() + 1.0, 200_001)]))
-    d_grid = float(np.max(np.abs(f(grid) - law.cdf(grid))))
+    ecdf = np.searchsorted(xs, grid, side="right") / xs.size
+    d_grid = float(np.max(np.abs(ecdf - law.cdf(grid))))
     assert abs(d_jump - d_grid) <= 1e-6
 
 

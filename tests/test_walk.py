@@ -9,37 +9,12 @@ from bbpre import (
     EnvironmentModel,
     HittingSpec,
     OffspringModel,
-    WalkState,
+    default_max_steps,
     derive_stream,
     hitting_time,
-    model_increment_source,
     monogamous,
     theta_distribution,
-    walk_step,
 )
-
-
-def test_walk_step_identity_increment():
-    s = walk_step(WalkState.start(), 0.0)
-    assert (s.n, s.S) == (1, 0.0)
-
-
-def test_walk_step_arithmetic():
-    s = WalkState.start()
-    for inc in (1.0, -2.0, 0.5):
-        s = walk_step(s, inc)
-    assert s.n == 3
-    assert s.S == pytest.approx(-0.5)
-
-
-def test_walk_history_length_matches_step_count():
-    s = WalkState.start(record_history=True)
-    for i in range(10):
-        s = walk_step(s, 0.1 * i)
-    assert len(s.history) == s.n == 10
-    ns, incs, sums = zip(*s.history)
-    assert list(ns) == list(range(1, 11))
-    assert sums[-1] == pytest.approx(sum(incs))
 
 
 def test_gamma_from_beta():
@@ -67,7 +42,7 @@ def test_spec_validation():
 
 def test_default_step_cap():
     spec = HittingSpec(n0=10**8)
-    assert spec.max_steps == math.ceil(50.0 * math.log(10**8) ** 2)
+    assert spec.max_steps == default_max_steps(10**8) == math.ceil(50.0 * math.log(10**8) ** 2)
 
 
 def test_hitting_time_deterministic_descent():
@@ -76,7 +51,7 @@ def test_hitting_time_deterministic_descent():
     n0 = round(math.exp(10.0))
     spec = HittingSpec(n0=n0, beta=3.0, max_steps=100)
     assert spec.threshold == pytest.approx(math.sqrt(math.log(n0)) - math.log(n0))
-    res = hitting_time(spec, iter(lambda: -1.0, None))
+    res = hitting_time(spec, np.full(100, -1.0))
     assert res.theta == 7
     assert res.S_theta == pytest.approx(-7.0)
     assert res.xi_theta == -1.0
@@ -84,25 +59,12 @@ def test_hitting_time_deterministic_descent():
 
 def test_hitting_time_censors_on_ascent():
     spec = HittingSpec(n0=1000, beta=3.0, max_steps=100)
-    res = hitting_time(spec, iter(lambda: 1.0, None))
+    res = hitting_time(spec, np.full(100, 1.0))
     assert res.censored and res.theta is None
     assert res.steps_run == 100
     assert math.isnan(res.xi_theta)
-
-
-def test_hitting_time_block_and_iterable_sources_agree():
-    incs = np.random.default_rng(5).normal(0.0, 0.5, size=5000)
-    spec = HittingSpec(n0=1000, beta=3.0, max_steps=5000)
-    a = hitting_time(spec, iter(incs.tolist()))
-    pos = [0]
-
-    def draw(k):
-        out = incs[pos[0] : pos[0] + k]
-        pos[0] += k
-        return out
-
-    b = hitting_time(spec, draw, block=77)
-    assert (a.theta, a.S_theta, a.xi_theta) == (b.theta, b.S_theta, b.xi_theta)
+    with pytest.raises(ValueError):
+        hitting_time(spec, np.full(99, 1.0))
 
 
 def test_hitting_minimality_and_sandwich():
@@ -113,7 +75,7 @@ def test_hitting_minimality_and_sandwich():
     hits = 0
     for _ in range(50):
         incs = rng.normal(0.0, 0.5, size=spec.max_steps)
-        res = hitting_time(spec, iter(incs.tolist()))
+        res = hitting_time(spec, incs)
         if res.censored:
             continue
         hits += 1
@@ -159,10 +121,3 @@ def test_theta_median_matches_first_passage_prediction():
     observed = float(np.quantile(np.concatenate([dist.samples_scaled, np.full(dist.censored, np.inf)]), 0.5))
     assert abs(observed - predicted) / predicted <= 0.15
 
-
-def test_model_increment_source_feeds_environment_values():
-    # canonical model: increments equal the sampled environment values exactly
-    env = EnvironmentModel(std=0.5)
-    src = model_increment_source(monogamous(1), env, OffspringModel(), derive_stream(10))
-    ref = env.sample(derive_stream(10), size=64)
-    assert np.array_equal(src(64), ref)
