@@ -26,6 +26,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -529,6 +530,9 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
 # CSV writers (deterministic formatting: repr for floats, blank for missing)
 # ---------------------------------------------------------------------------
 
+# Rows joined per write: the writers never hold a whole file's text.
+CSV_CHUNK_ROWS = 4096
+
 REPLICATE_COLUMNS = (
     "replicate_id",
     "N0",
@@ -551,25 +555,33 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _write_lines(path: Path, header: str, lines) -> None:
+    """Write ``header`` and then ``lines``, one per row, joining ``CSV_CHUNK_ROWS`` rows per write."""
+    it = iter(lines)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        while chunk := list(islice(it, CSV_CHUNK_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
+
+
 def write_replicates_csv(path: Path, records: Sequence[ReplicateRecord]) -> None:
-    lines = [",".join(REPLICATE_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.replicate_id,
-                    r.n0,
-                    r.tau,
-                    r.tau is None,
-                    r.theta,
-                    r.n_theta,
-                    r.n_theta_plus_k,
-                    r.steps_run,
-                )
+    rows = (
+        ",".join(
+            _cell(v)
+            for v in (
+                r.replicate_id,
+                r.n0,
+                r.tau,
+                r.tau is None,
+                r.theta,
+                r.n_theta,
+                r.n_theta_plus_k,
+                r.steps_run,
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for r in records
+    )
+    _write_lines(path, ",".join(REPLICATE_COLUMNS), rows)
 
 
 def write_ecdf_csv(path: Path, sorted_scaled: np.ndarray, n_total: int, law: FirstPassageLaw) -> None:
@@ -585,14 +597,13 @@ TRAJECTORY_COLUMNS = ("replicate_id", "n", "eta", "F_total", "M_total", "N", "xi
 
 def write_trajectories_csv(path: Path, trajectories: Sequence[tuple]) -> None:
     """One row per recorded step; ``trajectories`` pairs (replicate_id, Trajectory)."""
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for rep_id, traj in trajectories:
-        for s in traj.steps:
-            lines.append(
-                f"{rep_id},{s.n},{s.eta!r},{s.f_total},{s.m_total},{s.n_pairs},"
-                f"{s.increment!r},{s.walk_sum!r},{s.residual!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        f"{rep_id},{s.n},{s.eta!r},{s.f_total},{s.m_total},{s.n_pairs},"
+        f"{s.increment!r},{s.walk_sum!r},{s.residual!r}"
+        for rep_id, traj in trajectories
+        for s in traj.steps
+    )
+    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows)
 
 
 # ---------------------------------------------------------------------------
