@@ -193,12 +193,11 @@ def _cmd_simulate(args) -> int:
         env, offspring, rule, args.n0, args.replicates, args.max_steps, args.seed, args.threads,
         args.recording, return_trajectories=keep_steps,
     )
-    records, trajectories = result if keep_steps else (result, [])
+    records, steps = result if keep_steps else (result, None)
     if args.out:
         write_replicates_csv(args.out, records)
-        if trajectories:
-            steps_path = args.out.parent / (args.out.stem + "_trajectories.csv")
-            write_trajectories_csv(steps_path, trajectories)
+        if keep_steps:
+            write_trajectories_csv(args.out.parent / (args.out.stem + "_trajectories.csv"), steps)
     censored = sum(1 for r in records if r.censored)
     print(f"simulate: n0={args.n0} replicates={len(records)} censored={censored} out={args.out or '-'}")
     return 0

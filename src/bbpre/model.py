@@ -205,6 +205,20 @@ def _poisson_total(lam: float, stream: np.random.Generator) -> int:
     return int(round(lam + math.sqrt(lam) * stream.standard_normal()))
 
 
+def _poisson_totals(lam: np.ndarray, stream: np.random.Generator) -> np.ndarray:
+    """Float64 twin of ``_poisson_total`` for means already checked to lie in [0, MEAN_GUARD]."""
+    big = lam > POISSON_EXACT_MAX
+    if not big.any():
+        return stream.poisson(lam).astype(float)
+    if big.all():
+        return np.round(lam + np.sqrt(lam) * stream.standard_normal(lam.shape))
+    out = np.empty_like(lam)
+    out[~big] = stream.poisson(lam[~big])
+    lb = lam[big]
+    out[big] = np.round(lb + np.sqrt(lb) * stream.standard_normal(lb.size))
+    return out
+
+
 def _poisson_centered_abs_moment(lam: float, order: float) -> float:
     """E|X - lam|^order for X ~ Poisson(lam), by truncated series.
 

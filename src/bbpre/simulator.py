@@ -4,6 +4,15 @@ A replicate evolves the couple counts step by step: sample the
 environment, sample the two offspring totals, mate.  Zero couples is
 absorbing.  Counts are Python ints, so they never wrap; offspring means
 beyond the sampling guard abort the replicate with an overflow tag.
+These single-replicate runs (``run_until_extinction``, ``run_coupled``)
+are the scalar reference.
+
+``run_block`` is the sweep engine: it evolves a block of replicates in
+lockstep as float64 arrays, one generation at a time, with every
+replicate's environment from its own stream and the block's offspring
+draws from one shared stream.  It applies the scalar sampler's rules
+element by element, so a replicate's law is the same, but its counts
+are not the scalar path's draws.
 
 Each replicate splits its stream in two: one child draws the whole
 environment path up to the step cap in one call, the other the
@@ -40,10 +49,12 @@ import numpy as np
 
 from .errors import ConfigurationError, OverflowGuardError
 from .model import (
+    MEAN_GUARD,
     EnvironmentModel,
     MatingRule,
     OffspringModel,
     _log_g_at_means,
+    _poisson_totals,
     mate_array,
     noise_scales,
     walk_increments,
@@ -57,6 +68,8 @@ __all__ = [
     "evolve_step",
     "run_until_extinction",
     "run_coupled",
+    "BlockRun",
+    "run_block",
     "FrozenBundle",
     "run_frozen_bundle",
     "DiagnosticTable",
@@ -266,6 +279,215 @@ def run_coupled(
         run.n_at_theta = count_at(hit.theta)
         run.n_at_theta_plus_k = count_at(hit.theta + k)
     return run
+
+
+# ---------------------------------------------------------------------------
+# Lockstep replicate blocks
+# ---------------------------------------------------------------------------
+
+# Environment values a block holds at a time: a window spans this many
+# divided by the live replicates (16 generations for a full block).
+ENV_WINDOW_CELLS = 2**14
+
+# One recorded step of a block run; the names are the trajectory CSV columns.
+STEP_DTYPE = np.dtype(
+    [
+        ("replicate_id", np.int64),
+        ("n", np.int64),
+        ("eta", float),
+        ("F_total", float),
+        ("M_total", float),
+        ("N", float),
+        ("xi", float),
+        ("S", float),
+        ("R", float),
+    ]
+)
+
+
+@dataclass(frozen=True)
+class BlockRun:
+    """Per-replicate outcomes of one block, indexed by position in the block.
+
+    ``tau`` and ``theta`` are -1 where absent; ``overflow_step`` is the
+    step that tripped the overflow guard, 0 if none; ``n_theta`` and
+    ``n_theta_plus_k`` are NaN where unobserved, by ``run_coupled``'s
+    rules.  ``steps`` holds the recorded steps (``STEP_DTYPE``, with
+    ``replicate_id`` the block position), replicate-major.
+    """
+
+    tau: np.ndarray
+    overflow_step: np.ndarray
+    steps_run: np.ndarray
+    theta: np.ndarray
+    n_theta: np.ndarray
+    n_theta_plus_k: np.ndarray
+    steps: np.ndarray
+
+
+def _checked_means(offspring_model: OffspringModel, means: np.ndarray, e: np.ndarray) -> None:
+    """Raise the scalar sampler's error for a negative, NaN or (deterministic) non-integer mean.
+
+    ``means`` stacks the female and male means of the replicates whose
+    environment values are ``e``.
+    """
+    bad = (means < 0).any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ConfigurationError(f"negative conditional mean at eta={e[i]}: ({means[0, i]}, {means[1, i]})")
+    if np.isnan(means).any():
+        raise ValueError("negative or NaN offspring mean")
+    if offspring_model.kind == "deterministic":
+        bad = (np.abs(means - np.round(means)) > 1e-9).any(axis=0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ConfigurationError(
+                f"deterministic offspring needs integer means, got ({means[0, i]}, {means[1, i]}) at eta={e[i]}"
+            )
+
+
+def run_block(
+    rule: MatingRule,
+    env_model: EnvironmentModel,
+    offspring_model: OffspringModel,
+    n0: int,
+    max_steps: int,
+    env_streams: list,
+    stream: np.random.Generator,
+    epsilon: Optional[float] = None,
+    recording: str = "terminal",
+) -> BlockRun:
+    """Evolve a block of replicates in lockstep, one generation at a time.
+
+    Replicate ``i`` reads its environment path from ``env_streams[i]``
+    (consumed), in windows of ``ENV_WINDOW_CELLS`` values shared by the
+    live replicates and only while its process is alive, so no array
+    of shape (block, max_steps) is held.  All offspring draws of the block come from ``stream``.
+    Counts are float64, exact below 2^53; they follow the scalar
+    sampler element by element: the normal approximation above
+    ``POISSON_EXACT_MAX``, an overflow tag for the replicate whose
+    requested total exceeds ``MEAN_GUARD``, the same errors for
+    negative, NaN or non-integer deterministic means, and absorption
+    at 0.
+
+    With ``epsilon`` the block is a coupled run: each replicate first
+    draws its whole path for the walk (as ``run_coupled`` does), then
+    the stream is rewound for the process, and ``theta``, the counts
+    at ``theta`` and ``theta + k`` and ``steps_run`` are taken as in
+    ``run_coupled``.  Without it the run is extinction only, as in
+    ``run_until_extinction``.
+    """
+    if n0 < 1:
+        raise ConfigurationError(f"n0 must be >= 1, got {n0}")
+    if max_steps < 1:
+        raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
+    stride = _record_stride(n0, recording)
+    size = len(env_streams)
+    theta = np.full(size, -1, dtype=np.int64)
+    k = 0
+    if epsilon is not None:
+        if n0 < 3:
+            raise ConfigurationError(f"coupled runs need n0 >= 3, got {n0}")
+        if epsilon <= 0:
+            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+        spec = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps)
+        k = int(math.floor(epsilon * spec.log2_n0))
+        for i, env_rng in enumerate(env_streams):
+            start = env_rng.bit_generator.state
+            hit = hitting_time(spec, walk_increments(rule, offspring_model, env_model.sample(env_rng, size=max_steps)))
+            env_rng.bit_generator.state = start
+            theta[i] = -1 if hit.theta is None else hit.theta
+    # the steps whose counts a coupled run reports; -1 never matches
+    targets = np.where(theta[:, None] >= 0, theta[:, None] + np.array([0, k]), -1)
+    observed = np.full((size, 2), np.nan)
+    tau = np.full(size, -1, dtype=np.int64)
+    overflow_step = np.zeros(size, dtype=np.int64)
+    recorded = []
+
+    rows = np.arange(size)  # block positions alive at the window start
+    cur = np.full(size, float(n0))
+    walk_sum = np.zeros(size)
+    first = 0
+    while first < max_steps and rows.size:
+        width = min(max(1, ENV_WINDOW_CELLS // rows.size), max_steps - first)
+        eta = np.array([env_model.sample(env_streams[i], size=width) for i in rows])
+        means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+        if stride is not None:
+            xi_w = _log_g_at_means(rule, offspring_model, eta)
+            s_w = np.cumsum(np.concatenate([walk_sum[:, None], xi_w], axis=1), axis=1)[:, 1:]
+        act = np.arange(rows.size)  # window rows still alive
+        tgt = targets[rows]
+        for j in range(width):
+            n = first + j + 1
+            means = means_w[:, act, j]
+            lam = cur * means
+            if not (lam.min() >= 0.0 and lam.max() <= MEAN_GUARD):
+                _checked_means(offspring_model, means, eta[act, j])
+                ok = ~(lam > MEAN_GUARD).any(axis=0)
+                overflow_step[rows[act[~ok]]] = n
+                act, cur, tgt, means, lam = act[ok], cur[ok], tgt[ok], means[:, ok], lam[:, ok]
+                if act.size == 0:
+                    break
+            e = eta[act, j]
+            if offspring_model.kind == "poisson":
+                f, m = _poisson_totals(lam, stream)
+            else:
+                _checked_means(offspring_model, means, e)
+                f, m = cur * np.round(means)
+            nxt = np.asarray(mate_array(rule, f, m, e), dtype=float)
+            dead = nxt == 0
+            if stride is not None and (n % stride == 0 or n == max_steps or dead.any()):
+                keep = slice(None) if n % stride == 0 or n == max_steps else dead
+                rec = np.empty(nxt[keep].size, dtype=STEP_DTYPE)
+                x = xi_w[act[keep], j]
+                rec["replicate_id"] = rows[act[keep]]
+                rec["n"] = n
+                rec["eta"] = e[keep]
+                rec["F_total"] = f[keep]
+                rec["M_total"] = m[keep]
+                rec["N"] = nxt[keep]
+                rec["xi"] = x
+                rec["S"] = s_w[act[keep], j]
+                rec["R"] = nxt[keep] - cur[keep] * np.exp(x)
+                recorded.append(rec)
+            hit = tgt == n
+            if hit.any():
+                at, which = np.nonzero(hit)
+                observed[rows[act[at]], which] = nxt[at]
+            if dead.any():
+                tau[rows[act[dead]]] = n
+                live = ~dead
+                act, cur, tgt = act[live], nxt[live], tgt[live]
+                if act.size == 0:
+                    break
+            else:
+                cur = nxt
+        if stride is not None:
+            walk_sum = s_w[act, -1]
+        rows = rows[act]
+        first += width
+
+    if epsilon is None:
+        ended = np.where(tau >= 0, tau, max_steps)
+    else:
+        # the run ends once the process is extinct and the walk has hit
+        ended = np.where((theta >= 0) & (tau >= 0), np.maximum(tau, theta), max_steps)
+        theta = np.where((overflow_step == 0) | (theta < overflow_step), theta, -1)
+        # a count after tau is 0 by absorption; past the cap or at/after an overflow it is unobserved
+        observed[np.isnan(observed) & (tau >= 0)[:, None]] = 0.0
+        observed[theta < 0] = np.nan
+    steps_run = np.where(overflow_step > 0, overflow_step, ended)
+    steps = np.concatenate(recorded) if recorded else np.empty(0, dtype=STEP_DTYPE)
+    steps = steps[overflow_step[steps["replicate_id"]] == 0]  # an overflow discards the replicate's steps
+    return BlockRun(
+        tau=tau,
+        overflow_step=overflow_step,
+        steps_run=steps_run,
+        theta=theta,
+        n_theta=observed[:, 0],
+        n_theta_plus_k=observed[:, 1],
+        steps=steps[np.argsort(steps["replicate_id"], kind="stable")],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ tailed (no mean), so for sigma near 0.5 about a fifth of the limit mass
 lies beyond the default cap of 50 ln^2 N; an experiment aborts only
 when observed censoring exceeds the law-implied tail mass plus slack.
 
-Determinism: every replicate's streams are keyed by (master seed, grid
-index, replicate index); aggregation is an order-independent merge, so
-reruns and thread-count changes reproduce outputs byte for byte.
+Determinism: replicates run in lockstep blocks of ``BLOCK``.  Each
+replicate's environment is keyed by (master seed, grid index, replicate
+index), each block's offspring draws by (master seed, grid index,
+``OFFSPRING_BLOCK_KEY``, block index); blocks are the unit of work of
+the worker processes and are merged in order, so reruns and
+thread-count changes reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -43,13 +46,7 @@ from .model import (
     walk_increments,
 )
 from .rng import derive_stream
-from .simulator import (
-    CoupledRun,
-    bundle_diagnostics,
-    run_coupled,
-    run_frozen_bundle,
-    run_until_extinction,
-)
+from .simulator import STEP_DTYPE, bundle_diagnostics, run_block, run_frozen_bundle
 from .walk import default_max_steps
 
 __all__ = [
@@ -70,6 +67,10 @@ __all__ = [
 
 AUDIT_STREAM_KEY = 2**31
 SIGMA_STREAM_KEY = 2**31 + 1
+# Block b of grid point g draws its offspring from (seed, g, OFFSPRING_BLOCK_KEY, b).
+OFFSPRING_BLOCK_KEY = 2**31 + 2
+# Replicates per lockstep block: fixed, so that results never depend on --threads.
+BLOCK = 1024
 CENSORING_SLACK = 0.05
 
 
@@ -183,31 +184,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def _record_from_run(run: CoupledRun, replicate_id: int) -> ReplicateRecord:
-    traj = run.trajectory
-    return ReplicateRecord(
-        replicate_id=replicate_id,
-        n0=traj.n0,
-        tau=traj.tau,
-        censored=traj.tau is None and not traj.overflow,
-        theta=run.theta,
-        n_theta=run.n_at_theta,
-        n_theta_plus_k=run.n_at_theta_plus_k,
-        steps_run=traj.steps_run,
-        overflow=traj.overflow,
-    )
-
-
-def _coupled_chunk(args) -> list[ReplicateRecord]:
-    (env, offspring, rule, n0, epsilon, max_steps, master_seed, grid_index, start, stop) = args
-    out = []
-    for rep in range(start, stop):
-        stream = derive_stream(master_seed, grid_index, rep)
-        run = run_coupled(rule, env, offspring, n0, epsilon, max_steps, stream)
-        out.append(_record_from_run(run, rep))
-    return out
-
-
 def _run_chunked(task_args: list, worker, threads: int) -> list:
     if threads <= 1 or len(task_args) <= 1:
         chunks = [worker(a) for a in task_args]
@@ -220,50 +196,67 @@ def _run_chunked(task_args: list, worker, threads: int) -> list:
     return merged
 
 
+def _optional(v, absent) -> Optional[int]:
+    return None if v == absent else int(v)
+
+
+def _block_task(args) -> list[tuple]:
+    env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, stop, epsilon, recording = args
+    # each replicate's environment is the first child of its own stream, as in run_coupled
+    env_streams = [derive_stream(master_seed, grid_index, rep).spawn(2)[0] for rep in range(start, stop)]
+    off_rng = derive_stream(master_seed, grid_index, OFFSPRING_BLOCK_KEY, block)
+    run = run_block(rule, env, offspring, n0, max_steps, env_streams, off_rng, epsilon, recording)
+    records = [
+        ReplicateRecord(
+            replicate_id=start + i,
+            n0=n0,
+            tau=_optional(tau, -1),
+            censored=tau < 0 and not over,
+            theta=_optional(theta, -1),
+            n_theta=None if math.isnan(at) else int(at),
+            n_theta_plus_k=None if math.isnan(at_k) else int(at_k),
+            steps_run=steps,
+            overflow=bool(over),
+        )
+        for i, (tau, over, steps, theta, at, at_k) in enumerate(
+            zip(
+                run.tau.tolist(),
+                run.overflow_step.tolist(),
+                run.steps_run.tolist(),
+                run.theta.tolist(),
+                run.n_theta.tolist(),
+                run.n_theta_plus_k.tolist(),
+            )
+        )
+    ]
+    run.steps["replicate_id"] += start
+    return [(records, run.steps)]
+
+
+def _run_blocks(env, offspring, rule, n0, replicates, max_steps, master_seed, grid_index, threads, epsilon=None,
+                recording="terminal") -> list[tuple]:
+    """Split replicates ``0 .. replicates-1`` into ``BLOCK``-sized blocks and run them, in order.
+
+    Blocks are the unit of work handed to the ``threads`` worker
+    processes; the partition does not depend on ``threads``.
+    """
+    tasks = [
+        (env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, min(start + BLOCK, replicates),
+         epsilon, recording)
+        for block, start in enumerate(range(0, replicates, BLOCK))
+    ]
+    return _run_chunked(tasks, _block_task, threads)
+
+
 def run_replicates(config: ExperimentConfig, grid_index: int) -> list[ReplicateRecord]:
-    """All coupled replicates for one grid point, merged in replicate order."""
+    """All coupled replicates for one grid point, in replicate order."""
     n0 = config.n_grid[grid_index]
     max_steps = config.max_steps or default_max_steps(n0)
-    chunk = max(1, math.ceil(config.replicates / (config.threads * 8)))
-    tasks = [
-        (
-            config.env,
-            config.offspring,
-            config.rule,
-            n0,
-            config.epsilon,
-            max_steps,
-            config.master_seed,
-            grid_index,
-            start,
-            min(start + chunk, config.replicates),
-        )
-        for start in range(0, config.replicates, chunk)
-    ]
-    records = _run_chunked(tasks, _coupled_chunk, config.threads)
-    records.sort(key=lambda r: r.replicate_id)
-    return records
-
-
-def _extinction_chunk(args) -> list[tuple]:
-    env, offspring, rule, n0, max_steps, master_seed, start, stop, recording = args
-    out = []
-    for rep in range(start, stop):
-        stream = derive_stream(master_seed, 0, rep)
-        traj = run_until_extinction(rule, env, offspring, n0, max_steps, stream, recording)
-        rec = ReplicateRecord(
-            replicate_id=rep,
-            n0=n0,
-            tau=traj.tau,
-            censored=traj.censored,
-            theta=None,
-            n_theta=None,
-            n_theta_plus_k=None,
-            steps_run=traj.steps_run,
-            overflow=traj.overflow,
-        )
-        out.append((rec, traj if recording != "terminal" else None))
-    return out
+    blocks = _run_blocks(
+        config.env, config.offspring, config.rule, n0, config.replicates, max_steps, config.master_seed, grid_index,
+        config.threads, epsilon=config.epsilon,
+    )
+    return [rec for records, _ in blocks for rec in records]
 
 
 def run_extinction_records(
@@ -280,26 +273,21 @@ def run_extinction_records(
 ):
     """Extinction-only replicate sweep (the ``simulate`` subcommand's engine).
 
-    Returns the record list, or ``(records, [(replicate_id, Trajectory),
-    ...])`` when ``return_trajectories`` is set (requires a recording
-    mode that keeps steps).
+    Returns the record list, or ``(records, steps)`` when
+    ``return_trajectories`` is set: ``steps`` is one
+    ``simulator.STEP_DTYPE`` array of every recorded step, replicate-major
+    (empty under terminal recording).
     """
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     ms = max_steps or default_max_steps(max(n0, 3))
-    chunk = max(1, math.ceil(replicates / (threads * 8)))
-    tasks = [
-        (env, offspring, rule, n0, ms, master_seed, start, min(start + chunk, replicates), recording)
-        for start in range(0, replicates, chunk)
-    ]
-    pairs = _run_chunked(tasks, _extinction_chunk, threads)
-    pairs.sort(key=lambda pair: pair[0].replicate_id)
-    records = [rec for rec, _ in pairs]
+    blocks = _run_blocks(env, offspring, rule, n0, replicates, ms, master_seed, 0, threads, recording=recording)
+    records = [rec for recs, _ in blocks for rec in recs]
     if not return_trajectories:
         return records
-    return records, [(rec.replicate_id, traj) for rec, traj in pairs if traj is not None]
+    return records, np.concatenate([steps for _, steps in blocks])
 
 
 @dataclass
@@ -592,16 +580,15 @@ def write_ecdf_csv(path: Path, sorted_scaled: np.ndarray, n_total: int, law: Fir
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-TRAJECTORY_COLUMNS = ("replicate_id", "n", "eta", "F_total", "M_total", "N", "xi", "S", "R")
+TRAJECTORY_COLUMNS = STEP_DTYPE.names
 
 
-def write_trajectories_csv(path: Path, trajectories: Sequence[tuple]) -> None:
-    """One row per recorded step; ``trajectories`` pairs (replicate_id, Trajectory)."""
+def write_trajectories_csv(path: Path, steps: np.ndarray) -> None:
+    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as integers."""
     rows = (
-        f"{rep_id},{s.n},{s.eta!r},{s.f_total},{s.m_total},{s.n_pairs},"
-        f"{s.increment!r},{s.walk_sum!r},{s.residual!r}"
-        for rep_id, traj in trajectories
-        for s in traj.steps
+        f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
+        for first in range(0, steps.size, CSV_CHUNK_ROWS)
+        for rep_id, n, eta, f, m, c, xi, s, r in steps[first : first + CSV_CHUNK_ROWS].tolist()
     )
     _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows)
 

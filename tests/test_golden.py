@@ -36,21 +36,21 @@ RUNS = {
 
 DIGESTS = {
     "experiment": {
-        "exp_ecdf_tau_N100.csv": "3fb14960c0a437f0394cf55f51637f1d33649f962782f4a549853f394aa51a00",
-        "exp_ecdf_tau_N1000.csv": "b6bcbac93eaee675f32bb387df503162d5db5f23279655d03b6f347fcd7003b7",
-        "exp_replicates.csv": "e23e4ae08907244dd7e6331f9bd3a63780f2093f1ecd5c849d66ecc47bf4fc14",
-        "exp_summary.json": "794a1e63488ec848148a6773f287a5d1f121019e68612909a446a1f199b6fe4e",
+        "exp_ecdf_tau_N100.csv": "f7bd43ae01e632bfae21a1e1bd5721daf50be41e932e0f4b489c6ec4741190fa",
+        "exp_ecdf_tau_N1000.csv": "2981b98b24a503ca1a4b8662ebcac376f96ea95a61b933022ae60d2732ea648d",
+        "exp_replicates.csv": "24cdc2626bbca5f86383acbbdf02683ee271531f69173b44453a37fcb18cd0d3",
+        "exp_summary.json": "f67ae2ba3823d468a86b259b7d641c5a31779fe56c28f25119514d440d75190e",
     },
     "coupled": {
-        "coupled.csv": "e064815d7374be7fe7c67b8ad8dae00e1f0800f6c8ffeee4658c691202126513",
+        "coupled.csv": "aa88d13291f5ca840d5f4290ed8b24064835a81c36bee4704eaa88eaa201002f",
     },
     "simulate-full": {
-        "full.csv": "8802474f716ba065b0ed25d6811196766b6e4a921568ade5f63b3253402c1f9e",
-        "full_trajectories.csv": "be8cd9589b755530fbeac0ed47b5e1e38d37c6054ccfdf6be436ea9f06ad7aef",
+        "full.csv": "fc72fbcfe187aa12fe27cee7d5c0b3fd799fc43c4197b5f8d8c2cb0be8e29463",
+        "full_trajectories.csv": "e1a3bcf7e14e90e24abba39b1238a9dca2cd5f0604ebdedfb0bb21daccdfb1f3",
     },
     "simulate-sparse": {
-        "sparse.csv": "df61452370212123f88e6f9c1648d8fecc0c5395046519d4792dd8736d2c5d34",
-        "sparse_trajectories.csv": "a7503bc63bfac34f0b21b20e1e6be542e2fee138330b2a4d745097f854e9f2e7",
+        "sparse.csv": "2cc2d1afc6f6735af9eb521dbb2418a39f113d05e4996fabe86888fe8f327cac",
+        "sparse_trajectories.csv": "748b36cbce5227b2a86a6f0b4c36e6dcdb71fc6e07696c87766c6a16eead8a6b",
     },
     "lemma-sweep": {
         "sweep.csv": "9acc722c33d33487b7431720d08878bba238e150e46c5d209e395bc9a5cd47d0",

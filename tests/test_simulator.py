@@ -2,24 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import ks_2samp, poisson
 
 from bbpre import (
     ConfigurationError,
     ConstantMeanMap,
     EnvironmentModel,
+    ExperimentConfig,
     ExpMeanMap,
     FirstPassageLaw,
     OffspringModel,
+    TableMap,
     asexual,
     bundle_diagnostics,
     derive_stream,
     evolve_step,
     monogamous,
     run_coupled,
+    run_extinction_records,
     run_frozen_bundle,
+    run_replicates,
     run_until_extinction,
+    stats,
 )
+from bbpre.simulator import run_block
 
 
 def canonical():
@@ -306,3 +312,116 @@ def test_bundle_r3_inequality_canonical():
     ok = ~np.isnan(table.r3)
     assert ok.all()
     assert np.all(table.r3[ok] <= 1.0 + 4.0 * table.r3_se[ok])
+
+
+# ---------------------------------------------------------------------------
+# lockstep replicate blocks
+# ---------------------------------------------------------------------------
+
+
+def test_block_sweep_theta_is_the_scalar_walks_and_counts_follow_the_rules(monkeypatch):
+    # asexual processes track their walk closely, so in 72 replicates every
+    # bookkeeping case occurs: theta after tau, alive past the cap at theta + k
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), asexual()
+    n0, cap, seed = 1000, 250, 3
+    config = ExperimentConfig(
+        env=env, offspring=off, rule=rule, n_grid=(n0,), replicates=72, epsilon=2.0, master_seed=seed, max_steps=cap
+    )
+    records = run_replicates(config, 0)
+    k = math.floor(2.0 * math.log(n0) ** 2)
+    cases = {"after_tau": 0, "past_cap": 0}
+    for r in records:
+        assert r.theta == run_coupled(rule, env, off, n0, 2.0, cap, derive_stream(seed, 0, r.replicate_id)).theta
+        if r.theta is None:
+            assert r.n_theta is None and r.n_theta_plus_k is None
+            assert r.steps_run == cap
+            continue
+        if r.tau is not None and r.theta > r.tau:
+            assert r.n_theta == 0
+            cases["after_tau"] += 1
+        if r.tau is None:
+            assert r.n_theta is not None
+            assert (r.n_theta_plus_k is None) == (r.theta + k > cap)
+            cases["past_cap"] += r.theta + k > cap
+        assert r.steps_run == (cap if r.tau is None else max(r.tau, r.theta))
+    assert min(cases.values()) >= 2
+
+    # the counts at theta and theta + k are the recorded counts of the same block streams
+    for block, start in enumerate(range(0, 72, 16)):
+        env_streams = [derive_stream(seed, 0, rep).spawn(2)[0] for rep in range(start, min(start + 16, 72))]
+        off_rng = derive_stream(seed, 0, stats.OFFSPRING_BLOCK_KEY, block)
+        run = run_block(rule, env, off, n0, cap, env_streams, off_rng, epsilon=2.0, recording="full")
+        counts = {(int(s["replicate_id"]), int(s["n"])): float(s["N"]) for s in run.steps}
+        for i, rec in enumerate(records[start : start + 16]):
+            if rec.theta is None:
+                continue
+            for step, got in ((rec.theta, rec.n_theta), (rec.theta + k, rec.n_theta_plus_k)):
+                if (i, step) in counts:
+                    assert got == counts[(i, step)]
+                else:
+                    assert got == (0 if rec.tau is not None else None)
+
+
+def test_block_sweep_extinction_law_matches_scalar_runs():
+    # two-sample KS at the 0.01 level, as in acceptance criterion 8
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
+    n0, reps, seed = 100, 2000, 20261018
+    cap = math.ceil(50 * math.log(n0) ** 2)
+    block = [r.tau if r.tau is not None else cap + 1 for r in run_extinction_records(env, off, rule, n0, reps, cap, seed)]
+    scalar = []
+    for r in range(reps):
+        traj = run_until_extinction(rule, env, off, n0, cap, derive_stream(seed + 1, 0, r))
+        scalar.append(traj.tau if traj.tau is not None else cap + 1)
+    d = float(ks_2samp(block, scalar).statistic)
+    assert d <= 1.628 * math.sqrt(2.0 / reps)
+
+
+def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
+    config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(500,), replicates=40, master_seed=8, threads=1)
+    one = run_replicates(config, 0)
+    two = run_replicates(ExperimentConfig(**{**config.__dict__, "threads": 2}), 0)
+    assert one == two
+    assert [r.replicate_id for r in one] == list(range(40))
+    a = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=1, recording="sparse", return_trajectories=True)
+    b = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=2, recording="sparse", return_trajectories=True)
+    assert a[0] == b[0] and np.array_equal(a[1], b[1])
+    assert [r.replicate_id for r in a[0]] == list(range(40))
+    assert np.all(np.diff(a[1]["replicate_id"]) >= 0)
+
+
+def test_block_engine_raises_the_scalar_errors(monkeypatch):
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    negative = OffspringModel(mean_f=ConstantMeanMap(-1.0), mean_m=ConstantMeanMap(1.0))
+    with pytest.raises(ConfigurationError):
+        run_extinction_records(env, negative, rule, 50, 20, 100, 1)
+    fractional = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.5), mean_m=ConstantMeanMap(1.0))
+    with pytest.raises(ConfigurationError):
+        run_extinction_records(env, fractional, rule, 50, 20, 100, 1)
+
+
+def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatch):
+    # the female mean jumps past the guard only where eta >= 1.25
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
+    cap, seed, reps = 200, 5, 40
+    records, steps = run_extinction_records(
+        env, off, rule, 1000, reps, cap, seed, recording="full", return_trajectories=True
+    )
+    rows = np.bincount(steps["replicate_id"], minlength=reps)
+    tagged = 0
+    for r in records:
+        assert rows[r.replicate_id] == (0 if r.overflow else r.steps_run)
+        eta = env.sample(derive_stream(seed, 0, r.replicate_id).spawn(2)[0], size=cap)
+        if r.overflow:
+            tagged += 1
+            assert r.tau is None and not r.censored
+            assert eta[r.steps_run - 1] >= 1.25 and np.all(eta[: r.steps_run - 1] < 1.25)
+        else:
+            assert r.steps_run == (cap if r.tau is None else r.tau)
+            assert np.all(eta[: r.steps_run] < 1.25)
+    assert 0 < tagged < reps
