@@ -75,7 +75,8 @@ __all__ = [
 ]
 
 # Offspring means above this raise OverflowGuardError instead of degrading
-# silently; counts themselves are Python ints and never wrap.
+# silently; single-replicate counts are Python ints and never wrap, sweep
+# counts are float64 (exact below 2^53).
 MEAN_GUARD = 1e300
 # numpy's rejection sampler is exact here; above, the normal approximation
 # has relative error below 1e-6 per draw and cannot produce negatives.

@@ -7,13 +7,6 @@ beyond the sampling guard abort the replicate with an overflow tag.
 These single-replicate runs (``run_until_extinction``, ``run_coupled``)
 are the scalar reference.
 
-``run_block`` is the sweep engine: it evolves a block of replicates in
-lockstep as float64 arrays, one generation at a time, with every
-replicate's environment from its own stream and the block's offspring
-draws from one shared stream.  It applies the scalar sampler's rules
-element by element, so a replicate's law is the same, but its counts
-are not the scalar path's draws.
-
 Each replicate splits its stream in two: one child draws the whole
 environment path up to the step cap in one call, the other the
 offspring noise, so the walk's law is unaffected by how much offspring
@@ -24,6 +17,13 @@ array; only the process runs step by step, and only while it is alive.
 environment path.  It records the hitting step, the couple counts at
 the hitting step and ``k`` steps later with
 ``k = floor(epsilon * ln^2 N)``, and the extinction step.
+
+``run_block`` is the sweep engine: it evolves a block of replicates in
+lockstep as float64 arrays, one generation at a time, with every
+replicate's environment from its own stream and the block's offspring
+draws from one shared stream.  It applies the scalar sampler's rules
+element by element, so a replicate's law is the same, but its counts
+are not the scalar path's draws.
 
 ``run_frozen_bundle`` runs many offspring randomizations over a single
 frozen environment path; the bundle diagnostics estimate the

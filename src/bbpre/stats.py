@@ -196,10 +196,6 @@ def _run_chunked(task_args: list, worker, threads: int) -> list:
     return merged
 
 
-def _optional(v, absent) -> Optional[int]:
-    return None if v == absent else int(v)
-
-
 def _block_task(args) -> list[tuple]:
     env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, stop, epsilon, recording = args
     # each replicate's environment is the first child of its own stream, as in run_coupled
@@ -210,9 +206,9 @@ def _block_task(args) -> list[tuple]:
         ReplicateRecord(
             replicate_id=start + i,
             n0=n0,
-            tau=_optional(tau, -1),
+            tau=None if tau < 0 else tau,
             censored=tau < 0 and not over,
-            theta=_optional(theta, -1),
+            theta=None if theta < 0 else theta,
             n_theta=None if math.isnan(at) else int(at),
             n_theta_plus_k=None if math.isnan(at_k) else int(at_k),
             steps_run=steps,

@@ -23,6 +23,7 @@ from bbpre import (
     run_frozen_bundle,
     run_replicates,
     run_until_extinction,
+    simulator,
     stats,
 )
 from bbpre.simulator import run_block
@@ -390,6 +391,21 @@ def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
     assert a[0] == b[0] and np.array_equal(a[1], b[1])
     assert [r.replicate_id for r in a[0]] == list(range(40))
     assert np.all(np.diff(a[1]["replicate_id"]) >= 0)
+
+
+def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
+    # windows of 7 cells end mid-path for every replicate; each replicate's
+    # environment is read in order either way, and S continues across windows
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
+    config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
+    wide = run_replicates(config, 0)
+    wide_ext = run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full", return_trajectories=True)
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 7)
+    assert run_replicates(config, 0) == wide
+    narrow_ext = run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full", return_trajectories=True)
+    assert narrow_ext[0] == wide_ext[0] and np.array_equal(narrow_ext[1], wide_ext[1])
+    first = wide_ext[1][wide_ext[1]["replicate_id"] == 0]
+    assert np.array_equal(first["S"], np.cumsum(first["xi"]))
 
 
 def test_block_engine_raises_the_scalar_errors(monkeypatch):
