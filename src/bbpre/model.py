@@ -206,16 +206,21 @@ def _poisson_total(lam: float, stream: np.random.Generator) -> int:
     return int(round(lam + math.sqrt(lam) * stream.standard_normal()))
 
 
-def _poisson_totals(lam: np.ndarray, stream: np.random.Generator) -> np.ndarray:
-    """Float64 twin of ``_poisson_total`` for means already checked to lie in [0, MEAN_GUARD]."""
-    big = lam > POISSON_EXACT_MAX
-    if not big.any():
+def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) -> np.ndarray:
+    """Float64 twin of ``_poisson_total`` for means already checked to lie in [0, MEAN_GUARD].
+
+    ``top`` is ``lam.max()``.  The draws are those of ``poisson(lam[small])``
+    in C order, then normals for ``lam[big]``: a zero mean consumes no
+    draw, so ``poisson`` over ``lam`` with the big means zeroed gives the
+    small draws in place.
+    """
+    if top <= POISSON_EXACT_MAX:
         return stream.poisson(lam).astype(float)
-    if big.all():
-        return np.round(lam + np.sqrt(lam) * stream.standard_normal(lam.shape))
-    out = np.empty_like(lam)
-    out[~big] = stream.poisson(lam[~big])
+    big = lam > POISSON_EXACT_MAX
     lb = lam[big]
+    if lb.size == lam.size:
+        return np.round(lam + np.sqrt(lam) * stream.standard_normal(lam.shape))
+    out = stream.poisson(np.where(big, 0.0, lam)).astype(float)
     out[big] = np.round(lb + np.sqrt(lb) * stream.standard_normal(lb.size))
     return out
 

@@ -398,73 +398,86 @@ def run_block(
             env_rng.bit_generator.state = start
             theta[i] = -1 if hit.theta is None else hit.theta
     # the steps whose counts a coupled run reports; -1 never matches
-    targets = np.where(theta[:, None] >= 0, theta[:, None] + np.array([0, k]), -1)
+    tgt = np.where(theta[:, None] >= 0, theta[:, None] + np.array([0, k]), -1)
     observed = np.full((size, 2), np.nan)
     tau = np.full(size, -1, dtype=np.int64)
     overflow_step = np.zeros(size, dtype=np.int64)
     recorded = []
 
-    rows = np.arange(size)  # block positions alive at the window start
+    # These arrays and the window arrays hold one row per live replicate
+    # (means_w: female/male first, then replicate), so a generation reads
+    # column j of the window as a plain view; a replicate's row is dropped
+    # when it dies or overflows.
+    rows = np.arange(size)  # block positions
     cur = np.full(size, float(n0))
     walk_sum = np.zeros(size)
+
+    def compact(keep: np.ndarray) -> None:
+        nonlocal rows, cur, tgt, eta, means_w, xi_w, s_w
+        rows, cur, tgt, eta, means_w = rows[keep], cur[keep], tgt[keep], eta[keep], means_w[:, keep]
+        if stride is not None:
+            xi_w, s_w = xi_w[keep], s_w[keep]
+
     first = 0
     while first < max_steps and rows.size:
         width = min(max(1, ENV_WINDOW_CELLS // rows.size), max_steps - first)
-        eta = np.array([env_model.sample(env_streams[i], size=width) for i in rows])
+        eta = np.array([env_model.sample(env_streams[i], size=width) for i in rows.tolist()])
         means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+        # without a negative mean in the window every lam is >= 0 or NaN, and
+        # a NaN fails the guard test below
+        nonneg = means_w.min() >= 0.0
         if stride is not None:
             xi_w = _log_g_at_means(rule, offspring_model, eta)
             s_w = np.cumsum(np.concatenate([walk_sum[:, None], xi_w], axis=1), axis=1)[:, 1:]
-        act = np.arange(rows.size)  # window rows still alive
-        tgt = targets[rows]
+        pending = set(tgt[(tgt > first) & (tgt <= first + width)].tolist())
         for j in range(width):
             n = first + j + 1
-            means = means_w[:, act, j]
+            means = means_w[:, :, j]
             lam = cur * means
-            if not (lam.min() >= 0.0 and lam.max() <= MEAN_GUARD):
-                _checked_means(offspring_model, means, eta[act, j])
+            top = lam.max()
+            if not (top <= MEAN_GUARD and (nonneg or lam.min() >= 0.0)):
+                _checked_means(offspring_model, means, eta[:, j])
                 ok = ~(lam > MEAN_GUARD).any(axis=0)
-                overflow_step[rows[act[~ok]]] = n
-                act, cur, tgt, means, lam = act[ok], cur[ok], tgt[ok], means[:, ok], lam[:, ok]
-                if act.size == 0:
+                overflow_step[rows[~ok]] = n
+                compact(ok)
+                if rows.size == 0:
                     break
-            e = eta[act, j]
+                means, lam = means_w[:, :, j], lam[:, ok]
+                top = lam.max()
+            e = eta[:, j]
             if offspring_model.kind == "poisson":
-                f, m = _poisson_totals(lam, stream)
+                f, m = _poisson_totals(lam, top, stream)
             else:
                 _checked_means(offspring_model, means, e)
                 f, m = cur * np.round(means)
             nxt = np.asarray(mate_array(rule, f, m, e), dtype=float)
-            dead = nxt == 0
-            if stride is not None and (n % stride == 0 or n == max_steps or dead.any()):
+            died = not nxt.all()
+            dead = nxt == 0 if died else None
+            if stride is not None and (n % stride == 0 or n == max_steps or died):
                 keep = slice(None) if n % stride == 0 or n == max_steps else dead
                 rec = np.empty(nxt[keep].size, dtype=STEP_DTYPE)
-                x = xi_w[act[keep], j]
-                rec["replicate_id"] = rows[act[keep]]
+                x = xi_w[keep, j]
+                rec["replicate_id"] = rows[keep]
                 rec["n"] = n
                 rec["eta"] = e[keep]
                 rec["F_total"] = f[keep]
                 rec["M_total"] = m[keep]
                 rec["N"] = nxt[keep]
                 rec["xi"] = x
-                rec["S"] = s_w[act[keep], j]
+                rec["S"] = s_w[keep, j]
                 rec["R"] = nxt[keep] - cur[keep] * np.exp(x)
                 recorded.append(rec)
-            hit = tgt == n
-            if hit.any():
-                at, which = np.nonzero(hit)
-                observed[rows[act[at]], which] = nxt[at]
-            if dead.any():
-                tau[rows[act[dead]]] = n
-                live = ~dead
-                act, cur, tgt = act[live], nxt[live], tgt[live]
-                if act.size == 0:
+            if n in pending:
+                at, which = np.nonzero(tgt == n)
+                observed[rows[at], which] = nxt[at]
+            cur = nxt
+            if died:
+                tau[rows[dead]] = n
+                compact(~dead)
+                if rows.size == 0:
                     break
-            else:
-                cur = nxt
         if stride is not None:
-            walk_sum = s_w[act, -1]
-        rows = rows[act]
+            walk_sum = s_w[:, -1]
         first += width
 
     if epsilon is None:

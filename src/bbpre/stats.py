@@ -18,9 +18,10 @@ when observed censoring exceeds the law-implied tail mass plus slack.
 Determinism: replicates run in lockstep blocks of ``BLOCK``.  Each
 replicate's environment is keyed by (master seed, grid index, replicate
 index), each block's offspring draws by (master seed, grid index,
-``OFFSPRING_BLOCK_KEY``, block index); blocks are the unit of work of
-the worker processes and are merged in order, so reruns and
-thread-count changes reproduce outputs byte for byte.
+``OFFSPRING_BLOCK_KEY``, block index); blocks, of every grid point at
+once, are the unit of work of the worker processes and are merged in
+(grid, block) order, so reruns and thread-count changes reproduce
+outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -198,8 +199,12 @@ def _run_chunked(task_args: list, worker, threads: int) -> list:
 
 def _block_task(args) -> list[tuple]:
     env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, stop, epsilon, recording = args
-    # each replicate's environment is the first child of its own stream, as in run_coupled
-    env_streams = [derive_stream(master_seed, grid_index, rep).spawn(2)[0] for rep in range(start, stop)]
+    # each replicate's environment is the first child of its own stream, as in run_coupled:
+    # the generator derive_stream(master_seed, grid_index, rep).spawn(2)[0], built directly
+    env_streams = [
+        np.random.default_rng(np.random.SeedSequence([master_seed, grid_index, rep], spawn_key=(0,)))
+        for rep in range(start, stop)
+    ]
     off_rng = derive_stream(master_seed, grid_index, OFFSPRING_BLOCK_KEY, block)
     run = run_block(rule, env, offspring, n0, max_steps, env_streams, off_rng, epsilon, recording)
     records = [
@@ -229,29 +234,32 @@ def _block_task(args) -> list[tuple]:
     return [(records, run.steps)]
 
 
-def _run_blocks(env, offspring, rule, n0, replicates, max_steps, master_seed, grid_index, threads, epsilon=None,
-                recording="terminal") -> list[tuple]:
-    """Split replicates ``0 .. replicates-1`` into ``BLOCK``-sized blocks and run them, in order.
+def _block_tasks(env, offspring, rule, n0, replicates, max_steps, master_seed, grid_index, epsilon=None,
+                 recording="terminal") -> list[tuple]:
+    """Split replicates ``0 .. replicates-1`` of one grid point into ``BLOCK``-sized ``_block_task`` arguments.
 
     Blocks are the unit of work handed to the ``threads`` worker
     processes; the partition does not depend on ``threads``.
     """
-    tasks = [
+    return [
         (env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, min(start + BLOCK, replicates),
          epsilon, recording)
         for block, start in enumerate(range(0, replicates, BLOCK))
     ]
-    return _run_chunked(tasks, _block_task, threads)
+
+
+def _coupled_tasks(config: ExperimentConfig, grid_index: int) -> list[tuple]:
+    n0 = config.n_grid[grid_index]
+    max_steps = config.max_steps or default_max_steps(n0)
+    return _block_tasks(
+        config.env, config.offspring, config.rule, n0, config.replicates, max_steps, config.master_seed, grid_index,
+        epsilon=config.epsilon,
+    )
 
 
 def run_replicates(config: ExperimentConfig, grid_index: int) -> list[ReplicateRecord]:
     """All coupled replicates for one grid point, in replicate order."""
-    n0 = config.n_grid[grid_index]
-    max_steps = config.max_steps or default_max_steps(n0)
-    blocks = _run_blocks(
-        config.env, config.offspring, config.rule, n0, config.replicates, max_steps, config.master_seed, grid_index,
-        config.threads, epsilon=config.epsilon,
-    )
+    blocks = _run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads)
     return [rec for records, _ in blocks for rec in records]
 
 
@@ -279,7 +287,8 @@ def run_extinction_records(
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     ms = max_steps or default_max_steps(max(n0, 3))
-    blocks = _run_blocks(env, offspring, rule, n0, replicates, ms, master_seed, 0, threads, recording=recording)
+    tasks = _block_tasks(env, offspring, rule, n0, replicates, ms, master_seed, 0, recording=recording)
+    blocks = _run_chunked(tasks, _block_task, threads)
     records = [rec for recs, _ in blocks for rec in recs]
     if not return_trajectories:
         return records
@@ -472,12 +481,15 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         config.audit_samples,
         derive_stream(config.master_seed, AUDIT_STREAM_KEY),
     )
+    # every grid point's blocks go to the workers at once, merged in (grid, block) order
+    tasks = [_coupled_tasks(config, gi) for gi in range(len(config.n_grid))]
+    blocks = iter(_run_chunked([t for grid_tasks in tasks for t in grid_tasks], _block_task, config.threads))
     rows = []
     all_records: list[ReplicateRecord] = []
     for gi, n0 in enumerate(config.n_grid):
         max_steps = config.max_steps or default_max_steps(n0)
         k = int(math.floor(config.epsilon * math.log(n0) ** 2))
-        records = run_replicates(config, gi)
+        records = [rec for recs, _ in islice(blocks, len(tasks[gi])) for rec in recs]
         rows.append(summarize_records(records, n0, k, max_steps, law))
         all_records.extend(records)
     report = SummaryReport(

@@ -28,7 +28,7 @@ from bbpre import (
     polygamous,
     walk_increments,
 )
-from bbpre.model import _poisson_centered_abs_moment
+from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moment, _poisson_totals
 
 ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
 
@@ -112,6 +112,26 @@ def test_large_mean_normal_fallback_is_sane():
     lam = 4e12
     f, _ = model.sample_totals(4, math.log(lam / 4), rng)
     assert abs(f - lam) <= 6.0 * math.sqrt(lam)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        # zeros, the multiplication sampler (< 10), the rejection sampler, exactly 1e12, and normals above
+        np.array([[0.0, 3.5, 2e12, 40.0, 7e13, 0.0], [1e12, 0.0, 9.0, 5e15, 12.5, 2.0e5]]),
+        np.array([[0.0, 3.5, 40.0], [1e12, 0.0, 9.0]]),
+        np.array([[2e12, 7e13], [5e15, 1e300]]),
+    ],
+)
+def test_poisson_totals_equal_the_two_call_reference(lam):
+    got_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    got = _poisson_totals(lam, lam.max(), got_rng)
+    big = lam > POISSON_EXACT_MAX
+    ref = np.empty_like(lam)
+    ref[~big] = ref_rng.poisson(lam[~big])
+    ref[big] = np.round(lam[big] + np.sqrt(lam[big]) * ref_rng.standard_normal(big.sum()))
+    assert got.dtype == float and np.array_equal(got, ref)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_deterministic_family():

@@ -26,6 +26,7 @@ from bbpre import (
     simulator,
     stats,
 )
+from bbpre.model import POISSON_EXACT_MAX
 from bbpre.simulator import run_block
 
 
@@ -395,17 +396,53 @@ def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
 
 def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
     # windows of 7 cells end mid-path for every replicate; each replicate's
-    # environment is read in order either way, and S continues across windows
+    # environment is read in order either way, S continues across windows, and
+    # replicates that leave the window arrays (death, overflow) take only their own rows
     env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
+    # the female mean jumps past the guard only where eta >= 1.25
+    overflowing = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
-    wide = run_replicates(config, 0)
-    wide_ext = run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full", return_trajectories=True)
+    d3 = ExperimentConfig(**{**config.__dict__, "rule": monogamous(3)})
+    runs = {
+        "coupled": lambda: run_replicates(config, 0),
+        "coupled_d3": lambda: run_replicates(d3, 0),
+        "full": lambda: run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full",
+                                               return_trajectories=True),
+        # counts around 1e12 take both branches of the Poisson/normal switch
+        "full_large": lambda: run_extinction_records(env, off, rule, 5 * 10**11, 30, 60, 12, recording="full",
+                                                     return_trajectories=True),
+        # one window of 200 generations by default: every overflow is mid-window
+        "overflow": lambda: run_extinction_records(env, overflowing, rule, 1000, 40, 200, 5, recording="full",
+                                                   return_trajectories=True),
+    }
+    wide = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 7)
-    assert run_replicates(config, 0) == wide
-    narrow_ext = run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full", return_trajectories=True)
-    assert narrow_ext[0] == wide_ext[0] and np.array_equal(narrow_ext[1], wide_ext[1])
-    first = wide_ext[1][wide_ext[1]["replicate_id"] == 0]
+    for name, run in runs.items():
+        narrow = run()
+        if name.startswith("coupled"):
+            assert narrow == wide[name]
+        else:
+            assert narrow[0] == wide[name][0] and np.array_equal(narrow[1], wide[name][1])
+    assert wide["coupled_d3"] != wide["coupled"]
+    first = wide["full"][1][wide["full"][1]["replicate_id"] == 0]
     assert np.array_equal(first["S"], np.cumsum(first["xi"]))
+    large = wide["full_large"][1]
+    above = [large["F_total"][large["n"] == n] > POISSON_EXACT_MAX for n in range(1, 61)]
+    assert sum(a.any() and not a.all() for a in above) >= 10
+    tagged = [r.steps_run for r in wide["overflow"][0] if r.overflow]
+    assert 0 < len(tagged) < 40 and max(tagged) < 200
+
+
+def test_block_environment_streams_are_each_replicates_first_child():
+    env, off, rule = canonical()
+    seed, grid_index, start = 9, 2, 5
+    args = (env, off, rule, 200, 60, seed, grid_index, 0, start, start + 6, None, "full")
+    [(records, steps)] = stats._block_task(args)
+    assert [r.replicate_id for r in records] == list(range(start, start + 6))
+    for r in records:
+        eta = steps["eta"][steps["replicate_id"] == r.replicate_id]
+        assert eta.size == r.steps_run
+        assert np.array_equal(eta, env.sample(derive_stream(seed, grid_index, r.replicate_id).spawn(2)[0], size=eta.size))
 
 
 def test_block_engine_raises_the_scalar_errors(monkeypatch):

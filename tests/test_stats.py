@@ -21,6 +21,7 @@ from bbpre import (
     run_extinction_records,
     run_replicates,
 )
+from bbpre import stats
 from bbpre.stats import summarize_records, write_replicates_csv
 
 
@@ -182,6 +183,26 @@ def test_experiment_outputs_are_deterministic(tmp_path):
     ra = (tmp_path / "a_replicates.csv").read_bytes()
     assert ra == (tmp_path / "b_replicates.csv").read_bytes()
     assert ra == (tmp_path / "c_replicates.csv").read_bytes()
+
+
+def test_experiment_hands_every_grid_points_blocks_to_the_workers_at_once(tmp_path, monkeypatch):
+    # 40 replicates in blocks of 16: three blocks per grid point, the last one ragged
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    handed = []
+    run_chunked = stats._run_chunked
+
+    def spy(tasks, worker, threads):
+        handed.append(len(tasks))
+        return run_chunked(tasks, worker, threads)
+
+    monkeypatch.setattr(stats, "_run_chunked", spy)
+    for threads in (1, 2):
+        run_experiment(small_config(replicates=40, threads=threads), out_prefix=tmp_path / f"t{threads}")
+    assert handed == [6, 6]
+    for suffix in ("summary.json", "replicates.csv"):
+        assert (tmp_path / f"t1_{suffix}").read_bytes() == (tmp_path / f"t2_{suffix}").read_bytes()
+    ids = [int(line.split(",")[0]) for line in (tmp_path / "t1_replicates.csv").read_text().splitlines()[1:]]
+    assert ids == list(range(40)) * 2
 
 
 def test_supercritical_drift_aborts_on_excess_censoring():
