@@ -219,9 +219,9 @@ def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) ->
     big = lam > POISSON_EXACT_MAX
     lb = lam[big]
     if lb.size == lam.size:
-        return np.round(lam + np.sqrt(lam) * stream.standard_normal(lam.shape))
+        return np.rint(lam + np.sqrt(lam) * stream.standard_normal(lam.shape))
     out = stream.poisson(np.where(big, 0.0, lam)).astype(float)
-    out[big] = np.round(lb + np.sqrt(lb) * stream.standard_normal(lb.size))
+    out[big] = np.rint(lb + np.sqrt(lb) * stream.standard_normal(lb.size))
     return out
 
 

@@ -451,7 +451,7 @@ def run_block(
                 _checked_means(offspring_model, means, e)
                 f, m = cur * np.round(means)
             nxt = np.asarray(mate_array(rule, f, m, e), dtype=float)
-            died = not nxt.all()
+            died = np.count_nonzero(nxt) < nxt.size
             dead = nxt == 0 if died else None
             if stride is not None and (n % stride == 0 or n == max_steps or died):
                 keep = slice(None) if n % stride == 0 or n == max_steps else dead
