@@ -20,8 +20,8 @@ from bbpre import (
     run_experiment,
     run_extinction_records,
     run_replicates,
+    stats,
 )
-from bbpre import stats
 from bbpre.stats import summarize_records, write_replicates_csv
 
 
