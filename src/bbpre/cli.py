@@ -10,6 +10,7 @@ emit one machine-readable JSON line on stderr:
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -44,10 +45,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+def _exact_int(text: str) -> int:
+    """The integer ``text`` spells exactly (``1000``, ``1e3``, ``1e32``); ValueError for any other value.
+
+    Parsed as a decimal, never through float, so large powers of ten stay
+    exact; fractions and values past the float64 range (the sweep's
+    count type) are refused.
+    """
+    try:
+        v = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not (math.isfinite(float(v)) and v == v.to_integral_value()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(v)
+
+
 def _positive_int(flag: str, minimum: int = 1):
     def parse(text: str) -> int:
         try:
-            v = int(float(text)) if ("e" in text or "E" in text or "." in text) else int(text)
+            v = _exact_int(text)
         except ValueError:
             raise ConfigurationError(f"{flag} expects an integer >= {minimum}, got {text!r}")
         if v < minimum:
@@ -74,7 +91,7 @@ def _positive_float(flag: str, minimum: float = 0.0, inclusive: bool = False):
 
 def _parse_grid(text: str) -> tuple:
     try:
-        return tuple(int(float(p)) for p in text.split(","))
+        return tuple(_exact_int(p) for p in text.split(","))
     except ValueError:
         raise ConfigurationError(f"--n-grid expects comma-separated counts, got {text!r}")
 
@@ -199,7 +216,11 @@ def _cmd_simulate(args) -> int:
         if keep_steps:
             write_trajectories_csv(args.out.parent / (args.out.stem + "_trajectories.csv"), steps)
     censored = sum(1 for r in records if r.censored)
-    print(f"simulate: n0={args.n0} replicates={len(records)} censored={censored} out={args.out or '-'}")
+    overflow = sum(1 for r in records if r.overflow)
+    print(
+        f"simulate: n0={args.n0} replicates={len(records)} censored={censored} overflow={overflow} "
+        f"out={args.out or '-'}"
+    )
     return 0
 
 
@@ -221,9 +242,10 @@ def _cmd_coupled(args) -> int:
         write_replicates_csv(args.out, records)
     censored = sum(1 for r in records if r.censored)
     theta_cens = sum(1 for r in records if r.theta is None)
+    overflow = sum(1 for r in records if r.overflow)
     print(
         f"coupled: n0={args.n0} replicates={len(records)} tau_censored={censored} "
-        f"theta_censored={theta_cens} out={args.out or '-'}"
+        f"theta_censored={theta_cens} overflow={overflow} out={args.out or '-'}"
     )
     return 0
 

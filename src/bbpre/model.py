@@ -188,6 +188,13 @@ class EnvironmentModel:
             return self.mean + self.std * stream.standard_normal()
         return self.mean + self.std * stream.standard_normal(size)
 
+    def sample_rows(self, streams, width: int) -> np.ndarray:
+        """One row per stream of the ``width`` values ``sample(stream, size=width)`` draws."""
+        z = np.empty((len(streams), width))
+        for stream, row in zip(streams, z):
+            stream.standard_normal(out=row)
+        return self.mean + self.std * z
+
 
 # ---------------------------------------------------------------------------
 # Offspring law
@@ -470,11 +477,17 @@ def asexual(alpha: float = 0.5) -> MatingRule:
     )
 
 
-def mate_array(rule: MatingRule, f: np.ndarray, m: np.ndarray, eta) -> np.ndarray:
-    """Vectorized ``L`` for the built-in rules (python loop otherwise)."""
+def mate_array(rule: MatingRule, f: np.ndarray, m: np.ndarray, eta, d=None) -> np.ndarray:
+    """Vectorized ``L`` for the built-in rules (python loop otherwise).
+
+    ``d`` may give the monogamous capacity ``rule.d(eta)`` already cast
+    to int64 (or to float64, for float64 counts); it is ignored by the
+    other rules.
+    """
     if rule.kind == "monogamous":
-        d = rule.d(eta)
-        return np.minimum(f, m * np.asarray(d, dtype=np.int64))
+        if d is None:
+            d = np.asarray(rule.d(eta), dtype=np.int64)
+        return np.minimum(f, m * d)
     if rule.kind == "polygamous":
         return np.where(m >= 1, f, 0)
     if rule.kind == "asexual":

@@ -288,6 +288,9 @@ def run_coupled(
 # Environment values a block holds at a time: a window spans this many
 # divided by the live replicates (16 generations for a full block).
 ENV_WINDOW_CELLS = 2**14
+# Walk values a coupled block's hitting-step scan draws per round, shared
+# by the replicates that have not hit yet.
+SCAN_CELLS = 2**16
 
 # One recorded step of a block run; the names are the trajectory CSV columns.
 STEP_DTYPE = np.dtype(
@@ -346,6 +349,43 @@ def _checked_means(offspring_model: OffspringModel, means: np.ndarray, e: np.nda
             )
 
 
+def _hitting_steps(
+    rule: MatingRule,
+    env_model: EnvironmentModel,
+    offspring_model: OffspringModel,
+    spec: HittingSpec,
+    env_streams: list,
+) -> np.ndarray:
+    """Each stream's hitting step, -1 if censored, as ``hitting_time`` finds it; the streams end where they began.
+
+    The walks of the replicates that have not hit yet are drawn in rounds
+    of ``SCAN_CELLS`` values, each round continuing every walk from its
+    running sum, so a walk is drawn only up to the round that holds its
+    hitting step (to the cap if censored).  ``cumsum`` adds left to
+    right, so the sums are bit for bit those of the whole-path
+    ``cumsum``; a non-finite increment is an error only within the
+    values drawn.
+    """
+    states = [s.bit_generator.state for s in env_streams]
+    theta = np.full(len(env_streams), -1, dtype=np.int64)
+    rows = np.arange(len(env_streams))  # block positions still scanning
+    carry = np.zeros(len(env_streams))  # their walk sums so far
+    done = 0
+    while rows.size and done < spec.max_steps:
+        width = min(max(1, SCAN_CELLS // rows.size), spec.max_steps - done)
+        eta = env_model.sample_rows([env_streams[i] for i in rows.tolist()], width)
+        xi = walk_increments(rule, offspring_model, eta)
+        sums = np.cumsum(np.concatenate([carry[:, None], xi], axis=1), axis=1)[:, 1:]
+        hit = sums <= spec.threshold
+        got = hit.any(axis=1)
+        theta[rows[got]] = done + 1 + hit[got].argmax(axis=1)
+        rows, carry = rows[~got], sums[~got, -1]
+        done += width
+    for s, state in zip(env_streams, states):
+        s.bit_generator.state = state
+    return theta
+
+
 def run_block(
     rule: MatingRule,
     env_model: EnvironmentModel,
@@ -370,11 +410,11 @@ def run_block(
     negative, NaN or non-integer deterministic means, and absorption
     at 0.
 
-    With ``epsilon`` the block is a coupled run: each replicate first
-    draws its whole path for the walk (as ``run_coupled`` does), then
-    the stream is rewound for the process, and ``theta``, the counts
-    at ``theta`` and ``theta + k`` and ``steps_run`` are taken as in
-    ``run_coupled``.  Without it the run is extinction only, as in
+    With ``epsilon`` the block is a coupled run: the replicates' walks
+    are first scanned for their hitting steps (``_hitting_steps``, the
+    steps ``run_coupled`` finds), then the streams are rewound for the
+    process, and ``theta``, the counts at ``theta`` and ``theta + k``
+    and ``steps_run`` are taken as in ``run_coupled``.  Without it the run is extinction only, as in
     ``run_until_extinction``.
     """
     if n0 < 1:
@@ -392,11 +432,7 @@ def run_block(
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         spec = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps)
         k = int(math.floor(epsilon * spec.log2_n0))
-        for i, env_rng in enumerate(env_streams):
-            start = env_rng.bit_generator.state
-            hit = hitting_time(spec, walk_increments(rule, offspring_model, env_model.sample(env_rng, size=max_steps)))
-            env_rng.bit_generator.state = start
-            theta[i] = -1 if hit.theta is None else hit.theta
+        theta = _hitting_steps(rule, env_model, offspring_model, spec, env_streams)
     # the steps whose counts a coupled run reports; -1 never matches
     tgt = np.where(theta[:, None] >= 0, theta[:, None] + np.array([0, k]), -1)
     observed = np.full((size, 2), np.nan)
@@ -413,16 +449,20 @@ def run_block(
     walk_sum = np.zeros(size)
 
     def compact(keep: np.ndarray) -> None:
-        nonlocal rows, cur, tgt, eta, means_w, xi_w, s_w
+        nonlocal rows, cur, tgt, eta, means_w, d_w, xi_w, s_w
         rows, cur, tgt, eta, means_w = rows[keep], cur[keep], tgt[keep], eta[keep], means_w[:, keep]
+        if d_w is not None:
+            d_w = d_w[keep]
         if stride is not None:
             xi_w, s_w = xi_w[keep], s_w[keep]
 
     first = 0
     while first < max_steps and rows.size:
         width = min(max(1, ENV_WINDOW_CELLS // rows.size), max_steps - first)
-        eta = np.array([env_model.sample(env_streams[i], size=width) for i in rows.tolist()])
+        eta = env_model.sample_rows([env_streams[i] for i in rows.tolist()], width)
         means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+        # the monogamous capacity, as the float64 image of mate_array's int64 cast
+        d_w = np.asarray(rule.d(eta), dtype=np.int64).astype(float) if rule.kind == "monogamous" else None
         # without a negative mean in the window every lam is >= 0 or NaN, and
         # a NaN fails the guard test below
         nonneg = means_w.min() >= 0.0
@@ -450,7 +490,7 @@ def run_block(
             else:
                 _checked_means(offspring_model, means, e)
                 f, m = cur * np.round(means)
-            nxt = np.asarray(mate_array(rule, f, m, e), dtype=float)
+            nxt = np.asarray(mate_array(rule, f, m, e, None if d_w is None else d_w[:, j]), dtype=float)
             died = np.count_nonzero(nxt) < nxt.size
             dead = nxt == 0 if died else None
             if stride is not None and (n % stride == 0 or n == max_steps or died):

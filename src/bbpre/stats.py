@@ -19,7 +19,8 @@ Determinism: replicates run in lockstep blocks of ``BLOCK``.  Each
 replicate's environment is keyed by (master seed, grid index, replicate
 index), each block's offspring draws by (master seed, grid index,
 ``OFFSPRING_BLOCK_KEY``, block index); blocks, of every grid point at
-once, are the unit of work of the worker processes and are merged in
+once, are the unit of work of the worker processes, which start the
+largest blocks (step cap times replicates) first; results are merged in
 (grid, block) order, so reruns and thread-count changes reproduce
 outputs byte for byte.
 """
@@ -185,12 +186,23 @@ class ExperimentConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def _run_chunked(task_args: list, worker, threads: int) -> list:
+def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
+    """``worker`` over ``task_args``, merged in task order.
+
+    With several workers the tasks start in decreasing ``cost(args)``
+    (stable), so the longest ones do not start last; ``cost`` must read
+    only the task's arguments.
+    """
     if threads <= 1 or len(task_args) <= 1:
         chunks = [worker(a) for a in task_args]
     else:
+        order = list(range(len(task_args)))
+        if cost is not None:
+            order.sort(key=lambda i: -cost(task_args[i]))
+        chunks = [None] * len(task_args)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(worker, task_args))
+            for i, chunk in zip(order, pool.map(worker, [task_args[i] for i in order])):
+                chunks[i] = chunk
     merged = []
     for c in chunks:
         merged.extend(c)
@@ -234,6 +246,12 @@ def _block_task(args) -> list[tuple]:
     return [(records, run.steps)]
 
 
+def _block_cost(args) -> int:
+    """A ``_block_task``'s work bound: its step cap times its replicates."""
+    max_steps, start, stop = args[4], args[8], args[9]
+    return max_steps * (stop - start)
+
+
 def _block_tasks(env, offspring, rule, n0, replicates, max_steps, master_seed, grid_index, epsilon=None,
                  recording="terminal") -> list[tuple]:
     """Split replicates ``0 .. replicates-1`` of one grid point into ``BLOCK``-sized ``_block_task`` arguments.
@@ -259,7 +277,7 @@ def _coupled_tasks(config: ExperimentConfig, grid_index: int) -> list[tuple]:
 
 def run_replicates(config: ExperimentConfig, grid_index: int) -> list[ReplicateRecord]:
     """All coupled replicates for one grid point, in replicate order."""
-    blocks = _run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads)
+    blocks = _run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads, _block_cost)
     return [rec for records, _ in blocks for rec in records]
 
 
@@ -288,7 +306,7 @@ def run_extinction_records(
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     ms = max_steps or default_max_steps(max(n0, 3))
     tasks = _block_tasks(env, offspring, rule, n0, replicates, ms, master_seed, 0, recording=recording)
-    blocks = _run_chunked(tasks, _block_task, threads)
+    blocks = _run_chunked(tasks, _block_task, threads, _block_cost)
     records = [rec for recs, _ in blocks for rec in recs]
     if not return_trajectories:
         return records
@@ -483,7 +501,9 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
     )
     # every grid point's blocks go to the workers at once, merged in (grid, block) order
     tasks = [_coupled_tasks(config, gi) for gi in range(len(config.n_grid))]
-    blocks = iter(_run_chunked([t for grid_tasks in tasks for t in grid_tasks], _block_task, config.threads))
+    blocks = iter(
+        _run_chunked([t for grid_tasks in tasks for t in grid_tasks], _block_task, config.threads, _block_cost)
+    )
     rows = []
     all_records: list[ReplicateRecord] = []
     for gi, n0 in enumerate(config.n_grid):

@@ -2,6 +2,17 @@ import json
 
 import pytest
 
+from bbpre import (
+    ConstantMeanMap,
+    EnvironmentModel,
+    ExperimentConfig,
+    OffspringModel,
+    TableMap,
+    cli,
+    monogamous,
+    run_extinction_records,
+    run_replicates,
+)
 from bbpre.cli import build_parser, main
 
 
@@ -261,3 +272,40 @@ def test_unknown_top_level_config_keys_are_rejected(tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "simulate", "--config", str(cfg), "--n0", "50", "--replicates", "2")
         assert code == 1
         assert json.loads(stderr.strip().splitlines()[-1])["error"] == "configuration"
+
+
+def test_integer_flags_parse_exactly_or_refuse(capsys):
+    for flag, value in (("--n0", "1000.9"), ("--replicates", "3.7")):
+        code, _, stderr = run_cli(capsys, "simulate", flag, value)
+        assert code == 1
+        payload = json.loads(stderr.strip().splitlines()[-1])
+        assert payload["error"] == "configuration" and flag in payload["message"]
+    code, _, stderr = run_cli(capsys, "experiment", "--n-grid", "1000,1e5.5")
+    assert code == 1 and json.loads(stderr.strip().splitlines()[-1])["error"] == "configuration"
+    parser = build_parser()
+    assert parser.parse_args(["experiment", "--n-grid", "1e3,1e32"]).n_grid == (1000, 10**32)
+    assert parser.parse_args(["simulate", "--n0", "1e3", "--replicates", "2.0"]).n0 == 1000
+    code, stdout, _ = run_cli(capsys, "simulate", "--n0", "1e3", "--replicates", "3", "--max-steps", "20")
+    assert code == 0 and "n0=1000 replicates=3 " in stdout
+
+
+def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
+    # the female mean jumps past the guard only where eta >= 1.25
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
+    monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
+    records = run_extinction_records(env, off, rule, 1000, 40, 200, 5)
+    tagged = sum(r.overflow for r in records)
+    assert 0 < tagged < 40
+    code, stdout, _ = run_cli(capsys, "simulate", "--n0", "1000", "--replicates", "40", "--max-steps", "200",
+                              "--seed", "5")
+    assert code == 0
+    censored = sum(r.censored for r in records)
+    assert f"censored={censored} overflow={tagged} " in stdout
+    config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(1000,), replicates=40, master_seed=5,
+                              max_steps=200)
+    tagged = sum(r.overflow for r in run_replicates(config, 0))
+    assert tagged > 0
+    code, stdout, _ = run_cli(capsys, "coupled", "--n0", "1000", "--replicates", "40", "--max-steps", "200",
+                              "--seed", "5")
+    assert code == 0 and f" overflow={tagged} " in stdout

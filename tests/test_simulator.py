@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp, poisson
 from bbpre import (
     ConfigurationError,
     ConstantMeanMap,
+    DegenerateModelError,
     EnvironmentModel,
     ExperimentConfig,
     ExpMeanMap,
@@ -26,8 +27,10 @@ from bbpre import (
     simulator,
     stats,
 )
+from bbpre import model
 from bbpre.model import POISSON_EXACT_MAX
 from bbpre.simulator import run_block
+from bbpre.walk import HittingSpec, hitting_time
 
 
 def canonical():
@@ -478,3 +481,78 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
             assert r.steps_run == (cap if r.tau is None else r.tau)
             assert np.all(eta[: r.steps_run] < 1.25)
     assert 0 < tagged < reps
+
+
+# ---------------------------------------------------------------------------
+# the coupled blocks' hitting-step scan
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [7, 2**16])
+@pytest.mark.parametrize(
+    "env, n0, cap, size",
+    [
+        (EnvironmentModel(std=0.5), 1000, 2386, 64),  # the default cap: hits spread over many rounds, some censored
+        (EnvironmentModel(std=0.5), 3, 40, 50),  # threshold -0.05: about half hit at step 1
+        (EnvironmentModel(std=0.5), 10**8, 30, 20),  # every walk censored at a cap smaller than one round
+        (EnvironmentModel(std=0.5), 1000, 500, 1),  # a block of one
+        (EnvironmentModel(std=0.0), 100, 300, 5),  # a flat walk never hits
+    ],
+)
+def test_hitting_scan_finds_the_whole_cap_hitting_time(monkeypatch, cells, env, n0, cap, size):
+    monkeypatch.setattr(simulator, "SCAN_CELLS", cells)
+    _, off, rule = canonical()
+    spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
+    streams = [derive_stream(14, n0, i).spawn(2)[0] for i in range(size)]
+    before = [s.bit_generator.state for s in streams]
+    theta = simulator._hitting_steps(rule, env, off, spec, streams)
+    assert [s.bit_generator.state for s in streams] == before
+    whole = [hitting_time(spec, model.walk_increments(rule, off, env.sample(s, size=cap))).theta for s in streams]
+    assert theta.tolist() == [-1 if t is None else t for t in whole]
+    if env.std > 0 and n0 == 3:
+        assert 0 < theta.tolist().count(1) < size
+    if env.std == 0 or n0 == 10**8:
+        assert np.all(theta == -1)
+
+
+def test_coupled_records_do_not_depend_on_the_scan_round(monkeypatch):
+    env, off, rule = canonical()
+    config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
+    d3 = ExperimentConfig(**{**config.__dict__, "rule": monogamous(3)})
+    wide = [run_replicates(config, 0), run_replicates(d3, 0)]
+    assert sum(r.theta is None for r in wide[0]) > 0 and sum(r.theta is not None for r in wide[0]) > 0
+    monkeypatch.setattr(simulator, "SCAN_CELLS", 7)
+    assert [run_replicates(config, 0), run_replicates(d3, 0)] == wide
+
+
+def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
+    # the female mean halves below eta = -0.25 (xi = ln 0.5, a hit at n0 = 3)
+    # and vanishes from eta = 1.5 on (xi = -inf); stream 1 starts below -0.25
+    # and first reaches 1.5 at step 156
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    off = OffspringModel(mean_f=TableMap((-0.25, 1.5), (0.5, 1.0, 0.0)), mean_m=ConstantMeanMap(1.0))
+    spec = HittingSpec(n0=3, beta=off.beta, max_steps=2000)
+    eta = env.sample(derive_stream(1).spawn(2)[0], size=2000)
+    assert eta[0] < -0.25 and np.argmax(eta >= 1.5) == 155
+    monkeypatch.setattr(simulator, "SCAN_CELLS", 200)
+    with pytest.raises(DegenerateModelError):  # within the 200 values the scan draws
+        simulator._hitting_steps(rule, env, off, spec, [derive_stream(1).spawn(2)[0]])
+    with pytest.raises(DegenerateModelError):  # the whole cap, as run_coupled draws it
+        hitting_time(spec, model.walk_increments(rule, off, eta))
+    monkeypatch.setattr(simulator, "SCAN_CELLS", 100)
+    assert simulator._hitting_steps(rule, env, off, spec, [derive_stream(1).spawn(2)[0]]).tolist() == [1]
+
+
+def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):
+    # a capacity that varies with eta; the run is one window, so deaths drop
+    # capacity rows mid-window
+    env, off = EnvironmentModel(std=0.5), OffspringModel()
+    rule = monogamous(TableMap((-0.3, 0.4), (1, 2, 3)))
+    streams = lambda: [derive_stream(15, i).spawn(2)[0] for i in range(24)]
+    fast = run_block(rule, env, off, 200, 400, streams(), derive_stream(16), epsilon=1.0, recording="sparse")
+    monkeypatch.setattr(simulator, "mate_array", lambda rule, f, m, e, d: model.mate_array(rule, f, m, e))
+    slow = run_block(rule, env, off, 200, 400, streams(), derive_stream(16), epsilon=1.0, recording="sparse")
+    assert np.any(fast.tau > 0) and np.any(fast.tau < 0)
+    assert np.array_equal(fast.steps, slow.steps) and fast.steps.size > 0
+    for name in ("tau", "overflow_step", "steps_run", "theta", "n_theta", "n_theta_plus_k"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name), equal_nan=True), name

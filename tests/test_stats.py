@@ -191,9 +191,9 @@ def test_experiment_hands_every_grid_points_blocks_to_the_workers_at_once(tmp_pa
     handed = []
     run_chunked = stats._run_chunked
 
-    def spy(tasks, worker, threads):
+    def spy(tasks, worker, threads, *cost):
         handed.append(len(tasks))
-        return run_chunked(tasks, worker, threads)
+        return run_chunked(tasks, worker, threads, *cost)
 
     monkeypatch.setattr(stats, "_run_chunked", spy)
     for threads in (1, 2):
@@ -203,6 +203,34 @@ def test_experiment_hands_every_grid_points_blocks_to_the_workers_at_once(tmp_pa
         assert (tmp_path / f"t1_{suffix}").read_bytes() == (tmp_path / f"t2_{suffix}").read_bytes()
     ids = [int(line.split(",")[0]) for line in (tmp_path / "t1_replicates.csv").read_text().splitlines()[1:]]
     assert ids == list(range(40)) * 2
+
+
+def test_workers_start_the_largest_blocks_first(tmp_path, monkeypatch):
+    # 40 replicates in blocks of 16 per grid point: the N = 1000 blocks have the
+    # larger cap, and each grid point's ragged last block is the smallest
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            started.extend((t[3], t[8]) for t in tasks)
+            return map(worker, tasks)
+
+    run_experiment(small_config(replicates=40, threads=1), out_prefix=tmp_path / "t1")
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", InlinePool)
+    run_experiment(small_config(replicates=40, threads=2), out_prefix=tmp_path / "t2")
+    assert started == [(1000, 0), (1000, 16), (1000, 32), (100, 0), (100, 16), (100, 32)]
+    for suffix in ("summary.json", "replicates.csv"):
+        assert (tmp_path / f"t1_{suffix}").read_bytes() == (tmp_path / f"t2_{suffix}").read_bytes()
 
 
 def test_supercritical_drift_aborts_on_excess_censoring():
