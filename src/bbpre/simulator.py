@@ -414,8 +414,8 @@ def run_block(
     are first scanned for their hitting steps (``_hitting_steps``, the
     steps ``run_coupled`` finds), then the streams are rewound for the
     process, and ``theta``, the counts at ``theta`` and ``theta + k``
-    and ``steps_run`` are taken as in ``run_coupled``.  Without it the run is extinction only, as in
-    ``run_until_extinction``.
+    and ``steps_run`` are taken as in ``run_coupled``.  Without it the
+    run is extinction only, as in ``run_until_extinction``.
     """
     if n0 < 1:
         raise ConfigurationError(f"n0 must be >= 1, got {n0}")

@@ -497,6 +497,7 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
         (EnvironmentModel(std=0.5), 10**8, 30, 20),  # every walk censored at a cap smaller than one round
         (EnvironmentModel(std=0.5), 1000, 500, 1),  # a block of one
         (EnvironmentModel(std=0.0), 100, 300, 5),  # a flat walk never hits
+        (EnvironmentModel(mean=-1.0, std=0.0), 1000, 4, 3),  # the walk would hit at step 5, one past the cap
     ],
 )
 def test_hitting_scan_finds_the_whole_cap_hitting_time(monkeypatch, cells, env, n0, cap, size):
