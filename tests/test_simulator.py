@@ -549,10 +549,14 @@ def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):
     # capacity rows mid-window
     env, off = EnvironmentModel(std=0.5), OffspringModel()
     rule = monogamous(TableMap((-0.3, 0.4), (1, 2, 3)))
-    streams = lambda: [derive_stream(15, i).spawn(2)[0] for i in range(24)]
-    fast = run_block(rule, env, off, 200, 400, streams(), derive_stream(16), epsilon=1.0, recording="sparse")
+
+    def run():
+        streams = [derive_stream(15, i).spawn(2)[0] for i in range(24)]
+        return run_block(rule, env, off, 200, 400, streams, derive_stream(16), epsilon=1.0, recording="sparse")
+
+    fast = run()
     monkeypatch.setattr(simulator, "mate_array", lambda rule, f, m, e, d: model.mate_array(rule, f, m, e))
-    slow = run_block(rule, env, off, 200, 400, streams(), derive_stream(16), epsilon=1.0, recording="sparse")
+    slow = run()
     assert np.any(fast.tau > 0) and np.any(fast.tau < 0)
     assert np.array_equal(fast.steps, slow.steps) and fast.steps.size > 0
     for name in ("tau", "overflow_step", "steps_run", "theta", "n_theta", "n_theta_plus_k"):
