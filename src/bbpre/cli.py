@@ -2,9 +2,9 @@
 
 Subcommands: simulate, coupled, audit, experiment, limit-law,
 lemma-sweep.  Exit codes: 0 success, 1 configuration error, 2 runtime
-error (overflow-dominated runs, excess censoring).  Errors additionally
-emit one machine-readable JSON line on stderr:
-``{"error": "configuration"|"runtime", "message": "..."}``.
+error (every replicate of a sweep or grid point overflow-tagged, excess
+censoring).  Errors additionally emit one machine-readable JSON line on
+stderr: ``{"error": "configuration"|"runtime", "message": "..."}``.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def _cmd_experiment(args) -> int:
         print(
             f"N={row.n0}: ks_tau={_fmt(row.ks_tau)} ks_theta={_fmt(row.ks_theta)} "
             f"frac_N_theta_pos={_fmt(row.frac_n_theta_pos)} frac_N_theta_k_pos={_fmt(row.frac_n_theta_k_pos)} "
-            f"censored={row.censored_count}/{row.replicates}"
+            f"censored={row.censored_count}/{row.replicates} overflow={row.overflow_count}"
         )
     print(f"total steps={report.total_steps} elapsed={elapsed:.1f}s", file=sys.stderr)
     return 0

@@ -553,7 +553,9 @@ class FrozenBundle:
     """Many offspring randomizations of one frozen environment path.
 
     ``counts`` has shape (replicates, steps + 1) with column 0 equal to
-    the initial couple count; extinct replicates stay at zero.
+    the initial couple count; extinct replicates stay at zero.  It is the
+    transposed view of a step-major (steps + 1, replicates) array, so
+    ``counts.T`` has one contiguous row per generation.
     """
 
     n0: int
@@ -576,6 +578,10 @@ def run_frozen_bundle(
 
     Vectorized across replicates (int64 counts), which bounds the usable
     scale: the largest requested offspring mean must stay below 1e15.
+    Counts are stored step-major, so each generation reads the previous
+    row and writes the next one contiguously; while every replicate is
+    alive the rows are used whole, and after the first death only the
+    live entries are drawn.  The bundle holds the transposed view.
     """
     if replicates < 2:
         raise ConfigurationError("frozen bundles need at least 2 replicates")
@@ -584,18 +590,21 @@ def run_frozen_bundle(
     env_rng, off_rng = stream.spawn(2)
     eta = np.asarray(env_model.sample(env_rng, size=steps), dtype=float)
     xi = walk_increments(rule, offspring_model, eta)
-    counts = np.zeros((replicates, steps + 1), dtype=np.int64)
-    counts[:, 0] = n0
+    counts = np.zeros((steps + 1, replicates), dtype=np.int64)
+    counts[0] = n0
     for j in range(1, steps + 1):
         e = float(eta[j - 1])
-        prev = counts[:, j - 1]
-        alive = prev > 0
-        if not alive.any():
-            break
+        prev = counts[j - 1]
+        alive = None
+        if np.count_nonzero(prev) < prev.size:
+            alive = prev > 0
+            if not alive.any():
+                break
+            prev = prev[alive]
         mf = float(offspring_model.mean_f(e))
         mm = float(offspring_model.mean_m(e))
-        lam_f = prev[alive] * mf
-        lam_m = prev[alive] * mm
+        lam_f = prev * mf
+        lam_m = prev * mm
         if max(lam_f.max(initial=0.0), lam_m.max(initial=0.0)) > 1e15:
             raise OverflowGuardError("bundle scale too large for vectorized int64 counts")
         if offspring_model.kind == "poisson":
@@ -604,8 +613,11 @@ def run_frozen_bundle(
         else:
             f = np.rint(lam_f).astype(np.int64)
             m = np.rint(lam_m).astype(np.int64)
-        counts[alive, j] = mate_array(rule, f.astype(np.int64), m.astype(np.int64), e)
-    return FrozenBundle(n0=n0, eta=eta, xi=xi, walk_sum=np.cumsum(xi), counts=counts)
+        if alive is None:
+            counts[j] = mate_array(rule, f, m, e)
+        else:
+            counts[j, alive] = mate_array(rule, f, m, e)
+    return FrozenBundle(n0=n0, eta=eta, xi=xi, walk_sum=np.cumsum(xi), counts=counts.T)
 
 
 @dataclass(frozen=True)
@@ -632,8 +644,8 @@ def bundle_diagnostics(
     ratios (nothing left to condition on).  The r3 standard error is the
     linearized ratio-estimator error.
     """
-    counts = bundle.counts.astype(float)
-    reps, cols = counts.shape
+    counts = np.ascontiguousarray(bundle.counts.T, dtype=float)  # step-major: one row per generation
+    cols, reps = counts.shape
     if reps < 2:
         raise ConfigurationError("diagnostics need at least 2 replicates per frozen environment")
     steps = cols - 1
@@ -647,8 +659,8 @@ def bundle_diagnostics(
     r3_se = np.full(steps, np.nan)
     r4 = np.full(steps, np.nan)
     for j in range(1, steps + 1):
-        prev = counts[:, j - 1]
-        cur = counts[:, j]
+        prev = counts[j - 1]
+        cur = counts[j]
         mean_prev = prev.mean()
         if mean_prev <= 0.0:
             continue

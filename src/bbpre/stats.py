@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ExcessCensoringError
+from .errors import ConfigurationError, ExcessCensoringError, OverflowGuardError
 from .limit_law import FirstPassageLaw
 from .model import (
     EnvironmentModel,
@@ -275,10 +275,27 @@ def _coupled_tasks(config: ExperimentConfig, grid_index: int) -> list[tuple]:
     )
 
 
+def _refuse_all_overflow(records: list[ReplicateRecord], n0: int) -> None:
+    """Raise ``OverflowGuardError`` when every replicate of a grid point is overflow-tagged.
+
+    Such a sweep has no usable replicate, so no statistic would be
+    computed from it.  A sweep with any usable replicate passes.
+    """
+    if records and all(r.overflow for r in records):
+        raise OverflowGuardError(
+            f"N={n0}: all {len(records)} replicates crossed the offspring-mean guard (overflow-tagged)"
+        )
+
+
 def run_replicates(config: ExperimentConfig, grid_index: int) -> list[ReplicateRecord]:
-    """All coupled replicates for one grid point, in replicate order."""
+    """All coupled replicates for one grid point, in replicate order.
+
+    Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
+    """
     blocks = _run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads, _block_cost)
-    return [rec for records, _ in blocks for rec in records]
+    records = [rec for records, _ in blocks for rec in records]
+    _refuse_all_overflow(records, config.n_grid[grid_index])
+    return records
 
 
 def run_extinction_records(
@@ -298,7 +315,8 @@ def run_extinction_records(
     Returns the record list, or ``(records, steps)`` when
     ``return_trajectories`` is set: ``steps`` is one
     ``simulator.STEP_DTYPE`` array of every recorded step, replicate-major
-    (empty under terminal recording).
+    (empty under terminal recording).  Raises ``OverflowGuardError`` when
+    every replicate is overflow-tagged.
     """
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
@@ -308,6 +326,7 @@ def run_extinction_records(
     tasks = _block_tasks(env, offspring, rule, n0, replicates, ms, master_seed, 0, recording=recording)
     blocks = _run_chunked(tasks, _block_task, threads, _block_cost)
     records = [rec for recs, _ in blocks for rec in recs]
+    _refuse_all_overflow(records, n0)
     if not return_trajectories:
         return records
     return records, np.concatenate([steps for _, steps in blocks])
@@ -488,7 +507,9 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
 
     When ``out_prefix`` is given, writes ``<prefix>_replicates.csv``,
     one ``<prefix>_ecdf_tau_N<count>.csv`` per grid point, and
-    ``<prefix>_summary.json``.
+    ``<prefix>_summary.json``.  Raises ``OverflowGuardError``, before
+    writing anything, when every replicate of some grid point is
+    overflow-tagged.
     """
     sigma, sigma_source, sigma_se = resolve_sigma(config)
     law = FirstPassageLaw(sigma)
@@ -510,6 +531,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         max_steps = config.max_steps or default_max_steps(n0)
         k = int(math.floor(config.epsilon * math.log(n0) ** 2))
         records = [rec for recs, _ in islice(blocks, len(tasks[gi])) for rec in recs]
+        _refuse_all_overflow(records, n0)
         rows.append(summarize_records(records, n0, k, max_steps, law))
         all_records.extend(records)
     report = SummaryReport(
@@ -612,13 +634,21 @@ TRAJECTORY_COLUMNS = STEP_DTYPE.names
 
 
 def write_trajectories_csv(path: Path, steps: np.ndarray) -> None:
-    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as integers."""
-    rows = (
-        f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
-        for first in range(0, steps.size, CSV_CHUNK_ROWS)
-        for rep_id, n, eta, f, m, c, xi, s, r in steps[first : first + CSV_CHUNK_ROWS].tolist()
-    )
-    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows)
+    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as integers.
+
+    Where ``xi`` has the same bits as ``eta`` (every built-in rule under
+    the canonical mean maps) the row reuses ``eta``'s text for ``xi``.
+    """
+
+    def rows():
+        for first in range(0, steps.size, CSV_CHUNK_ROWS):
+            chunk = steps[first : first + CSV_CHUNK_ROWS]
+            same = (chunk["xi"].view(np.int64) == chunk["eta"].view(np.int64)).tolist()
+            for same_xi, (rep_id, n, eta, f, m, c, xi, s, r) in zip(same, chunk.tolist()):
+                e = repr(eta)
+                yield f"{rep_id},{n},{e},{int(f)},{int(m)},{int(c)},{e if same_xi else repr(xi)},{s!r},{r!r}"
+
+    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows())
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,82 @@ def test_bundle_r3_inequality_canonical():
     assert np.all(table.r3[ok] <= 1.0 + 4.0 * table.r3_se[ok])
 
 
+def _reference_bundle(rule, env_model, offspring_model, n0, steps, replicates, stream):
+    # the replicate-major bundle loop with a live mask at every step
+    env_rng, off_rng = stream.spawn(2)
+    eta = np.asarray(env_model.sample(env_rng, size=steps), dtype=float)
+    xi = model.walk_increments(rule, offspring_model, eta)
+    counts = np.zeros((replicates, steps + 1), dtype=np.int64)
+    counts[:, 0] = n0
+    for j in range(1, steps + 1):
+        e = float(eta[j - 1])
+        prev = counts[:, j - 1]
+        alive = prev > 0
+        if not alive.any():
+            break
+        lam_f = prev[alive] * float(offspring_model.mean_f(e))
+        lam_m = prev[alive] * float(offspring_model.mean_m(e))
+        if offspring_model.kind == "poisson":
+            f, m = off_rng.poisson(lam_f), off_rng.poisson(lam_m)
+        else:
+            f, m = np.rint(lam_f).astype(np.int64), np.rint(lam_m).astype(np.int64)
+        counts[alive, j] = model.mate_array(rule, f.astype(np.int64), m.astype(np.int64), e)
+    return eta, xi, np.cumsum(xi), counts
+
+
+def _reference_diagnostics(n0, eta, xi, S, counts, rule, offspring_model):
+    # the per-step ratio formulas over replicate-major columns
+    counts = counts.astype(float)
+    reps, cols = counts.shape
+    p, delta = 1.0 + rule.delta, rule.delta
+    zeta = model.noise_scales(rule, offspring_model, eta)[0]
+    r2, r3, r3_se, r4 = (np.full(cols - 1, np.nan) for _ in range(4))
+    for j in range(1, cols):
+        prev, cur = counts[:, j - 1], counts[:, j]
+        mean_prev = prev.mean()
+        if mean_prev <= 0.0:
+            continue
+        growth = math.exp(float(xi[j - 1]))
+        resid = cur - prev * growth
+        r2[j - 1] = float(np.mean(np.abs(resid) ** p)) / (math.exp(float(zeta[j - 1])) * mean_prev)
+        ratio = cur.mean() / (growth * mean_prev)
+        r3[j - 1] = ratio
+        dev = cur - ratio * growth * prev
+        r3_se[j - 1] = math.sqrt(float(np.mean(dev**2)) / reps) / (growth * mean_prev)
+        acc = float(np.sum(np.exp(zeta[:j] - xi[:j] + delta * (S[j - 1] - S[:j]))))
+        err = cur - n0 * math.exp(float(S[j - 1]))
+        r4[j - 1] = float(np.mean(np.abs(err) ** p)) / ((j**delta) * n0 * math.exp(float(S[j - 1])) * acc)
+    return r2, r3, r3_se, r4
+
+
+@pytest.mark.parametrize(
+    "case, n0, steps, reps",
+    [("canonical", 1000, 30, 3000), ("dying", 3, 40, 500), ("deterministic", 50, 30, 100), ("monogamous3", 200, 25, 400)],
+)
+def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps, reps):
+    env = EnvironmentModel(std=0.5)
+    off, rule = {
+        "canonical": (OffspringModel(), monogamous(1)),
+        "dying": (OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0)), monogamous(1)),
+        "deterministic": (OffspringModel(kind="deterministic"), asexual()),
+        "monogamous3": (OffspringModel(), monogamous(3)),
+    }[case]
+    bundle = run_frozen_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
+    eta, xi, S, counts = _reference_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
+    assert bundle.counts.shape == (reps, steps + 1)
+    for got, want in ((bundle.eta, eta), (bundle.xi, xi), (bundle.walk_sum, S), (bundle.counts, counts)):
+        assert np.array_equal(got, want)
+    table = bundle_diagnostics(bundle, rule, off)
+    want = _reference_diagnostics(n0, eta, xi, S, counts, rule, off)
+    for got, ref in zip((table.r2, table.r3, table.r3_se, table.r4), want):
+        assert np.array_equal(got, ref, equal_nan=True)
+    if case == "dying":
+        # deaths mid-run, then nothing alive before the horizon (the loop stops early)
+        alive = (counts > 0).sum(axis=0)
+        assert np.any((alive > 0) & (alive < reps)) and alive[-2] == 0
+        assert np.isnan(table.r3[-1])
+
+
 # ---------------------------------------------------------------------------
 # lockstep replicate blocks
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from bbpre import (
     run_replicates,
     stats,
 )
-from bbpre.stats import summarize_records, write_replicates_csv
+from bbpre.stats import summarize_records, write_replicates_csv, write_trajectories_csv
 
 
 def small_config(**kw):
@@ -269,6 +269,23 @@ def test_replicates_csv_cells(tmp_path):
     write_replicates_csv(tmp_path / "r.csv", recs)
     lines = (tmp_path / "r.csv").read_text().splitlines()
     assert lines[1] == "0,100,,1,,,,50"
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.0])
+def test_trajectory_writer_matches_the_plain_row_format(tmp_path, shift):
+    # shift 0 gives xi == eta bit for bit (its text is reused); shift -1 gives xi = eta - 1
+    off = OffspringModel(mean_f=ExpMeanMap(shift=shift), mean_m=ExpMeanMap(shift=shift))
+    _, steps = run_extinction_records(
+        EnvironmentModel(std=0.5), off, monogamous(1), 200, 12, None, 9, recording="full", return_trajectories=True
+    )
+    same = steps["xi"].view(np.int64) == steps["eta"].view(np.int64)
+    assert steps.size > 0 and (same.all() if shift == 0.0 else not same.any())
+    write_trajectories_csv(tmp_path / "t.csv", steps)
+    want = ["replicate_id,n,eta,F_total,M_total,N,xi,S,R"] + [
+        f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
+        for rep_id, n, eta, f, m, c, xi, s, r in steps.tolist()
+    ]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
 
 
 # ---------------------------------------------------------------------------
