@@ -272,8 +272,9 @@ def test_replicates_csv_cells(tmp_path):
 
 
 @pytest.mark.parametrize("shift", [0.0, -1.0])
-def test_trajectory_writer_matches_the_plain_row_format(tmp_path, shift):
+def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch, shift):
     # shift 0 gives xi == eta bit for bit (its text is reused); shift -1 gives xi = eta - 1
+    monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 7)  # many chunks and a ragged last one
     off = OffspringModel(mean_f=ExpMeanMap(shift=shift), mean_m=ExpMeanMap(shift=shift))
     _, steps = run_extinction_records(
         EnvironmentModel(std=0.5), off, monogamous(1), 200, 12, None, 9, recording="full", return_trajectories=True
