@@ -579,9 +579,11 @@ def run_frozen_bundle(
     Vectorized across replicates (int64 counts), which bounds the usable
     scale: the largest requested offspring mean must stay below 1e15.
     Counts are stored step-major, so each generation reads the previous
-    row and writes the next one contiguously; while every replicate is
-    alive the rows are used whole, and after the first death only the
-    live entries are drawn.  The bundle holds the transposed view.
+    row and writes the next one contiguously.  Rows are drawn whole:
+    an extinct replicate has Poisson mean 0, which draws nothing from
+    the stream, so the draws match a loop over the live entries only.
+    The loop stops once every replicate is extinct.  The bundle holds
+    the transposed view.
     """
     if replicates < 2:
         raise ConfigurationError("frozen bundles need at least 2 replicates")
@@ -595,28 +597,22 @@ def run_frozen_bundle(
     for j in range(1, steps + 1):
         e = float(eta[j - 1])
         prev = counts[j - 1]
-        alive = None
-        if np.count_nonzero(prev) < prev.size:
-            alive = prev > 0
-            if not alive.any():
-                break
-            prev = prev[alive]
+        if not prev.any():
+            break
         mf = float(offspring_model.mean_f(e))
         mm = float(offspring_model.mean_m(e))
+        if max(mf, mm) * float(prev.max()) > 1e15:
+            raise OverflowGuardError("bundle scale too large for vectorized int64 counts")
         lam_f = prev * mf
         lam_m = prev * mm
-        if max(lam_f.max(initial=0.0), lam_m.max(initial=0.0)) > 1e15:
-            raise OverflowGuardError("bundle scale too large for vectorized int64 counts")
         if offspring_model.kind == "poisson":
             f = off_rng.poisson(lam_f)
             m = off_rng.poisson(lam_m)
         else:
             f = np.rint(lam_f).astype(np.int64)
             m = np.rint(lam_m).astype(np.int64)
-        if alive is None:
-            counts[j] = mate_array(rule, f, m, e)
-        else:
-            counts[j, alive] = mate_array(rule, f, m, e)
+        # extinct replicates stay extinct even under a rule with L(0, 0) > 0
+        counts[j] = np.where(prev > 0, mate_array(rule, f, m, e), 0)
     return FrozenBundle(n0=n0, eta=eta, xi=xi, walk_sum=np.cumsum(xi), counts=counts.T)
 
 

@@ -634,21 +634,13 @@ TRAJECTORY_COLUMNS = STEP_DTYPE.names
 
 
 def write_trajectories_csv(path: Path, steps: np.ndarray) -> None:
-    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as integers.
-
-    Where ``xi`` has the same bits as ``eta`` (every built-in rule under
-    the canonical mean maps) the row reuses ``eta``'s text for ``xi``.
-    """
-
-    def rows():
-        for first in range(0, steps.size, CSV_CHUNK_ROWS):
-            chunk = steps[first : first + CSV_CHUNK_ROWS]
-            same = (chunk["xi"].view(np.int64) == chunk["eta"].view(np.int64)).tolist()
-            for same_xi, (rep_id, n, eta, f, m, c, xi, s, r) in zip(same, chunk.tolist()):
-                e = repr(eta)
-                yield f"{rep_id},{n},{e},{int(f)},{int(m)},{int(c)},{e if same_xi else repr(xi)},{s!r},{r!r}"
-
-    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows())
+    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as integers."""
+    rows = (
+        f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
+        for first in range(0, steps.size, CSV_CHUNK_ROWS)
+        for rep_id, n, eta, f, m, c, xi, s, r in steps[first : first + CSV_CHUNK_ROWS].tolist()
+    )
+    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,10 @@ def test_integer_flags_parse_exactly_or_refuse(capsys):
 
 
 def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
-    # the female mean jumps past the guard only where eta >= 1.25
+    # the female mean jumps past the guard only where eta >= 1.25; the male mean follows eta,
+    # so the walk has the positive sigma that experiment needs
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
     monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
     records = run_extinction_records(env, off, rule, 1000, 40, 200, 5)
     tagged = sum(r.overflow for r in records)
@@ -305,43 +306,32 @@ def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
     assert f"censored={censored} overflow={tagged} " in stdout
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(1000,), replicates=40, master_seed=5,
                               max_steps=200)
-    tagged = sum(r.overflow for r in run_replicates(config, 0))
-    assert tagged > 0
+    records = run_replicates(config, 0)
+    tagged, censored = sum(r.overflow for r in records), sum(r.censored for r in records)
+    assert 0 < tagged < 40
     code, stdout, _ = run_cli(capsys, "coupled", "--n0", "1000", "--replicates", "40", "--max-steps", "200",
                               "--seed", "5")
     assert code == 0 and f" overflow={tagged} " in stdout
+    code, stdout, _ = run_cli(capsys, "experiment", "--n-grid", "1000", "--replicates", "40", "--max-steps", "200",
+                              "--seed", "5")
+    assert code == 0
+    assert stdout.splitlines()[-1].endswith(f" censored={censored}/40 overflow={tagged}")
 
 
-def test_sweeps_whose_replicates_all_overflow_exit_2(monkeypatch, capsys):
+def test_sweeps_whose_replicates_all_overflow_exit_2(tmp_path, monkeypatch, capsys):
     # a female mean of 1e301 crosses the guard at step 1 in every replicate
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     off = OffspringModel(mean_f=ConstantMeanMap(1e301), mean_m=ExpMeanMap())
     monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
     runs = {
-        "simulate": ["simulate", "--n0", "1000", "--replicates", "30", "--seed", "5"],
+        "simulate": ["simulate", "--n0", "1000", "--replicates", "30", "--seed", "5", "--recording", "full"],
         "coupled": ["coupled", "--n0", "1000", "--replicates", "30", "--seed", "5"],
         "experiment": ["experiment", "--n-grid", "1000,100000", "--replicates", "30", "--seed", "5"],
     }
-    for argv in runs.values():
-        code, stdout, stderr = run_cli(capsys, *argv)
+    for name, argv in runs.items():
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / name))
         assert code == 2 and stdout == ""
         error = json.loads(stderr.strip().splitlines()[-1])
         assert error["error"] == "runtime"
         assert "N=1000" in error["message"] and "all 30 replicates" in error["message"]
-
-
-def test_experiment_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
-    # the female mean jumps past the guard only where eta >= 1.25; the male mean follows eta,
-    # so the walk has the positive sigma that experiment needs
-    env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
-    monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
-    config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(1000,), replicates=40, master_seed=5,
-                              max_steps=200)
-    records = run_replicates(config, 0)
-    tagged, censored = sum(r.overflow for r in records), sum(r.censored for r in records)
-    assert 0 < tagged < 40
-    code, stdout, _ = run_cli(capsys, "experiment", "--n-grid", "1000", "--replicates", "40", "--max-steps", "200",
-                              "--seed", "5")
-    assert code == 0
-    assert stdout.splitlines()[-1].endswith(f" censored={censored}/40 overflow={tagged}")
+    assert list(tmp_path.iterdir()) == []  # refused before writing anything

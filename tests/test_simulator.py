@@ -369,15 +369,31 @@ def _reference_diagnostics(n0, eta, xi, S, counts, rule, offspring_model):
 
 @pytest.mark.parametrize(
     "case, n0, steps, reps",
-    [("canonical", 1000, 30, 3000), ("dying", 3, 40, 500), ("deterministic", 50, 30, 100), ("monogamous3", 200, 25, 400)],
+    [
+        ("canonical", 1000, 30, 3000),
+        ("dying", 3, 40, 500),
+        ("deterministic", 50, 30, 100),
+        ("monogamous3", 200, 25, 400),
+        ("custom", 3, 40, 200),
+    ],
 )
 def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps, reps):
     env = EnvironmentModel(std=0.5)
+    dying = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
+    # a rule with L(0, 0) = 1: an extinct replicate must still stay extinct
+    revives = model.MatingRule(
+        kind="custom",
+        L=lambda x, y, z: 1 if x == y == 0 else min(x, y),
+        g=lambda x, y, z: np.minimum(x, y),
+        lipschitz=lambda z: np.ones_like(z),
+        rho=lambda z: np.ones_like(z),
+    )
     off, rule = {
         "canonical": (OffspringModel(), monogamous(1)),
-        "dying": (OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0)), monogamous(1)),
+        "dying": (dying, monogamous(1)),
         "deterministic": (OffspringModel(kind="deterministic"), asexual()),
         "monogamous3": (OffspringModel(), monogamous(3)),
+        "custom": (dying, revives),
     }[case]
     bundle = run_frozen_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
     eta, xi, S, counts = _reference_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
@@ -388,7 +404,7 @@ def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps
     want = _reference_diagnostics(n0, eta, xi, S, counts, rule, off)
     for got, ref in zip((table.r2, table.r3, table.r3_se, table.r4), want):
         assert np.array_equal(got, ref, equal_nan=True)
-    if case == "dying":
+    if case in ("dying", "custom"):
         # deaths mid-run, then nothing alive before the horizon (the loop stops early)
         alive = (counts > 0).sum(axis=0)
         assert np.any((alive > 0) & (alive < reps)) and alive[-2] == 0

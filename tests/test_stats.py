@@ -271,16 +271,13 @@ def test_replicates_csv_cells(tmp_path):
     assert lines[1] == "0,100,,1,,,,50"
 
 
-@pytest.mark.parametrize("shift", [0.0, -1.0])
-def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch, shift):
-    # shift 0 gives xi == eta bit for bit (its text is reused); shift -1 gives xi = eta - 1
+def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 7)  # many chunks and a ragged last one
-    off = OffspringModel(mean_f=ExpMeanMap(shift=shift), mean_m=ExpMeanMap(shift=shift))
+    off = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
     _, steps = run_extinction_records(
         EnvironmentModel(std=0.5), off, monogamous(1), 200, 12, None, 9, recording="full", return_trajectories=True
     )
-    same = steps["xi"].view(np.int64) == steps["eta"].view(np.int64)
-    assert steps.size > 0 and (same.all() if shift == 0.0 else not same.any())
+    assert steps.size > 7 * 3
     write_trajectories_csv(tmp_path / "t.csv", steps)
     want = ["replicate_id,n,eta,F_total,M_total,N,xi,S,R"] + [
         f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
