@@ -13,6 +13,7 @@ from bbpre import (
     ExpMeanMap,
     FirstPassageLaw,
     OffspringModel,
+    OverflowGuardError,
     TableMap,
     asexual,
     bundle_diagnostics,
@@ -409,6 +410,18 @@ def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps
         alive = (counts > 0).sum(axis=0)
         assert np.any((alive > 0) & (alive < reps)) and alive[-2] == 0
         assert np.isnan(table.r3[-1])
+
+
+def test_bundle_guard_trips_on_a_row_that_holds_extinct_replicates():
+    # the means jump past the guard once eta reaches 0.5, after some replicates have died
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    table = TableMap((0.5,), (1.5, 1e301))
+    off = OffspringModel(mean_f=table, mean_m=table)
+    first = int(np.argmax(env.sample(derive_stream(20).spawn(2)[0], size=30) >= 0.5))
+    counts = _reference_bundle(rule, env, off, 2, first, 200, derive_stream(20))[3]
+    assert 0 < np.count_nonzero(counts[:, first]) < 200
+    with pytest.raises(OverflowGuardError, match="bundle scale"):
+        run_frozen_bundle(rule, env, off, 2, 30, 200, derive_stream(20))
 
 
 # ---------------------------------------------------------------------------
