@@ -125,10 +125,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config file; flags override its values")
 
 
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_positive_int("--seed", 0), default=42,
+                   help="master seed, non-negative integer; fixes all outputs (default 42)")
+
+
 def _add_run_flags(p: argparse.ArgumentParser, replicates_default: int) -> None:
     p.add_argument("--replicates", type=_positive_int("--replicates"), default=replicates_default,
                    help=f"replicate count >= 1 (default {replicates_default})")
-    p.add_argument("--seed", type=int, default=42, help="64-bit master seed; fixes all outputs (default 42)")
+    _add_seed_flag(p)
     p.add_argument("--threads", type=_positive_int("--threads"), default=1,
                    help="worker process cap >= 1; does not change results (default 1)")
     p.add_argument("--max-steps", type=_positive_int("--max-steps"), default=None,
@@ -158,7 +163,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--replicates", type=_positive_int("--replicates", 100), default=100_000,
                    help="Monte Carlo sample count >= 100 (default 100000)")
-    p.add_argument("--seed", type=int, default=42)
+    _add_seed_flag(p)
     p.add_argument("--out", type=Path, default=None, help="write the full report as JSON")
 
     p = sub.add_parser("experiment", help="replicate sweep over an N grid with KS summaries")
@@ -183,7 +188,7 @@ def build_parser() -> _Parser:
                    help="offspring randomizations per path (default 10000)")
     p.add_argument("--max-steps", type=_positive_int("--max-steps"), default=50,
                    help="per-path step horizon (default 50)")
-    p.add_argument("--seed", type=int, default=42)
+    _add_seed_flag(p)
     p.add_argument("--threads", type=_positive_int("--threads"), default=1)
     p.add_argument("--out", type=Path, default=None, help="ratio table CSV path")
 
@@ -205,10 +210,11 @@ def _models_from_args(args):
 
 def _cmd_simulate(args) -> int:
     env, offspring, rule = _models_from_args(args)
-    keep_steps = args.recording != "terminal"
+    # steps are recorded only for a trajectory file; recording draws nothing, so the records are the same
+    keep_steps = args.recording != "terminal" and args.out is not None
     result = run_extinction_records(
         env, offspring, rule, args.n0, args.replicates, args.max_steps, args.seed, args.threads,
-        args.recording, return_trajectories=keep_steps,
+        args.recording if keep_steps else "terminal", return_trajectories=keep_steps,
     )
     records, steps = result if keep_steps else (result, None)
     if args.out:

@@ -316,7 +316,11 @@ class BlockRun:
     step that tripped the overflow guard, 0 if none; ``n_theta`` and
     ``n_theta_plus_k`` are NaN where unobserved, by ``run_coupled``'s
     rules.  ``steps`` holds the recorded steps (``STEP_DTYPE``, with
-    ``replicate_id`` the block position), replicate-major.
+    ``replicate_id`` the block position), replicate-major and in step
+    order within a replicate, with none of an overflow-tagged
+    replicate's.  It is the only array of its size that ``run_block``
+    allocates: the per-generation chunks are placed into it row by row
+    (``_place_steps``), never concatenated, filtered or sorted.
     """
 
     tau: np.ndarray
@@ -530,8 +534,6 @@ def run_block(
         observed[np.isnan(observed) & (tau >= 0)[:, None]] = 0.0
         observed[theta < 0] = np.nan
     steps_run = np.where(overflow_step > 0, overflow_step, ended)
-    steps = np.concatenate(recorded) if recorded else np.empty(0, dtype=STEP_DTYPE)
-    steps = steps[overflow_step[steps["replicate_id"]] == 0]  # an overflow discards the replicate's steps
     return BlockRun(
         tau=tau,
         overflow_step=overflow_step,
@@ -539,8 +541,35 @@ def run_block(
         theta=theta,
         n_theta=observed[:, 0],
         n_theta_plus_k=observed[:, 1],
-        steps=steps[np.argsort(steps["replicate_id"], kind="stable")],
+        steps=_place_steps(recorded, overflow_step),
     )
+
+
+def _place_steps(chunks: list, overflow_step: np.ndarray) -> np.ndarray:
+    """The ``STEP_DTYPE`` rows of ``chunks`` (one per recorded generation), replicate-major, overflow-tagged dropped.
+
+    A chunk holds each replicate at most once, so each replicate's rows
+    are counted, its first row is placed by a cumulative sum, and every
+    chunk is written straight to its replicates' next free rows: one
+    array of the result's size is allocated, and rows keep their
+    generation order within a replicate.  An overflow discards the
+    replicate's steps.
+    """
+    kept = overflow_step == 0
+    count = np.zeros(kept.size, dtype=np.int64)
+    for rec in chunks:
+        count[rec["replicate_id"]] += 1
+    count[~kept] = 0
+    free = np.cumsum(count) - count  # each replicate's next free row
+    steps = np.empty(int(count.sum()), dtype=STEP_DTYPE)
+    tagged = not kept.all()
+    for rec in chunks:
+        if tagged:
+            rec = rec[kept[rec["replicate_id"]]]
+        ids = rec["replicate_id"]
+        steps[free[ids]] = rec
+        free[ids] += 1
+    return steps
 
 
 # ---------------------------------------------------------------------------

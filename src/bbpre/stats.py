@@ -184,6 +184,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
@@ -315,13 +317,17 @@ def run_extinction_records(
     Returns the record list, or ``(records, steps)`` when
     ``return_trajectories`` is set: ``steps`` is one
     ``simulator.STEP_DTYPE`` array of every recorded step, replicate-major
-    (empty under terminal recording).  Raises ``OverflowGuardError`` when
-    every replicate is overflow-tagged.
+    (empty under terminal recording).  A single block's array is returned
+    as it is; several are copied into one preallocated array, and each
+    block is released once it is copied.
+    Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
     """
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    if master_seed < 0:
+        raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
     ms = max_steps or default_max_steps(max(n0, 3))
     tasks = _block_tasks(env, offspring, rule, n0, replicates, ms, master_seed, 0, recording=recording)
     blocks = _run_chunked(tasks, _block_task, threads, _block_cost)
@@ -329,7 +335,16 @@ def run_extinction_records(
     _refuse_all_overflow(records, n0)
     if not return_trajectories:
         return records
-    return records, np.concatenate([steps for _, steps in blocks])
+    if len(blocks) == 1:
+        return records, blocks[0][1]
+    steps = np.empty(sum(s.size for _, s in blocks), dtype=STEP_DTYPE)
+    at = 0
+    for i in range(len(blocks)):
+        block_steps = blocks[i][1]
+        blocks[i] = None
+        steps[at : at + block_steps.size] = block_steps
+        at += block_steps.size
+    return records, steps
 
 
 @dataclass
@@ -667,6 +682,8 @@ class LemmaSweepConfig:
         object.__setattr__(self, "n0_grid", grid)
         if self.paths < 1 or self.replicates < 2 or self.steps < 1:
             raise ConfigurationError("sweep needs paths >= 1, replicates >= 2, steps >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from bbpre import (
+    ConfigurationError,
     ConstantMeanMap,
     EnvironmentModel,
     ExperimentConfig,
     ExpMeanMap,
+    LemmaSweepConfig,
     OffspringModel,
     TableMap,
     cli,
@@ -288,6 +290,52 @@ def test_integer_flags_parse_exactly_or_refuse(capsys):
     assert parser.parse_args(["simulate", "--n0", "1e3", "--replicates", "2.0"]).n0 == 1000
     code, stdout, _ = run_cli(capsys, "simulate", "--n0", "1e3", "--replicates", "3", "--max-steps", "20")
     assert code == 0 and "n0=1000 replicates=3 " in stdout
+
+
+def test_seed_is_a_non_negative_integer(capsys):
+    runs = {
+        "simulate": ["simulate", "--n0", "100", "--replicates", "3"],
+        "coupled": ["coupled", "--n0", "100", "--replicates", "3"],
+        "audit": ["audit", "--replicates", "100"],
+        "experiment": ["experiment", "--n-grid", "1000", "--replicates", "3"],
+        "lemma-sweep": ["lemma-sweep", "--paths", "1", "--replicates", "2", "--max-steps", "2"],
+    }
+    for argv in runs.values():
+        for bad in ("-1", "2.5", "x"):
+            code, stdout, stderr = run_cli(capsys, *argv, "--seed", bad)
+            assert code == 1 and stdout == ""
+            payload = json.loads(stderr.strip().splitlines()[-1])
+            assert payload["error"] == "configuration" and "--seed" in payload["message"]
+        assert build_parser().parse_args(argv + ["--seed", "1e3"]).seed == 1000
+    code, stdout, _ = run_cli(capsys, *runs["simulate"], "--seed", "0", "--max-steps", "20")
+    assert code == 0 and "replicates=3 " in stdout
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(1000,), master_seed=-1)
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        LemmaSweepConfig(env=env, offspring=off, rule=rule, master_seed=-1)
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        run_extinction_records(env, off, rule, 100, 3, 20, -1)
+
+
+def test_simulate_records_steps_only_for_a_trajectory_file(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args[8], kwargs["return_trajectories"]))
+        return run_extinction_records(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_extinction_records", spy)
+    argv = ["simulate", "--n0", "200", "--replicates", "5", "--seed", "9"]
+    lines = []
+    for extra in (["--recording", "terminal"], ["--recording", "full"],
+                  ["--recording", "full", "--out", str(tmp_path / "r.csv")]):
+        code, stdout, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        lines.append(stdout.split(" out=")[0])
+    assert calls == [("terminal", False), ("terminal", False), ("full", True)]
+    assert lines[0] == lines[1] == lines[2]
+    assert (tmp_path / "r_trajectories.csv").exists()
 
 
 def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):

@@ -588,6 +588,63 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
     assert 0 < tagged < reps
 
 
+# 40 replicates in blocks of 16 (BLOCK monkeypatched): offspring model, n0, step cap, seed
+BLOCK_SETUPS = {
+    "canonical": (OffspringModel(), 500, None, 8),
+    # the female mean jumps past the guard only where eta >= 1.25, tagging replicates mid-run
+    "overflow": (OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0)), 1000, 200, 5),
+}
+
+
+@pytest.mark.parametrize("recording", ["full", "sparse"])
+@pytest.mark.parametrize("setup", sorted(BLOCK_SETUPS))
+def test_placed_steps_equal_the_concatenated_filtered_sorted_chunks(monkeypatch, setup, recording):
+    monkeypatch.setattr(stats, "BLOCK", 16)  # blocks of 16, 16 and 8
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    off, n0, cap, seed = BLOCK_SETUPS[setup]
+
+    def sweep(threads):
+        return run_extinction_records(env, off, rule, n0, 40, cap, seed, threads=threads, recording=recording,
+                                      return_trajectories=True)
+
+    blocks, dropped = [], []
+
+    def concatenate_filter_sort(chunks, overflow_step):
+        steps = np.concatenate(chunks) if chunks else np.empty(0, dtype=simulator.STEP_DTYPE)
+        tagged = overflow_step[steps["replicate_id"]] > 0
+        steps = steps[~tagged]
+        steps = steps[np.argsort(steps["replicate_id"], kind="stable")]
+        blocks.append(steps)  # the block task then shifts replicate_id by the block's start, in place
+        dropped.append(int(tagged.sum()))
+        return steps
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "_place_steps", concatenate_filter_sort)
+        records, _ = sweep(1)
+    assert len(blocks) == 3
+    assert (sum(dropped) > 0) == (setup == "overflow")
+    reference = np.concatenate(blocks)
+    for threads in (1, 2):
+        placed_records, steps = sweep(threads)
+        assert placed_records == records
+        assert steps.dtype == reference.dtype and steps.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("setup", sorted(BLOCK_SETUPS))
+def test_extinction_records_do_not_depend_on_the_recording(monkeypatch, setup):
+    # simulate records steps only when it writes a trajectory file, so its summary line must not depend on them
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    off, n0, cap, seed = BLOCK_SETUPS[setup]
+    outcomes = [
+        [(r.tau, r.steps_run, r.overflow, r.censored) for r in
+         run_extinction_records(env, off, rule, n0, 40, cap, seed, recording=recording)]
+        for recording in simulator.RECORDING_MODES
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert any(overflow for _, _, overflow, _ in outcomes[0]) == (setup == "overflow")
+
+
 # ---------------------------------------------------------------------------
 # the coupled blocks' hitting-step scan
 # ---------------------------------------------------------------------------

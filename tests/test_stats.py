@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bbpre import (
     lemma_bound_sweep,
     loglog_slope,
     monogamous,
+    polygamous,
     run_experiment,
     run_extinction_records,
     run_replicates,
@@ -284,6 +286,24 @@ def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch):
         for rep_id, n, eta, f, m, c, xi, s, r in steps.tolist()
     ]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_recorded_steps_are_held_once_plus_the_chunks():
+    # The traced peak of a full-recording sweep was 3.25 x steps.nbytes while
+    # run_block concatenated, filtered and sorted its chunks; placing them
+    # gives 2.14 x (the chunks plus the result, and the chunks' headers).
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), polygamous()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, steps = run_extinction_records(env, off, rule, 10_000, 40, None, 1, recording="full",
+                                          return_trajectories=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert steps.nbytes > 4 * 2**20
+    assert peak < 2.5 * steps.nbytes + 2**20
 
 
 # ---------------------------------------------------------------------------
