@@ -32,6 +32,13 @@ RUNS = {
         "--out", "{out}/sweep.csv",
     ],
     "audit": ["audit", "--alpha", "0.4", "--replicates", "3000", "--seed", "6", "--out", "{out}/audit.json"],
+    # erfc arguments 1/(sigma sqrt(2t)) from 31.9 down to 0.12: the x < 1, 1 <= x < 8 and x >= 8 branches
+    "limit-law-table": ["limit-law", "--sigma", "0.7", "--table", "0.001:60:5000", "--out", "{out}/table.csv"],
+    # erfcinv levels in each ndtri branch: central, sqrt(-2 ln y) < 8 and >= 8
+    "limit-law-quantiles": [
+        "limit-law", "--sigma", "0.7", "--quantiles", "1e-300,1e-12,0.001,0.2,0.5,0.9,0.999999",
+        "--out", "{out}/quantiles.csv",
+    ],
 }
 
 DIGESTS = {
@@ -58,6 +65,12 @@ DIGESTS = {
     "audit": {
         "audit.json": "6a472fa223fb97a932b5924f5541f488dd3483f0d4f5e7409d4906b2a57df7ee",
     },
+    "limit-law-table": {
+        "table.csv": "d031dd07b878eb5856d3a454f14107a9cd954e8e7040bb26fdcdd347f9dbda6c",
+    },
+    "limit-law-quantiles": {
+        "quantiles.csv": "5e04c13f1e89b3bfade6f801ddd6d3ca0f1778f6ce08663bbb10c9ef86ac029e",
+    },
 }
 
 
@@ -68,6 +81,7 @@ def digests_of(directory) -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_output_digests_are_pinned(name, tmp_path, capsys):
     argv = [a.format(out=tmp_path) for a in RUNS[name]]
-    assert main(argv + ["--threads", "1"] if name != "audit" else argv) == 0
+    threaded = name not in ("audit", "limit-law-table", "limit-law-quantiles")
+    assert main(argv + ["--threads", "1"] if threaded else argv) == 0
     capsys.readouterr()
     assert digests_of(tmp_path) == DIGESTS[name]
