@@ -101,7 +101,7 @@ def _parse_table(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigurationError(f"--table expects start:stop:count, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = float(parts[0]), float(parts[1]), _exact_int(parts[2])
     except ValueError:
         raise ConfigurationError(f"--table expects start:stop:count, got {text!r}")
     if not (start > 0 and stop > start and count >= 2):
@@ -315,6 +315,8 @@ def _cmd_limit_law(args) -> int:
         try:
             qs = [float(q) for q in args.quantiles.split(",")]
         except ValueError:
+            qs = None
+        if qs is None or not all(0.0 < q < 1.0 for q in qs):
             raise ConfigurationError(f"--quantiles expects comma-separated reals in (0,1), got {args.quantiles!r}")
         lines.append("q,quantile")
         for q in qs:

@@ -13,8 +13,9 @@ and distribution function, by the reflection principle,
     F(t) = 2 Phi(-1 / (sigma sqrt(t))) = erfc(1 / (sigma sqrt(2 t))).
 
 ``Phi`` and its inverse are evaluated through the complementary error
-function (``scipy.special.erfc`` / ``erfcinv``), accurate to ~1e-15
-relative, and are the source of truth for both ``cdf`` and
+function and its inverse, ports of the Cephes ``erfc`` / ``erfcinv``
+in ``_special`` that equal ``scipy.special``'s bit for bit, accurate to
+~1e-15 relative; they are the source of truth for both ``cdf`` and
 ``quantile``.  The density vanishes continuously at 0, so the law is
 supported on t > 0 with no mass at the origin.
 """
@@ -25,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+
+from ._special import erfc, erfcinv
 
 __all__ = ["FirstPassageLaw"]
 

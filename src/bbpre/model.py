@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import log_factorial
 from .errors import ConfigurationError, DegenerateModelError, OverflowGuardError
 
 __all__ = [
@@ -232,11 +232,17 @@ def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) ->
     return out
 
 
-def _poisson_centered_abs_moment(lam: float, order: float) -> float:
+def _series_length(lam: float, order: float) -> int:
+    return int(max(lam + 12.0 * math.sqrt(lam) + 20.0, 2.0 * lam + 10.0 * order + 20.0))
+
+
+def _poisson_centered_abs_moment(lam: float, order: float, log_fact: Optional[np.ndarray] = None) -> float:
     """E|X - lam|^order for X ~ Poisson(lam), by truncated series.
 
     The truncation point makes the geometric tail bound below 1e-12 of
     the accumulated sum; ``order == 2`` returns the exact variance.
+    ``log_fact`` is a table of ``ln k!`` that callers summing many means
+    build once; it is extended here when the series runs past it.
     """
     if lam < 0:
         raise ValueError("negative Poisson mean")
@@ -244,10 +250,12 @@ def _poisson_centered_abs_moment(lam: float, order: float) -> float:
         return 0.0
     if order == 2.0:
         return float(lam)
-    k_max = int(max(lam + 12.0 * math.sqrt(lam) + 20.0, 2.0 * lam + 10.0 * order + 20.0))
+    k_max = _series_length(lam, order)
     while True:
+        if log_fact is None or log_fact.size <= k_max:
+            log_fact = log_factorial(np.arange(k_max + 1))
         k = np.arange(0, k_max + 1, dtype=float)
-        terms = np.abs(k - lam) ** order * np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
+        terms = np.abs(k - lam) ** order * np.exp(k * math.log(lam) - lam - log_fact[: k_max + 1])
         total = float(terms.sum())
         # beyond 2*lam + 10*order + 20 the term ratio is < 0.56, so the
         # remaining tail is < 1.3 * last term
@@ -265,13 +273,13 @@ def _poisson_centered_abs_moment_array(lams: np.ndarray, order: float) -> np.nda
         pos = lams > 0
         if pos.any():
             lp = lams[pos].astype(float)
-            k_max = int(max(lam_max + 12.0 * math.sqrt(lam_max) + 20.0, 2.0 * lam_max + 10.0 * order + 20.0))
-            k = np.arange(0, k_max + 1, dtype=float)
-            logp = k[None, :] * np.log(lp)[:, None] - lp[:, None] - gammaln(k + 1.0)[None, :]
+            k = np.arange(0, _series_length(lam_max, order) + 1, dtype=float)
+            logp = k[None, :] * np.log(lp)[:, None] - lp[:, None] - log_factorial(k)[None, :]
             terms = np.abs(k[None, :] - lp[:, None]) ** order * np.exp(logp)
             out[pos] = terms.sum(axis=1)
         return out
-    return np.array([_poisson_centered_abs_moment(float(l), order) for l in lams])
+    log_fact = log_factorial(np.arange(_series_length(lam_max, order) + 1))
+    return np.array([_poisson_centered_abs_moment(float(l), order, log_fact) for l in lams])
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,28 @@ def test_limit_law_quantiles(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("levels", ["1.5", "0", "nan", "0.5,1", "0.5,x"])
+def test_limit_law_refuses_levels_outside_the_unit_interval(capsys, levels):
+    code, stdout, stderr = run_cli(capsys, "limit-law", "--quantiles", levels)
+    assert code == 1
+    assert stdout == ""
+    payload = json.loads(stderr.strip().splitlines()[-1])
+    assert payload["error"] == "configuration"
+    assert "--quantiles" in payload["message"]
+
+
+def test_limit_law_table_count_is_an_exact_integer(tmp_path, capsys):
+    out = tmp_path / "chi.csv"
+    code, _, _ = run_cli(capsys, "limit-law", "--table", "0.1:10:1e2", "--out", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 101
+    code, _, stderr = run_cli(capsys, "limit-law", "--table", "0.1:10:2.5")
+    assert code == 1
+    payload = json.loads(stderr.strip().splitlines()[-1])
+    assert payload["error"] == "configuration"
+    assert "--table" in payload["message"]
+
+
 def test_audit_polygamous_reports_c4_witness(tmp_path, capsys):
     out = tmp_path / "audit.json"
     code, stdout, _ = run_cli(
