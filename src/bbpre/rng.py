@@ -9,6 +9,7 @@ independent of worker scheduling and thread count.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  every command draws; load it with the package, not lazily on the first draw
 
 
 def derive_stream(master_seed: int, *path: int) -> np.random.Generator:
