@@ -112,6 +112,7 @@ def _p1evl(x, coef):
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` applied to each element of ``x``."""
     return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
