@@ -39,16 +39,10 @@ from .model import (
 )
 from .rng import derive_stream
 from .simulator import (
-    CoupledRun,
     DiagnosticTable,
     FrozenBundle,
-    StepRecord,
-    Trajectory,
     bundle_diagnostics,
-    evolve_step,
-    run_coupled,
     run_frozen_bundle,
-    run_until_extinction,
 )
 from .stats import (
     ExperimentConfig,
@@ -67,10 +61,8 @@ from .stats import (
 from .walk import (
     HittingResult,
     HittingSpec,
-    ThetaDistribution,
     default_max_steps,
     hitting_time,
-    theta_distribution,
 )
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._special import log_factorial
-from .errors import ConfigurationError, DegenerateModelError, OverflowGuardError
+from .errors import ConfigurationError, DegenerateModelError
 
 __all__ = [
     "ConstantMap",
@@ -74,9 +74,8 @@ __all__ = [
     "audit_conditions",
 ]
 
-# Offspring means above this raise OverflowGuardError instead of degrading
-# silently; single-replicate counts are Python ints and never wrap, sweep
-# counts are float64 (exact below 2^53).
+# Offspring means above this overflow-tag the replicate instead of degrading
+# silently; counts are float64 (exact below 2^53).
 MEAN_GUARD = 1e300
 # numpy's rejection sampler is exact here; above, the normal approximation
 # has relative error below 1e-6 per draw and cannot produce negatives.
@@ -201,21 +200,11 @@ class EnvironmentModel:
 # ---------------------------------------------------------------------------
 
 
-def _poisson_total(lam: float, stream: np.random.Generator) -> int:
-    if not (lam >= 0.0):
-        raise ValueError(f"negative or NaN offspring mean {lam!r}")
-    if lam > MEAN_GUARD:
-        raise OverflowGuardError(f"requested offspring mean {lam:.3e} exceeds guard {MEAN_GUARD:.1e}")
-    if lam == 0.0:
-        return 0
-    if lam <= POISSON_EXACT_MAX:
-        return int(stream.poisson(lam))
-    return int(round(lam + math.sqrt(lam) * stream.standard_normal()))
-
-
 def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) -> np.ndarray:
-    """Float64 twin of ``_poisson_total`` for means already checked to lie in [0, MEAN_GUARD].
+    """Offspring totals drawn for means already checked to lie in [0, MEAN_GUARD].
 
+    A total is ``poisson(lam)`` up to ``POISSON_EXACT_MAX`` and
+    ``rint(lam + sqrt(lam) * standard_normal())`` above, as float64.
     ``top`` is ``lam.max()``.  The draws are those of ``poisson(lam[small])``
     in C order, then normals for ``lam[big]``: a zero mean consumes no
     draw, so ``poisson`` over ``lam`` with the big means zeroed gives the
@@ -307,25 +296,6 @@ class OffspringModel:
             raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
         if not self.moment_order > 1.0:
             raise ConfigurationError(f"moment_order must exceed 1, got {self.moment_order}")
-
-    # sampling --------------------------------------------------------------
-
-    def sample_totals(self, n_pairs: int, eta: float, stream: np.random.Generator) -> tuple[int, int]:
-        """Totals of ``n_pairs`` i.i.d. conditional offspring vectors."""
-        if n_pairs < 0:
-            raise ValueError("n_pairs must be nonnegative")
-        if n_pairs == 0:
-            return 0, 0
-        mf = float(self.mean_f(eta))
-        mm = float(self.mean_m(eta))
-        if mf < 0 or mm < 0:
-            raise ConfigurationError(f"negative conditional mean at eta={eta}: ({mf}, {mm})")
-        if self.kind == "poisson":
-            return _poisson_total(n_pairs * mf, stream), _poisson_total(n_pairs * mm, stream)
-        f1, m1 = round(mf), round(mm)
-        if abs(mf - f1) > 1e-9 or abs(mm - m1) > 1e-9:
-            raise ConfigurationError(f"deterministic offspring needs integer means, got ({mf}, {mm}) at eta={eta}")
-        return n_pairs * int(f1), n_pairs * int(m1)
 
     # moments ---------------------------------------------------------------
 
@@ -429,10 +399,6 @@ class MatingRule:
     @property
     def delta(self) -> float:
         return 1.0 / self.alpha - 1.0
-
-    def mate(self, f: int, m: int, eta: float) -> int:
-        """Couples formed by ``f`` females and ``m`` males at ``eta``."""
-        return int(self.L(f, m, eta))
 
     def approximant(self, x: float, y: float, eta: float) -> float:
         """Approximant ``g`` on nonnegative reals."""

@@ -1,29 +1,24 @@
-"""Process evolution, extinction times, and coupled process/walk runs.
+"""Lockstep replicate blocks, extinction times, coupled process/walk runs and frozen bundles.
 
-A replicate evolves the couple counts step by step: sample the
-environment, sample the two offspring totals, mate.  Zero couples is
-absorbing.  Counts are Python ints, so they never wrap; offspring means
-beyond the sampling guard abort the replicate with an overflow tag.
-These single-replicate runs (``run_until_extinction``, ``run_coupled``)
-are the scalar reference.
+``run_block`` is the one process engine: every ``experiment``,
+``coupled`` and ``simulate`` sweep evolves its replicates through it, in
+blocks, one generation at a time, as float64 arrays.  A generation
+reads each live replicate's environment value, draws its two
+offspring totals (one Poisson draw per sex at the couple count times
+the conditional mean, by additivity) and mates them.  Zero couples is
+absorbing; an offspring mean beyond the sampling guard tags the
+replicate as overflowed.
 
-Each replicate splits its stream in two: one child draws the whole
-environment path up to the step cap in one call, the other the
-offspring noise, so the walk's law is unaffected by how much offspring
-randomness a path consumes.  The walk is computed from that path as an
-array; only the process runs step by step, and only while it is alive.
+A replicate's environment path is the first child of its own stream.
+A coupled run first scans it for the walk's hitting step and rewinds
+it; the process then reads it only while it is alive.  The block's
+offspring draws come from one shared stream, so a replicate's walk and
+hitting step do not depend on how much offspring randomness the block
+consumes.
 
-``run_coupled`` drives the process and the associated walk from one
-environment path.  It records the hitting step, the couple counts at
+A coupled block also records the hitting step, the couple counts at
 the hitting step and ``k`` steps later with
 ``k = floor(epsilon * ln^2 N)``, and the extinction step.
-
-``run_block`` is the sweep engine: it evolves a block of replicates in
-lockstep as float64 arrays, one generation at a time, with every
-replicate's environment from its own stream and the block's offspring
-draws from one shared stream.  It applies the scalar sampler's rules
-element by element, so a replicate's law is the same, but its counts
-are not the scalar path's draws.
 
 ``run_frozen_bundle`` runs many offspring randomizations over a single
 frozen environment path; the bundle diagnostics estimate the
@@ -42,7 +37,7 @@ never realized offspring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,15 +54,9 @@ from .model import (
     noise_scales,
     walk_increments,
 )
-from .walk import HittingSpec, hitting_time
+from .walk import HittingSpec
 
 __all__ = [
-    "StepRecord",
-    "Trajectory",
-    "CoupledRun",
-    "evolve_step",
-    "run_until_extinction",
-    "run_coupled",
     "BlockRun",
     "run_block",
     "FrozenBundle",
@@ -76,75 +65,11 @@ __all__ = [
     "bundle_diagnostics",
 ]
 
+# ---------------------------------------------------------------------------
+# Lockstep replicate blocks
+# ---------------------------------------------------------------------------
+
 RECORDING_MODES = ("terminal", "sparse", "full")
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One recorded step: counts, walk values, and the step residual."""
-
-    n: int
-    eta: float
-    f_total: int
-    m_total: int
-    n_pairs: int
-    increment: float
-    walk_sum: float
-    residual: float
-
-
-@dataclass
-class Trajectory:
-    """One realized path: recorded steps, extinction step, and censoring state."""
-
-    n0: int
-    recording: str
-    steps: list = field(default_factory=list)
-    tau: Optional[int] = None
-    steps_run: int = 0
-    final_n: int = 0
-    overflow: bool = False
-
-    @property
-    def censored(self) -> bool:
-        return self.tau is None and not self.overflow
-
-
-@dataclass
-class CoupledRun:
-    """Process and walk driven by one environment sequence.
-
-    ``theta`` is None when the walk never reached the threshold within
-    the step cap; the comparison counts are None when unobserved (theta
-    censored, or theta + k beyond the cap while the process was still
-    alive, or at or after an overflow step).  ``k`` is exactly
-    ``floor(epsilon * ln^2 n0)``.
-    """
-
-    trajectory: Trajectory
-    epsilon: float
-    k: int
-    theta: Optional[int] = None
-    S_theta: float = math.nan
-    xi_theta: float = math.nan
-    n_at_theta: Optional[int] = None
-    n_at_theta_plus_k: Optional[int] = None
-
-
-def evolve_step(
-    rule: MatingRule,
-    offspring_model: OffspringModel,
-    n_prev: int,
-    eta: float,
-    stream: np.random.Generator,
-) -> tuple[int, int, int]:
-    """One generation: totals sampled, then mated. Zero couples stay zero."""
-    if n_prev < 0:
-        raise ValueError("couple count must be nonnegative")
-    if n_prev == 0:
-        return 0, 0, 0
-    f_total, m_total = offspring_model.sample_totals(n_prev, eta, stream)
-    return rule.mate(f_total, m_total, eta), f_total, m_total
 
 
 def _record_stride(n0: int, recording: str) -> Optional[int]:
@@ -156,134 +81,6 @@ def _record_stride(n0: int, recording: str) -> Optional[int]:
         return max(1, math.ceil(math.log(max(n0, 2))))
     return None
 
-
-class _Recorder:
-    """Builds the step records a recording mode keeps: every ``stride``-th step and the last."""
-
-    def __init__(self, stride: int, xi: np.ndarray):
-        self.stride = stride
-        self.xi = xi.tolist()
-        self.walk_sum = np.cumsum(xi).tolist()
-        self.steps: list[StepRecord] = []
-
-    def offer(self, n: int, eta: float, f_total: int, m_total: int, n_prev: int, n_next: int, last: bool) -> None:
-        if last or n % self.stride == 0:
-            xi = self.xi[n - 1]
-            residual = n_next - n_prev * math.exp(xi)
-            self.steps.append(StepRecord(n, eta, f_total, m_total, n_next, xi, self.walk_sum[n - 1], residual))
-
-
-def _run_process(
-    rule: MatingRule,
-    offspring_model: OffspringModel,
-    traj: Trajectory,
-    eta: list,
-    stream: np.random.Generator,
-    recorder: Optional[_Recorder],
-) -> list:
-    """Evolve ``traj`` along the path ``eta`` until extinction, the path's end or an overflow.
-
-    Returns the couple count after each step that completed.  On
-    overflow ``steps_run`` is the overflow step, ``final_n`` the count
-    before it, and no steps are recorded.
-    """
-    counts = []
-    n_cur = traj.n0
-    last = len(eta)
-    for n, e in enumerate(eta, start=1):
-        try:
-            n_next, f_total, m_total = evolve_step(rule, offspring_model, n_cur, e, stream)
-        except OverflowGuardError:
-            traj.overflow = True
-            traj.steps_run = n
-            traj.final_n = n_cur
-            return counts
-        counts.append(n_next)
-        if recorder is not None:
-            recorder.offer(n, e, f_total, m_total, n_cur, n_next, n_next == 0 or n == last)
-        n_cur = n_next
-        if n_cur == 0:
-            traj.tau = n
-            break
-    traj.steps_run = len(counts)
-    traj.final_n = n_cur
-    if recorder is not None:
-        traj.steps = recorder.steps
-    return counts
-
-
-def run_until_extinction(
-    rule: MatingRule,
-    env_model: EnvironmentModel,
-    offspring_model: OffspringModel,
-    n0: int,
-    max_steps: int,
-    stream: np.random.Generator,
-    recording: str = "terminal",
-) -> Trajectory:
-    """Evolve until the couple count hits zero or the step cap censors the run."""
-    if n0 < 1:
-        raise ConfigurationError(f"n0 must be >= 1, got {n0}")
-    if max_steps < 1:
-        raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
-    stride = _record_stride(n0, recording)
-    env_rng, off_rng = stream.spawn(2)
-    eta = env_model.sample(env_rng, size=max_steps)
-    # extinction-only runs tolerate a vanishing approximant: the growth
-    # factor e^xi is then exactly 0, which keeps the residual identity valid
-    recorder = None if stride is None else _Recorder(stride, _log_g_at_means(rule, offspring_model, eta))
-    traj = Trajectory(n0=n0, recording=recording)
-    _run_process(rule, offspring_model, traj, eta.tolist(), off_rng, recorder)
-    return traj
-
-
-def run_coupled(
-    rule: MatingRule,
-    env_model: EnvironmentModel,
-    offspring_model: OffspringModel,
-    n0: int,
-    epsilon: float,
-    max_steps: Optional[int],
-    stream: np.random.Generator,
-) -> CoupledRun:
-    """One environment path drives both the process and the walk.
-
-    The walk covers the whole path up to the cap, so ``theta`` may come
-    after extinction; the hitting threshold uses the offspring model's
-    ``beta``.  The process runs only while it is alive: a count after
-    ``tau`` is 0 by absorption.
-    """
-    if n0 < 3:
-        raise ConfigurationError(f"coupled runs need n0 >= 3, got {n0}")
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    spec = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps)
-    k = int(math.floor(epsilon * spec.log2_n0))
-    env_rng, off_rng = stream.spawn(2)
-    eta = env_model.sample(env_rng, size=spec.max_steps)
-    hit = hitting_time(spec, walk_increments(rule, offspring_model, eta))
-    traj = Trajectory(n0=n0, recording="terminal")
-    counts = _run_process(rule, offspring_model, traj, eta.tolist(), off_rng, None)
-    run = CoupledRun(trajectory=traj, epsilon=epsilon, k=k)
-
-    def count_at(n: int) -> Optional[int]:
-        if n <= len(counts):
-            return counts[n - 1]
-        return 0 if traj.tau is not None else None
-
-    if not traj.overflow:
-        # the run ends once the process is extinct and the walk has hit
-        traj.steps_run = spec.max_steps if hit.theta is None or traj.tau is None else max(traj.tau, hit.theta)
-    if hit.theta is not None and (not traj.overflow or hit.theta < traj.steps_run):
-        run.theta, run.S_theta, run.xi_theta = hit.theta, hit.S_theta, hit.xi_theta
-        run.n_at_theta = count_at(hit.theta)
-        run.n_at_theta_plus_k = count_at(hit.theta + k)
-    return run
-
-
-# ---------------------------------------------------------------------------
-# Lockstep replicate blocks
-# ---------------------------------------------------------------------------
 
 # Environment values a block holds at a time: a window spans this many
 # divided by the live replicates (16 generations for a full block).
@@ -314,8 +111,8 @@ class BlockRun:
 
     ``tau`` and ``theta`` are -1 where absent; ``overflow_step`` is the
     step that tripped the overflow guard, 0 if none; ``n_theta`` and
-    ``n_theta_plus_k`` are NaN where unobserved, by ``run_coupled``'s
-    rules.  ``steps`` holds the recorded steps (``STEP_DTYPE``, with
+    ``n_theta_plus_k`` are NaN where unobserved (see ``run_block``).
+    ``steps`` holds the recorded steps (``STEP_DTYPE``, with
     ``replicate_id`` the block position), replicate-major and in step
     order within a replicate, with none of an overflow-tagged
     replicate's.  It is the only array of its size that ``run_block``
@@ -333,7 +130,7 @@ class BlockRun:
 
 
 def _checked_means(offspring_model: OffspringModel, means: np.ndarray, e: np.ndarray) -> None:
-    """Raise the scalar sampler's error for a negative, NaN or (deterministic) non-integer mean.
+    """Raise the sampling error for a negative, NaN or (deterministic) non-integer mean.
 
     ``means`` stacks the female and male means of the replicates whose
     environment values are ``e``.
@@ -406,20 +203,26 @@ def run_block(
     Replicate ``i`` reads its environment path from ``env_streams[i]``
     (consumed), in windows of ``ENV_WINDOW_CELLS`` values shared by the
     live replicates and only while its process is alive, so no array
-    of shape (block, max_steps) is held.  All offspring draws of the block come from ``stream``.
-    Counts are float64, exact below 2^53; they follow the scalar
-    sampler element by element: the normal approximation above
-    ``POISSON_EXACT_MAX``, an overflow tag for the replicate whose
-    requested total exceeds ``MEAN_GUARD``, the same errors for
+    of shape (block, max_steps) is held.  All offspring draws of the
+    block come from ``stream``.  Counts are float64, exact below 2^53,
+    and follow the sampling rules element by element: one Poisson draw
+    per sex with mean count times conditional mean, the normal
+    approximation above ``POISSON_EXACT_MAX``, an overflow tag for the
+    replicate whose requested total exceeds ``MEAN_GUARD``, errors for
     negative, NaN or non-integer deterministic means, and absorption
     at 0.
 
     With ``epsilon`` the block is a coupled run: the replicates' walks
     are first scanned for their hitting steps (``_hitting_steps``, the
-    steps ``run_coupled`` finds), then the streams are rewound for the
-    process, and ``theta``, the counts at ``theta`` and ``theta + k``
-    and ``steps_run`` are taken as in ``run_coupled``.  Without it the
-    run is extinction only, as in ``run_until_extinction``.
+    steps ``walk.hitting_time`` finds on the whole-cap walk), then the
+    streams are rewound for the process.  ``theta`` is dropped (-1) at
+    or after an overflow step.  The count at ``theta`` or ``theta + k``
+    is 0 after ``tau`` by absorption and NaN past the cap while the
+    process is alive or at or after an overflow step.  A coupled
+    replicate's ``steps_run`` is ``max(tau, theta)`` once the process
+    is extinct and the walk has hit, else the cap; without ``epsilon``
+    the run is extinction only and ``steps_run`` is ``tau``, else the
+    cap.  An overflow step overrides both.
     """
     if n0 < 1:
         raise ConfigurationError(f"n0 must be >= 1, got {n0}")

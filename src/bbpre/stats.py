@@ -213,7 +213,7 @@ def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
 
 def _block_task(args) -> list[tuple]:
     env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, stop, epsilon, recording = args
-    # each replicate's environment is the first child of its own stream, as in run_coupled:
+    # each replicate's environment is the first child of its own stream:
     # the generator derive_stream(master_seed, grid_index, rep).spawn(2)[0], built directly
     env_streams = [
         np.random.default_rng(np.random.SeedSequence([master_seed, grid_index, rep], spawn_key=(0,)))

@@ -16,21 +16,18 @@ rather than an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import EnvironmentModel, MatingRule, OffspringModel, walk_increments
 
 __all__ = [
     "default_max_steps",
     "HittingSpec",
     "HittingResult",
     "hitting_time",
-    "ThetaDistribution",
-    "theta_distribution",
 ]
 
 
@@ -110,50 +107,3 @@ def hitting_time(spec: HittingSpec, increments: np.ndarray) -> HittingResult:
         return HittingResult(theta=None, S_theta=float(sums[-1]), xi_theta=math.nan, steps_run=spec.max_steps)
     j = int(hit.argmax())
     return HittingResult(theta=j + 1, S_theta=float(sums[j]), xi_theta=float(xs[j]), steps_run=j + 1)
-
-
-@dataclass(frozen=True)
-class ThetaDistribution:
-    """Scaled hitting-time sample; censored replicates counted separately."""
-
-    n0: int
-    replicates: int
-    samples_scaled: np.ndarray = field(repr=False)
-    censored: int = 0
-
-    @property
-    def censored_fraction(self) -> float:
-        return self.censored / self.replicates
-
-
-def theta_distribution(
-    spec: HittingSpec,
-    env_model: EnvironmentModel,
-    offspring_model: OffspringModel,
-    rule: MatingRule,
-    replicates: int,
-    stream: np.random.Generator,
-) -> ThetaDistribution:
-    """I.i.d. hitting times scaled by ln^2 N over independent walks.
-
-    Each replicate runs on its own child stream, so the sample set does
-    not depend on evaluation order.
-    """
-    if replicates < 1:
-        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
-    scale = spec.log2_n0
-    out = []
-    censored = 0
-    for child in stream.spawn(replicates):
-        eta = env_model.sample(child, size=spec.max_steps)
-        res = hitting_time(spec, walk_increments(rule, offspring_model, eta))
-        if res.censored:
-            censored += 1
-        else:
-            out.append(res.theta / scale)
-    return ThetaDistribution(
-        n0=spec.n0,
-        replicates=replicates,
-        samples_scaled=np.asarray(sorted(out), dtype=float),
-        censored=censored,
-    )

@@ -39,7 +39,7 @@ from bbpre import (
     monogamous,
     polygamous,
     run_experiment,
-    run_until_extinction,
+    run_extinction_records,
 )
 from bbpre.walk import default_max_steps
 
@@ -274,10 +274,9 @@ def test_criterion_8_asexual_reduction():
     env = EnvironmentModel(std=SIGMA_ENV)
     offspring = OffspringModel()
     rule = asexual()
-    ours = np.empty(replicates)
-    for r in range(replicates):
-        traj = run_until_extinction(rule, env, offspring, n0, cap, derive_stream(ACCEPT_SEED, 8, r))
-        ours[r] = traj.tau if traj.tau is not None else cap + 1
+    # the sweep engine behind ``simulate``, keyed like the oracle by the criterion number
+    records = run_extinction_records(env, offspring, rule, n0, replicates, cap, ACCEPT_SEED + 8)
+    ours = np.array([r.tau if r.tau is not None else cap + 1 for r in records], dtype=float)
     oracle = _one_sex_oracle_taus(n0, replicates, cap, ACCEPT_SEED + 800, SIGMA_ENV)
     d = float(ks_2samp(ours, oracle).statistic)
     crit = 1.628 * math.sqrt((2.0 * replicates) / (replicates * replicates))

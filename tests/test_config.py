@@ -32,7 +32,7 @@ def test_capacity_table():
     assert isinstance(rule.d, TableMap)
     assert rule.d(-1.0) == 1.0
     assert rule.d(0.5) == 3.0
-    assert rule.mate(10, 2, 0.5) == 6
+    assert rule.L(10, 2, 0.5) == 6
 
 
 def test_alpha_beta_consistency_enforced():

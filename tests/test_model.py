@@ -26,6 +26,7 @@ from bbpre import (
     monogamous,
     noise_scales,
     polygamous,
+    run_extinction_records,
     walk_increments,
 )
 from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moment, _poisson_totals
@@ -70,18 +71,23 @@ def test_environment_validation():
 # ---------------------------------------------------------------------------
 
 
+def _totals(model, n_pairs, eta, reps, rng):
+    # the block engine's draw: each sex's total is one draw at mean n_pairs * mean(eta)
+    lam = n_pairs * np.array([[model.mean_f(eta)], [model.mean_m(eta)]], dtype=float) * np.ones(reps)
+    return _poisson_totals(lam, lam.max(), rng)
+
+
 def test_totals_of_zero_pairs_is_zero():
-    model = OffspringModel()
     rng = np.random.default_rng(1)
-    assert model.sample_totals(0, 1.3, rng) == (0, 0)
+    state_before = rng.bit_generator.state
+    assert np.array_equal(_totals(OffspringModel(), 0, 1.3, 5, rng), np.zeros((2, 5)))
+    assert rng.bit_generator.state == state_before  # a zero mean draws nothing
 
 
 def test_totals_mean_at_eta_zero():
     # each component is Poisson(n_pairs) at eta = 0
-    model = OffspringModel()
-    rng = np.random.default_rng(5)
     n_pairs, reps = 10**6, 100
-    fs, ms = zip(*(model.sample_totals(n_pairs, 0.0, rng) for _ in range(reps)))
+    fs, ms = _totals(OffspringModel(), n_pairs, 0.0, reps, np.random.default_rng(5))
     se = 1.0 / math.sqrt(n_pairs * reps)
     assert abs(np.mean(fs) / n_pairs - 1.0) <= 4.0 * se
     assert abs(np.mean(ms) / n_pairs - 1.0) <= 4.0 * se
@@ -89,28 +95,25 @@ def test_totals_mean_at_eta_zero():
 
 def test_aggregated_totals_match_per_pair_loop():
     # brute-force oracle: sum n_pairs independent Poisson draws per replicate
-    model = OffspringModel()
-    rng = np.random.default_rng(11)
     n_pairs, reps, eta = 50, 10_000, 0.4
     lam = math.exp(eta)
-    aggregated = np.array([model.sample_totals(n_pairs, eta, rng)[0] for _ in range(reps)])
+    aggregated = _totals(OffspringModel(), n_pairs, eta, reps, np.random.default_rng(11))[0]
     oracle = np.random.default_rng(12).poisson(lam, size=(reps, n_pairs)).sum(axis=1)
     d = ks_2samp(aggregated, oracle).statistic
     assert d <= 1.628 * math.sqrt(2.0 / reps)  # not rejected at level 0.01
 
 
 def test_mean_overflow_raises_guard_error():
+    # every replicate crosses the guard at step 1, so the sweep has nothing to report
     model = OffspringModel(mean_f=ExpMeanMap(shift=800.0))
     with pytest.raises(OverflowGuardError):
-        model.sample_totals(10, 0.0, np.random.default_rng(2))
+        run_extinction_records(EnvironmentModel(), model, monogamous(1), 10, 4, 100, 2)
 
 
 def test_large_mean_normal_fallback_is_sane():
     # crossover at 1e12: relative sd ~ 1e-6, draw must stay within 6 sd
-    model = OffspringModel()
-    rng = np.random.default_rng(3)
     lam = 4e12
-    f, _ = model.sample_totals(4, math.log(lam / 4), rng)
+    f = _totals(OffspringModel(), 4, math.log(lam / 4), 1, np.random.default_rng(3))[0, 0]
     assert abs(f - lam) <= 6.0 * math.sqrt(lam)
 
 
@@ -135,14 +138,17 @@ def test_poisson_totals_equal_the_two_call_reference(lam):
 
 
 def test_deterministic_family():
+    env = EnvironmentModel(std=0.5)
     model = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.0), mean_m=ConstantMeanMap(2.0))
-    rng = np.random.default_rng(4)
-    assert model.sample_totals(7, -0.3, rng) == (7, 14)
+    records, steps = run_extinction_records(env, model, asexual(), 7, 3, 10, 4, recording="full",
+                                            return_trajectories=True)
+    assert all(r.censored for r in records) and steps.size == 30
+    assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
     cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]))
     assert not cf.any() and not cm.any()
     bad = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.5), mean_m=ConstantMeanMap(1.0))
     with pytest.raises(ConfigurationError):
-        bad.sample_totals(3, 0.0, rng)
+        run_extinction_records(env, bad, asexual(), 3, 3, 10, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +193,11 @@ def test_moment_array_path_matches_scalar():
 
 
 def test_mate_examples():
-    assert monogamous(1).mate(5, 3, 0.0) == 3
-    assert polygamous().mate(7, 0, 0.0) == 0
-    assert polygamous().mate(7, 2, 0.0) == 7
-    assert asexual().mate(4, 999, 0.0) == 4
-    assert monogamous(3).mate(10, 2, 0.0) == 6
+    assert monogamous(1).L(5, 3, 0.0) == 3
+    assert polygamous().L(7, 0, 0.0) == 0
+    assert polygamous().L(7, 2, 0.0) == 7
+    assert asexual().L(4, 999, 0.0) == 4
+    assert monogamous(3).L(10, 2, 0.0) == 6
 
 
 def test_approximant_examples():
@@ -275,7 +281,7 @@ def test_analytic_sigma_detection():
 def test_superadditivity_direct_example():
     # min(3+2, 4+1) = 5 >= min(3,4) + min(2,1) = 5
     rule = monogamous(1)
-    assert rule.mate(3 + 2, 4 + 1, 0.0) >= rule.mate(3, 4, 0.0) + rule.mate(2, 1, 0.0)
+    assert rule.L(3 + 2, 4 + 1, 0.0) >= rule.L(3, 4, 0.0) + rule.L(2, 1, 0.0)
 
 
 def test_superadditivity_sampled_passes_for_builtins(rng):
@@ -333,7 +339,7 @@ def test_approximation_monogamous_and_asexual_have_zero_residual(rng):
 def test_approximation_polygamous_witness():
     # at (x, y=0): |L - g| = x, which outgrows rho * x^alpha; reported honestly
     rule = polygamous()
-    assert abs(rule.mate(10, 0, 0.0) - rule.approximant(10.0, 0.0, 0.0)) == 10.0
+    assert abs(rule.L(10, 0, 0.0) - rule.approximant(10.0, 0.0, 0.0)) == 10.0
     check = check_approximation(rule, grid=50_000, stream=np.random.default_rng(8))
     assert check.verdict == "fail"
     assert any(w[1] == 0 and w[0] >= 2 for w in check.witnesses)
@@ -350,7 +356,7 @@ envs = st.floats(min_value=-20.0, max_value=20.0)
 @given(x=counts, y=counts, u=counts, v=counts, z=envs)
 def test_property_superadditivity(x, y, u, v, z):
     for rule in ALL_RULES:
-        assert rule.mate(x + u, y + v, z) >= rule.mate(x, y, z) + rule.mate(u, v, z)
+        assert rule.L(x + u, y + v, z) >= rule.L(x, y, z) + rule.L(u, v, z)
 
 
 @settings(max_examples=200)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, poisson
+from scipy.stats import poisson
 
 from bbpre import (
     ConfigurationError,
@@ -18,13 +18,10 @@ from bbpre import (
     asexual,
     bundle_diagnostics,
     derive_stream,
-    evolve_step,
     monogamous,
-    run_coupled,
     run_extinction_records,
     run_frozen_bundle,
     run_replicates,
-    run_until_extinction,
     simulator,
     stats,
 )
@@ -38,32 +35,55 @@ def canonical():
     return EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
 
 
+def _rows(steps, i):
+    """The recorded ``STEP_DTYPE`` rows of replicate ``i``, in step order."""
+    return steps[steps["replicate_id"] == i]
+
+
+def _count_at(steps, i, n, tau):
+    """Replicate ``i``'s recorded count after step ``n``: 0 after ``tau`` (absorbed), NaN past the recording."""
+    rows = _rows(steps, i)
+    at = rows["N"][rows["n"] == n]
+    if at.size:
+        return float(at[0])
+    return 0.0 if tau >= 0 else math.nan
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 # ---------------------------------------------------------------------------
-# single steps
+# single steps, on the recorded rows of the block engine
 # ---------------------------------------------------------------------------
 
 
 def test_zero_couples_absorb_without_sampling():
-    _, off, rule = canonical()
+    # every replicate dies at step 1: zero means draw nothing from the
+    # offspring stream, and a dead replicate is never sampled again
+    env = EnvironmentModel(std=0.5)
+    off = OffspringModel(mean_f=ExpMeanMap(scale=0.0), mean_m=ExpMeanMap(scale=0.0))
     stream = derive_stream(1)
     state_before = stream.bit_generator.state
-    assert evolve_step(rule, off, 0, 0.3, stream) == (0, 0, 0)
+    streams = [derive_stream(1, i).spawn(2)[0] for i in range(8)]
+    run = run_block(monogamous(1), env, off, 1000, 100, streams, stream, recording="full")
     assert stream.bit_generator.state == state_before
+    assert np.all(run.tau == 1) and np.all(run.steps_run == 1)
+    assert run.steps.size == 8 and np.all(run.steps["N"] == 0)
 
 
 def test_asexual_step_returns_female_total():
-    off = OffspringModel()
-    rule = asexual()
-    n_next, f_total, _ = evolve_step(rule, off, 1000, 0.2, derive_stream(2))
-    assert n_next == f_total
+    env, off = EnvironmentModel(std=0.5), OffspringModel()
+    _, steps = run_extinction_records(env, off, asexual(), 1000, 20, 200, 2, recording="full",
+                                      return_trajectories=True)
+    assert steps.size > 0 and np.array_equal(steps["N"], steps["F_total"])
 
 
 def test_monogamous_step_bounded_by_both_totals():
-    off = OffspringModel()
-    rule = monogamous(1)
-    for seed in range(10):
-        n_next, f_total, m_total = evolve_step(rule, off, 500, -0.1, derive_stream(seed))
-        assert n_next == min(f_total, m_total)
+    env, off, rule = canonical()
+    _, steps = run_extinction_records(env, off, rule, 500, 20, 200, 3, recording="full",
+                                      return_trajectories=True)
+    assert steps.size > 0 and np.array_equal(steps["N"], np.minimum(steps["F_total"], steps["M_total"]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,75 +94,85 @@ def test_monogamous_step_bounded_by_both_totals():
 def test_forced_zero_offspring_dies_at_step_one():
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(mean_f=ExpMeanMap(scale=0.0), mean_m=ExpMeanMap(scale=0.0))
-    traj = run_until_extinction(monogamous(1), env, off, 1000, 100, derive_stream(3))
-    assert traj.tau == 1
-    assert not traj.censored
+    records = run_extinction_records(env, off, monogamous(1), 1000, 10, 100, 3)
+    assert all(r.tau == 1 and not r.censored for r in records)
 
 
 def test_extinction_is_absorbing_and_tau_is_first_zero():
     env, off, rule = canonical()
-    traj = run_until_extinction(rule, env, off, 50, 10_000, derive_stream(4), recording="full")
-    assert traj.tau is not None
-    counts = [s.n_pairs for s in traj.steps]
-    assert counts[-1] == 0
-    assert all(c > 0 for c in counts[:-1])
-    assert traj.steps[-1].n == traj.tau
+    records, steps = run_extinction_records(env, off, rule, 50, 20, 10_000, 4, recording="full",
+                                            return_trajectories=True)
+    assert all(r.tau is not None for r in records)
+    for r in records:
+        rows = _rows(steps, r.replicate_id)
+        assert rows["n"].tolist() == list(range(1, r.tau + 1))
+        assert rows["N"][-1] == 0
+        assert np.all(rows["N"][:-1] > 0)
 
 
 def test_trajectory_step_invariants_full_recording():
     env, off, rule = canonical()
-    traj = run_until_extinction(rule, env, off, 200, 10_000, derive_stream(5), recording="full")
-    prev = traj.n0
-    s = 0.0
-    for rec in traj.steps:
-        assert rec.n_pairs == rule.mate(rec.f_total, rec.m_total, rec.eta)
-        assert rec.residual == pytest.approx(rec.n_pairs - prev * math.exp(rec.increment), rel=1e-12, abs=1e-9)
-        s += rec.increment
-        assert rec.walk_sum == pytest.approx(s, rel=1e-12)
-        prev = rec.n_pairs
+    records, steps = run_extinction_records(env, off, rule, 200, 20, 10_000, 5, recording="full",
+                                            return_trajectories=True)
+    for r in records:
+        prev, s = float(r.n0), 0.0
+        for rec in _rows(steps, r.replicate_id):
+            assert rec["N"] == rule.L(int(rec["F_total"]), int(rec["M_total"]), float(rec["eta"]))
+            # R cancels two terms of size N_prev e^xi: allow a few ulps of that size
+            growth = prev * math.exp(rec["xi"])
+            assert rec["R"] == pytest.approx(rec["N"] - growth, rel=1e-12, abs=1e-15 * growth + 1e-9)
+            s += rec["xi"]
+            assert rec["S"] == pytest.approx(s, rel=1e-12)
+            prev = rec["N"]
 
 
 def test_representation_identity():
     # N_n = N0 e^{S_n} + sum_i R_i e^{S_n - S_i}, exact up to float accumulation
     env, off, rule = canonical()
-    traj = run_until_extinction(rule, env, off, 10_000, 5_000, derive_stream(6), recording="full")
-    S = np.array([s.walk_sum for s in traj.steps])
-    R = np.array([s.residual for s in traj.steps])
-    N = np.array([s.n_pairs for s in traj.steps])
-    for n in (1, len(S) // 2, len(S) - 1):
-        rebuilt = traj.n0 * math.exp(S[n]) + float(np.sum(R[: n + 1] * np.exp(S[n] - S[: n + 1])))
-        assert rebuilt == pytest.approx(N[n], rel=1e-9, abs=1e-6)
+    n0 = 10_000
+    records, steps = run_extinction_records(env, off, rule, n0, 5, 5_000, 6, recording="full",
+                                            return_trajectories=True)
+    for r in records:
+        rows = _rows(steps, r.replicate_id)
+        S, R, N = rows["S"], rows["R"], rows["N"]
+        for n in (1, len(S) // 2, len(S) - 1):
+            rebuilt = n0 * math.exp(S[n]) + float(np.sum(R[: n + 1] * np.exp(S[n] - S[: n + 1])))
+            assert rebuilt == pytest.approx(N[n], rel=1e-9, abs=1e-6)
 
 
 def test_recording_modes():
     env, off, rule = canonical()
-    full = run_until_extinction(rule, env, off, 100, 2_000, derive_stream(7), recording="full")
-    sparse = run_until_extinction(rule, env, off, 100, 2_000, derive_stream(7), recording="sparse")
-    terminal = run_until_extinction(rule, env, off, 100, 2_000, derive_stream(7), recording="terminal")
-    assert (full.tau, sparse.tau, terminal.tau) == (full.tau,) * 3
-    assert len(full.steps) == full.steps_run
-    assert terminal.steps == []
+
+    def sweep(recording):
+        return run_extinction_records(env, off, rule, 100, 20, 2_000, 7, recording=recording, return_trajectories=True)
+
+    (full, full_steps), (sparse, sparse_steps), (terminal, terminal_steps) = map(sweep, ("full", "sparse", "terminal"))
+    assert [r.tau for r in full] == [r.tau for r in sparse] == [r.tau for r in terminal]
+    assert terminal_steps.size == 0
+    assert 0 < sparse_steps.size < full_steps.size
     stride = math.ceil(math.log(100))
-    assert 0 < len(sparse.steps) <= len(full.steps)
-    assert all(s.n % stride == 0 or s.n == sparse.steps[-1].n for s in sparse.steps)
+    for r in full:
+        assert _rows(full_steps, r.replicate_id).size == r.steps_run
+        n = _rows(sparse_steps, r.replicate_id)["n"]
+        assert n[-1] == r.steps_run and np.all((n[:-1] % stride) == 0)
     with pytest.raises(ConfigurationError):
-        run_until_extinction(rule, env, off, 100, 2_000, derive_stream(7), recording="everything")
+        sweep("everything")
 
 
 def test_identical_seeds_reproduce_bit_identical_trajectories():
     env, off, rule = canonical()
-    a = run_until_extinction(rule, env, off, 500, 5_000, derive_stream(42, 0, 7), recording="full")
-    b = run_until_extinction(rule, env, off, 500, 5_000, derive_stream(42, 0, 7), recording="full")
-    assert a.tau == b.tau and a.steps == b.steps
+    a = run_extinction_records(env, off, rule, 500, 20, 5_000, 42, recording="full", return_trajectories=True)
+    b = run_extinction_records(env, off, rule, 500, 20, 5_000, 42, recording="full", return_trajectories=True)
+    assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
 
 
 def test_overflow_aborts_with_tagged_record():
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(mean_f=ExpMeanMap(shift=800.0), mean_m=ExpMeanMap(shift=800.0))
-    traj = run_until_extinction(monogamous(1), env, off, 10, 100, derive_stream(8))
-    assert traj.overflow
-    assert traj.tau is None and not traj.censored
-    assert traj.steps_run == 1
+    streams = [derive_stream(8, i).spawn(2)[0] for i in range(4)]
+    run = run_block(monogamous(1), env, off, 10, 100, streams, derive_stream(8), recording="full")
+    assert np.all(run.overflow_step == 1) and np.all(run.steps_run == 1)
+    assert np.all(run.tau == -1) and run.steps.size == 0
 
 
 def test_subcritical_toy_matches_markov_chain_absorption():
@@ -173,10 +203,8 @@ def test_subcritical_toy_matches_markov_chain_absorption():
         exact_cdf.append(dist[0])
 
     reps = 100_000
-    taus = np.zeros(reps, dtype=int)
-    for r in range(reps):
-        traj = run_until_extinction(rule, env, off, 1, horizon, derive_stream(1234, r))
-        taus[r] = traj.tau if traj.tau is not None else horizon + 1
+    records = run_extinction_records(env, off, rule, 1, reps, horizon, 1234)
+    taus = np.array([r.tau if r.tau is not None else horizon + 1 for r in records])
     empirical = np.array([(taus <= n).mean() for n in range(1, horizon + 1)])
     # DKW at alpha = 1e-3 plus the truncation slack
     assert np.max(np.abs(empirical - np.asarray(exact_cdf))) <= math.sqrt(math.log(2e3) / (2 * reps)) + 1e-9
@@ -190,10 +218,7 @@ def test_censoring_fraction_bounded_by_limit_law_tail():
     n0 = 10**4
     cap = math.ceil(50 * math.log(n0) ** 2)
     reps = 400
-    censored = 0
-    for r in range(reps):
-        traj = run_until_extinction(rule, env, off, n0, cap, derive_stream(77, r))
-        censored += traj.censored
+    censored = sum(r.censored for r in run_extinction_records(env, off, rule, n0, reps, cap, 77))
     tail = 1.0 - FirstPassageLaw(0.5).cdf(50.0)
     assert tail == pytest.approx(0.2227, abs=5e-4)
     assert censored / reps <= tail + 4.0 * math.sqrt(tail * (1 - tail) / reps)
@@ -205,73 +230,74 @@ def test_censoring_fraction_bounded_by_limit_law_tail():
 
 
 def test_coupled_window_size_is_exact():
-    env, off, rule = canonical()
-    run = run_coupled(rule, env, off, 1000, 1.0, 50, derive_stream(9))
-    assert run.k == math.floor(math.log(1000) ** 2)
-    run = run_coupled(rule, env, off, 1000, 0.5, 50, derive_stream(9))
-    assert run.k == math.floor(0.5 * math.log(1000) ** 2)
+    # asexual processes outlive their hitting step, so the count at
+    # theta + k is read on a live path, where k +- 1 would read another count
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), asexual()
+    n0, cap = 1000, 400
+    for epsilon in (1.0, 0.5):
+        k = math.floor(epsilon * math.log(n0) ** 2)
+        streams = [derive_stream(9, i).spawn(2)[0] for i in range(64)]
+        run = run_block(rule, env, off, n0, cap, streams, derive_stream(9), epsilon=epsilon, recording="full")
+        live = [i for i in range(64) if run.theta[i] > 0 and not math.isnan(run.n_theta_plus_k[i])]
+        assert len(live) >= 10
+        for i in live:
+            assert run.n_theta_plus_k[i] == _count_at(run.steps, i, run.theta[i] + k, run.tau[i])
+        for wrong in (k - 1, k + 1):
+            assert any(run.n_theta_plus_k[i] != _count_at(run.steps, i, run.theta[i] + wrong, run.tau[i])
+                       for i in live)
 
 
 def test_coupled_degenerate_environment_censors_theta():
     env = EnvironmentModel(std=0.0)
-    off = OffspringModel()
-    run = run_coupled(monogamous(1), env, off, 10, 1.0, 300, derive_stream(10))
-    assert run.theta is None
-    assert run.n_at_theta is None and run.n_at_theta_plus_k is None
-    assert math.isnan(run.S_theta)
+    streams = [derive_stream(10, i).spawn(2)[0] for i in range(5)]
+    run = run_block(monogamous(1), env, OffspringModel(), 10, 300, streams, derive_stream(10), epsilon=1.0)
+    assert np.all(run.theta == -1)
+    assert np.all(np.isnan(run.n_theta)) and np.all(np.isnan(run.n_theta_plus_k))
+    assert np.all(run.steps_run == 300)
 
 
 def test_coupled_bookkeeping_matches_full_recording():
-    # oracles on the same replicate stream: a fully recorded extinction run
-    # gives the counts, and the cumulative sum of the environment child
-    # stream gives the walk (the canonical increment is eta itself)
+    # oracles on the same block: its full recording gives the counts, and the
+    # cumulative sum of each replicate's environment child stream gives the
+    # walk (the canonical increment is eta itself)
     env, off, rule = canonical()
-    cap = 3_000
-    spec_thr = math.exp(0.5 * math.log(math.log(100))) - math.log(100)
+    n0, cap, size = 100, 3_000, 30
+    spec_thr = math.exp(0.5 * math.log(math.log(n0))) - math.log(n0)
+    k = math.floor(0.2 * math.log(n0) ** 2)
+    streams = [derive_stream(11, seed).spawn(2)[0] for seed in range(size)]
+    run = run_block(rule, env, off, n0, cap, streams, derive_stream(11, size), epsilon=0.2, recording="full")
     hits = 0
-    for seed in range(30):
-        run = run_coupled(rule, env, off, 100, 0.2, cap, derive_stream(11, seed))
-        full = run_until_extinction(rule, env, off, 100, cap, derive_stream(11, seed), recording="full")
-        counts = {s.n: s.n_pairs for s in full.steps}
-        assert len(counts) == full.steps_run
-        assert (run.trajectory.tau, run.trajectory.final_n) == (full.tau, full.final_n)
-
-        def count_at(n):
-            if n in counts:
-                return counts[n]
-            return 0 if full.tau is not None else None  # absorbed, or past the cap
-
-        walk = np.cumsum(env.sample(derive_stream(11, seed).spawn(2)[0], size=cap))
-        if run.theta is None:
+    for i in range(size):
+        tau, theta = int(run.tau[i]), int(run.theta[i])
+        assert _rows(run.steps, i).size == (tau if tau >= 0 else cap)
+        walk = np.cumsum(env.sample(derive_stream(11, i).spawn(2)[0], size=cap))
+        if theta < 0:
             assert np.all(walk > spec_thr)
+            assert math.isnan(run.n_theta[i]) and math.isnan(run.n_theta_plus_k[i])
             continue
         hits += 1
-        assert run.n_at_theta == count_at(run.theta)
-        assert run.n_at_theta_plus_k == count_at(run.theta + run.k)
-        assert walk[run.theta - 1] <= spec_thr
-        assert np.all(walk[: run.theta - 1] > spec_thr)
-        assert run.S_theta == walk[run.theta - 1]
+        assert _same(run.n_theta[i], _count_at(run.steps, i, theta, tau))
+        assert _same(run.n_theta_plus_k[i], _count_at(run.steps, i, theta + k, tau))
+        assert walk[theta - 1] <= spec_thr
+        assert np.all(walk[: theta - 1] > spec_thr)
     assert hits >= 20
 
 
 def test_coupled_walk_continues_after_extinction():
     # theta can land after tau; the environment sequence keeps driving the walk
     env, off, rule = canonical()
-    found = False
-    for seed in range(60):
-        run = run_coupled(rule, env, off, 10, 0.05, 4_000, derive_stream(12, seed))
-        if run.theta is not None and run.trajectory.tau is not None and run.theta > run.trajectory.tau:
-            assert run.n_at_theta == 0
-            assert run.n_at_theta_plus_k == 0
-            found = True
-            break
-    assert found
+    streams = [derive_stream(12, seed).spawn(2)[0] for seed in range(60)]
+    run = run_block(rule, env, off, 10, 4_000, streams, derive_stream(12), epsilon=0.05)
+    after = (run.tau > 0) & (run.theta > run.tau)
+    assert after.any()
+    assert np.all(run.n_theta[after] == 0) and np.all(run.n_theta_plus_k[after] == 0)
+    assert np.all(run.steps_run[after] == run.theta[after])
 
 
 def test_coupled_requires_n0_at_least_three():
     env, off, rule = canonical()
     with pytest.raises(ConfigurationError):
-        run_coupled(rule, env, off, 2, 1.0, 100, derive_stream(13))
+        run_block(rule, env, off, 2, 100, [derive_stream(13).spawn(2)[0]], derive_stream(13), epsilon=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +455,7 @@ def test_bundle_guard_trips_on_a_row_that_holds_extinct_replicates():
 # ---------------------------------------------------------------------------
 
 
-def test_block_sweep_theta_is_the_scalar_walks_and_counts_follow_the_rules(monkeypatch):
+def test_block_sweep_theta_is_the_whole_cap_walks_and_counts_follow_the_rules(monkeypatch):
     # asexual processes track their walk closely, so in 72 replicates every
     # bookkeeping case occurs: theta after tau, alive past the cap at theta + k
     monkeypatch.setattr(stats, "BLOCK", 16)
@@ -440,9 +466,11 @@ def test_block_sweep_theta_is_the_scalar_walks_and_counts_follow_the_rules(monke
     )
     records = run_replicates(config, 0)
     k = math.floor(2.0 * math.log(n0) ** 2)
+    spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
     cases = {"after_tau": 0, "past_cap": 0}
     for r in records:
-        assert r.theta == run_coupled(rule, env, off, n0, 2.0, cap, derive_stream(seed, 0, r.replicate_id)).theta
+        eta = env.sample(derive_stream(seed, 0, r.replicate_id).spawn(2)[0], size=cap)
+        assert r.theta == hitting_time(spec, model.walk_increments(rule, off, eta)).theta
         if r.theta is None:
             assert r.n_theta is None and r.n_theta_plus_k is None
             assert r.steps_run == cap
@@ -471,20 +499,6 @@ def test_block_sweep_theta_is_the_scalar_walks_and_counts_follow_the_rules(monke
                     assert got == counts[(i, step)]
                 else:
                     assert got == (0 if rec.tau is not None else None)
-
-
-def test_block_sweep_extinction_law_matches_scalar_runs():
-    # two-sample KS at the 0.01 level, as in acceptance criterion 8
-    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
-    n0, reps, seed = 100, 2000, 20261018
-    cap = math.ceil(50 * math.log(n0) ** 2)
-    block = [r.tau if r.tau is not None else cap + 1 for r in run_extinction_records(env, off, rule, n0, reps, cap, seed)]
-    scalar = []
-    for r in range(reps):
-        traj = run_until_extinction(rule, env, off, n0, cap, derive_stream(seed + 1, 0, r))
-        scalar.append(traj.tau if traj.tau is not None else cap + 1)
-    d = float(ks_2samp(block, scalar).statistic)
-    assert d <= 1.628 * math.sqrt(2.0 / reps)
 
 
 def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
@@ -553,7 +567,7 @@ def test_block_environment_streams_are_each_replicates_first_child():
         assert np.array_equal(eta, env.sample(derive_stream(seed, grid_index, r.replicate_id).spawn(2)[0], size=eta.size))
 
 
-def test_block_engine_raises_the_scalar_errors(monkeypatch):
+def test_block_engine_raises_the_sampling_errors(monkeypatch):
     monkeypatch.setattr(stats, "BLOCK", 16)
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     negative = OffspringModel(mean_f=ConstantMeanMap(-1.0), mean_m=ConstantMeanMap(1.0))
@@ -700,7 +714,7 @@ def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
     monkeypatch.setattr(simulator, "SCAN_CELLS", 200)
     with pytest.raises(DegenerateModelError):  # within the 200 values the scan draws
         simulator._hitting_steps(rule, env, off, spec, [derive_stream(1).spawn(2)[0]])
-    with pytest.raises(DegenerateModelError):  # the whole cap, as run_coupled draws it
+    with pytest.raises(DegenerateModelError):  # the whole-cap walk, as hitting_time reads it
         hitting_time(spec, model.walk_increments(rule, off, eta))
     monkeypatch.setattr(simulator, "SCAN_CELLS", 100)
     assert simulator._hitting_steps(rule, env, off, spec, [derive_stream(1).spawn(2)[0]]).tolist() == [1]

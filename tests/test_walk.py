@@ -13,7 +13,7 @@ from bbpre import (
     derive_stream,
     hitting_time,
     monogamous,
-    theta_distribution,
+    simulator,
 )
 
 
@@ -91,21 +91,27 @@ def test_hitting_minimality_and_sandwich():
     assert hits > 20
 
 
-def test_theta_distribution_degenerate_environment_censors_everything():
+def _hitting_steps(env, spec, replicates, seed):
+    # the coupled blocks' scan over the replicates' own child streams
+    streams = derive_stream(seed).spawn(replicates)
+    return simulator._hitting_steps(monogamous(1), env, OffspringModel(), spec, streams)
+
+
+def test_hitting_steps_censor_everything_in_a_degenerate_environment():
     env = EnvironmentModel(std=0.0)
     spec = HittingSpec(n0=1000, beta=3.0, max_steps=200)
-    dist = theta_distribution(spec, env, OffspringModel(), monogamous(1), 50, derive_stream(7))
-    assert dist.censored == 50
-    assert dist.samples_scaled.size == 0
-    assert dist.censored_fraction == 1.0
+    assert np.all(_hitting_steps(env, spec, 50, 7) == -1)
 
 
-def test_theta_distribution_is_order_canonical():
+def test_hitting_steps_are_order_canonical():
+    # a replicate's hitting step does not depend on its position among the streams
     env = EnvironmentModel(std=0.5)
     spec = HittingSpec(n0=1000, beta=3.0)
-    dist = theta_distribution(spec, env, OffspringModel(), monogamous(1), 200, derive_stream(8))
-    assert np.all(np.diff(dist.samples_scaled) >= 0)
-    assert dist.samples_scaled.size + dist.censored == 200
+    streams = derive_stream(8).spawn(200)
+    theta = simulator._hitting_steps(monogamous(1), env, OffspringModel(), spec, streams)
+    backwards = simulator._hitting_steps(monogamous(1), env, OffspringModel(), spec, streams[::-1])
+    assert np.array_equal(backwards[::-1], theta)
+    assert 0 < np.count_nonzero(theta > 0) < 200
 
 
 def test_theta_median_matches_first_passage_prediction():
@@ -115,9 +121,8 @@ def test_theta_median_matches_first_passage_prediction():
     n0 = 10**8
     env = EnvironmentModel(std=0.5)
     spec = HittingSpec(n0=n0, beta=3.0)
-    dist = theta_distribution(spec, env, OffspringModel(), monogamous(1), 1000, derive_stream(9))
+    theta = _hitting_steps(env, spec, 1000, 9)
     depth = spec.log_n0 - (spec.threshold + spec.log_n0)
     predicted = (depth / (0.5 * norm.ppf(0.75))) ** 2 / spec.log2_n0
-    observed = float(np.quantile(np.concatenate([dist.samples_scaled, np.full(dist.censored, np.inf)]), 0.5))
+    observed = float(np.quantile(np.where(theta > 0, theta / spec.log2_n0, np.inf), 0.5))
     assert abs(observed - predicted) / predicted <= 0.15
-
