@@ -38,12 +38,7 @@ from .model import (
     walk_increments,
 )
 from .rng import derive_stream
-from .simulator import (
-    DiagnosticTable,
-    FrozenBundle,
-    bundle_diagnostics,
-    run_frozen_bundle,
-)
+from .simulator import DiagnosticTable, run_frozen_bundle
 from .stats import (
     ExperimentConfig,
     LemmaSweep,
@@ -63,6 +58,7 @@ from .walk import (
     HittingSpec,
     default_max_steps,
     hitting_time,
+    window_steps,
 )
 
 __version__ = "0.1.0"

@@ -120,7 +120,6 @@ def build_offspring(section: Optional[dict], preset: Optional[str] = None, alpha
         mean_f=_build_mean_map(section.get("mean_f"), shift),
         mean_m=_build_mean_map(section.get("mean_m"), shift),
         beta=beta,
-        moment_order=1.0 / alpha,
     )
 
 

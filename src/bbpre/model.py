@@ -181,10 +181,8 @@ class EnvironmentModel:
         if not (math.isfinite(self.mean) and math.isfinite(self.std)) or self.std < 0:
             raise ConfigurationError(f"normal environment needs finite mean and std >= 0, got mean={self.mean}, std={self.std}")
 
-    def sample(self, stream: np.random.Generator, size=None):
-        """Draw environment values; deterministic given the stream state."""
-        if size is None:
-            return self.mean + self.std * stream.standard_normal()
+    def sample(self, stream: np.random.Generator, size) -> np.ndarray:
+        """Draw ``size`` environment values; deterministic given the stream state."""
         return self.mean + self.std * stream.standard_normal(size)
 
     def sample_rows(self, streams, width: int) -> np.ndarray:
@@ -287,29 +285,25 @@ class OffspringModel:
     mean_f: Callable = ExpMeanMap()
     mean_m: Callable = ExpMeanMap()
     beta: float = 3.0
-    moment_order: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("poisson", "deterministic"):
             raise ConfigurationError(f"unknown offspring family {self.kind!r} (supported: poisson, deterministic)")
         if not self.beta > 1.0:
             raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
-        if not self.moment_order > 1.0:
-            raise ConfigurationError(f"moment_order must exceed 1, got {self.moment_order}")
 
     # moments ---------------------------------------------------------------
 
-    def centered_abs_moments(self, eta: np.ndarray, order: Optional[float] = None):
+    def centered_abs_moments(self, eta: np.ndarray, order: float):
         """Conditional E|F - EF|^order and E|M - EM|^order over an environment array."""
-        p = self.moment_order if order is None else order
         if self.kind == "deterministic":
             z = np.zeros(eta.shape)
             return z, z.copy()
         lf = np.asarray(self.mean_f(eta), dtype=float)
         lm = np.asarray(self.mean_m(eta), dtype=float)
         return (
-            _poisson_centered_abs_moment_array(lf, p),
-            _poisson_centered_abs_moment_array(lm, p),
+            _poisson_centered_abs_moment_array(lf, order),
+            _poisson_centered_abs_moment_array(lm, order),
         )
 
 
@@ -399,10 +393,6 @@ class MatingRule:
     @property
     def delta(self) -> float:
         return 1.0 / self.alpha - 1.0
-
-    def approximant(self, x: float, y: float, eta: float) -> float:
-        """Approximant ``g`` on nonnegative reals."""
-        return float(self.g(x, y, eta))
 
 
 def monogamous(d=1, alpha: float = 0.5) -> MatingRule:

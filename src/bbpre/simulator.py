@@ -21,9 +21,9 @@ the hitting step and ``k`` steps later with
 ``k = floor(epsilon * ln^2 N)``, and the extinction step.
 
 ``run_frozen_bundle`` runs many offspring randomizations over a single
-frozen environment path; the bundle diagnostics estimate the
-environment-conditional ratios behind the step-residual, conditional-
-mean, and accumulated-error bounds,
+frozen environment path, drawn by the block's sampling rules, and
+estimates as it steps the environment-conditional ratios behind the
+step-residual, conditional-mean, and accumulated-error bounds,
 
     r2_n = E|R_n|^(1+delta) / (e^zeta_n  E N_{n-1}),
     r3_n = E N_n / (e^xi_n  E N_{n-1}),
@@ -54,15 +54,13 @@ from .model import (
     noise_scales,
     walk_increments,
 )
-from .walk import HittingSpec
+from .walk import HittingSpec, window_steps
 
 __all__ = [
     "BlockRun",
     "run_block",
-    "FrozenBundle",
     "run_frozen_bundle",
     "DiagnosticTable",
-    "bundle_diagnostics",
 ]
 
 # ---------------------------------------------------------------------------
@@ -148,6 +146,19 @@ def _checked_means(offspring_model: OffspringModel, means: np.ndarray, e: np.nda
             raise ConfigurationError(
                 f"deterministic offspring needs integer means, got ({means[0, i]}, {means[1, i]}) at eta={e[i]}"
             )
+
+
+def _offspring_totals(offspring_model: OffspringModel, cur: np.ndarray, means: np.ndarray, lam: np.ndarray,
+                      top: float, e: np.ndarray, stream: np.random.Generator) -> np.ndarray:
+    """The stacked female and male totals of ``cur`` couples, ``lam = cur * means`` checked against the guard.
+
+    Poisson totals (``_poisson_totals``, with ``top = lam.max()``), or
+    ``cur`` times the deterministic means, which must be integers.
+    """
+    if offspring_model.kind == "poisson":
+        return _poisson_totals(lam, top, stream)
+    _checked_means(offspring_model, means, e)
+    return cur * np.round(means)
 
 
 def _hitting_steps(
@@ -237,8 +248,8 @@ def run_block(
             raise ConfigurationError(f"coupled runs need n0 >= 3, got {n0}")
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+        k = window_steps(n0, epsilon)
         spec = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps)
-        k = int(math.floor(epsilon * spec.log2_n0))
         theta = _hitting_steps(rule, env_model, offspring_model, spec, env_streams)
     # the steps whose counts a coupled run reports; -1 never matches
     tgt = np.where(theta[:, None] >= 0, theta[:, None] + np.array([0, k]), -1)
@@ -292,11 +303,7 @@ def run_block(
                 means, lam = means_w[:, :, j], lam[:, ok]
                 top = lam.max()
             e = eta[:, j]
-            if offspring_model.kind == "poisson":
-                f, m = _poisson_totals(lam, top, stream)
-            else:
-                _checked_means(offspring_model, means, e)
-                f, m = cur * np.round(means)
+            f, m = _offspring_totals(offspring_model, cur, means, lam, top, e, stream)
             nxt = np.asarray(mate_array(rule, f, m, e, None if d_w is None else d_w[:, j]), dtype=float)
             died = np.count_nonzero(nxt) < nxt.size
             dead = nxt == 0 if died else None
@@ -381,74 +388,6 @@ def _place_steps(chunks: list, overflow_step: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FrozenBundle:
-    """Many offspring randomizations of one frozen environment path.
-
-    ``counts`` has shape (replicates, steps + 1) with column 0 equal to
-    the initial couple count; extinct replicates stay at zero.  It is the
-    transposed view of a step-major (steps + 1, replicates) array, so
-    ``counts.T`` has one contiguous row per generation.
-    """
-
-    n0: int
-    eta: np.ndarray
-    xi: np.ndarray
-    walk_sum: np.ndarray
-    counts: np.ndarray
-
-
-def run_frozen_bundle(
-    rule: MatingRule,
-    env_model: EnvironmentModel,
-    offspring_model: OffspringModel,
-    n0: int,
-    steps: int,
-    replicates: int,
-    stream: np.random.Generator,
-) -> FrozenBundle:
-    """Draw one environment path, then evolve ``replicates`` processes on it.
-
-    Vectorized across replicates (int64 counts), which bounds the usable
-    scale: the largest requested offspring mean must stay below 1e15.
-    Counts are stored step-major, so each generation reads the previous
-    row and writes the next one contiguously.  Rows are drawn whole:
-    an extinct replicate has Poisson mean 0, which draws nothing from
-    the stream, so the draws match a loop over the live entries only.
-    The loop stops once every replicate is extinct.  The bundle holds
-    the transposed view.
-    """
-    if replicates < 2:
-        raise ConfigurationError("frozen bundles need at least 2 replicates")
-    if steps < 1:
-        raise ConfigurationError("steps must be >= 1")
-    env_rng, off_rng = stream.spawn(2)
-    eta = np.asarray(env_model.sample(env_rng, size=steps), dtype=float)
-    xi = walk_increments(rule, offspring_model, eta)
-    counts = np.zeros((steps + 1, replicates), dtype=np.int64)
-    counts[0] = n0
-    for j in range(1, steps + 1):
-        e = float(eta[j - 1])
-        prev = counts[j - 1]
-        if not prev.any():
-            break
-        mf = float(offspring_model.mean_f(e))
-        mm = float(offspring_model.mean_m(e))
-        if max(mf, mm) * float(prev.max()) > 1e15:
-            raise OverflowGuardError("bundle scale too large for vectorized int64 counts")
-        lam_f = prev * mf
-        lam_m = prev * mm
-        if offspring_model.kind == "poisson":
-            f = off_rng.poisson(lam_f)
-            m = off_rng.poisson(lam_m)
-        else:
-            f = np.rint(lam_f).astype(np.int64)
-            m = np.rint(lam_m).astype(np.int64)
-        # extinct replicates stay extinct even under a rule with L(0, 0) > 0
-        counts[j] = np.where(prev > 0, mate_array(rule, f, m, e), 0)
-    return FrozenBundle(n0=n0, eta=eta, xi=xi, walk_sum=np.cumsum(xi), counts=counts.T)
-
-
-@dataclass(frozen=True)
 class DiagnosticTable:
     """Per-step diagnostic ratios over one frozen-environment bundle."""
 
@@ -461,54 +400,65 @@ class DiagnosticTable:
     replicates: int
 
 
-def bundle_diagnostics(
-    bundle: FrozenBundle,
+def run_frozen_bundle(
     rule: MatingRule,
+    env_model: EnvironmentModel,
     offspring_model: OffspringModel,
+    n0: int,
+    steps: int,
+    replicates: int,
+    stream: np.random.Generator,
 ) -> DiagnosticTable:
-    """Diagnostic ratio estimates from a frozen bundle.
+    """Draw one environment path, evolve ``replicates`` processes on it, and estimate the ratios as they step.
 
-    Steps where the bundle-average parent count hits zero yield NaN
-    ratios (nothing left to condition on).  The r3 standard error is the
-    linearized ratio-estimator error.
+    The bundle holds one float64 row of counts, one entry per replicate,
+    and draws each generation by ``run_block``'s rules
+    (``_offspring_totals``).  A requested total above ``MEAN_GUARD``
+    raises ``OverflowGuardError`` instead of tagging the replicate:
+    dropping it would bias the ratios.  Rows are drawn whole: an extinct
+    replicate has Poisson mean 0, which draws nothing from the stream,
+    and stays extinct even under a rule with ``L(0, 0) > 0``.  Steps
+    whose bundle-average parent count is zero yield NaN ratios (nothing
+    left to condition on), so the loop stops once every replicate is
+    extinct.  The r3 standard error is the linearized ratio-estimator
+    error.
     """
-    counts = np.ascontiguousarray(bundle.counts.T, dtype=float)  # step-major: one row per generation
-    cols, reps = counts.shape
-    if reps < 2:
-        raise ConfigurationError("diagnostics need at least 2 replicates per frozen environment")
-    steps = cols - 1
+    if replicates < 2:
+        raise ConfigurationError("frozen bundles need at least 2 replicates")
+    if steps < 1:
+        raise ConfigurationError("steps must be >= 1")
+    env_rng, off_rng = stream.spawn(2)
+    eta = np.asarray(env_model.sample(env_rng, size=steps), dtype=float)
+    xi = walk_increments(rule, offspring_model, eta)
+    S = np.cumsum(xi)
+    zeta = noise_scales(rule, offspring_model, eta)[0]
     delta = rule.delta
     p = 1.0 + delta
-    zeta = noise_scales(rule, offspring_model, bundle.eta)[0]
-    xi = bundle.xi
-    S = bundle.walk_sum
-    r2 = np.full(steps, np.nan)
-    r3 = np.full(steps, np.nan)
-    r3_se = np.full(steps, np.nan)
-    r4 = np.full(steps, np.nan)
+    r2, r3, r3_se, r4 = (np.full(steps, np.nan) for _ in range(4))
+    prev = np.full(replicates, float(n0))
     for j in range(1, steps + 1):
-        prev = counts[j - 1]
-        cur = counts[j]
         mean_prev = prev.mean()
         if mean_prev <= 0.0:
-            continue
+            break
+        e = float(eta[j - 1])
+        means = np.array([[offspring_model.mean_f(e)], [offspring_model.mean_m(e)]], dtype=float)
+        lam = prev * means
+        top = lam.max()
+        if not (top <= MEAN_GUARD and lam.min() >= 0.0):
+            _checked_means(offspring_model, means, eta[j - 1 : j])
+            raise OverflowGuardError(f"bundle scale too large: an offspring total at step {j} exceeds {MEAN_GUARD:g}")
+        f, m = _offspring_totals(offspring_model, prev, means, lam, top, eta[j - 1 : j], off_rng)
+        cur = np.where(prev > 0, mate_array(rule, f, m, e), 0.0)
         growth = math.exp(float(xi[j - 1]))
         resid = cur - prev * growth
         r2[j - 1] = float(np.mean(np.abs(resid) ** p)) / (math.exp(float(zeta[j - 1])) * mean_prev)
         ratio = cur.mean() / (growth * mean_prev)
         r3[j - 1] = ratio
         dev = cur - ratio * growth * prev
-        r3_se[j - 1] = math.sqrt(float(np.mean(dev**2)) / reps) / (growth * mean_prev)
+        r3_se[j - 1] = math.sqrt(float(np.mean(dev**2)) / replicates) / (growth * mean_prev)
         acc = float(np.sum(np.exp(zeta[:j] - xi[:j] + delta * (S[j - 1] - S[:j]))))
-        err = cur - bundle.n0 * math.exp(float(S[j - 1]))
-        denom = (j**delta) * bundle.n0 * math.exp(float(S[j - 1])) * acc
+        err = cur - n0 * math.exp(float(S[j - 1]))
+        denom = (j**delta) * n0 * math.exp(float(S[j - 1])) * acc
         r4[j - 1] = float(np.mean(np.abs(err) ** p)) / denom
-    return DiagnosticTable(
-        n0=bundle.n0,
-        n=np.arange(1, steps + 1),
-        r2=r2,
-        r3=r3,
-        r3_se=r3_se,
-        r4=r4,
-        replicates=reps,
-    )
+        prev = cur
+    return DiagnosticTable(n0=n0, n=np.arange(1, steps + 1), r2=r2, r3=r3, r3_se=r3_se, r4=r4, replicates=replicates)

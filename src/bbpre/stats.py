@@ -48,8 +48,8 @@ from .model import (
     walk_increments,
 )
 from .rng import derive_stream
-from .simulator import STEP_DTYPE, bundle_diagnostics, run_block, run_frozen_bundle
-from .walk import default_max_steps
+from .simulator import STEP_DTYPE, run_block, run_frozen_bundle
+from .walk import default_max_steps, window_steps
 
 __all__ = [
     "ks_statistic",
@@ -544,7 +544,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
     all_records: list[ReplicateRecord] = []
     for gi, n0 in enumerate(config.n_grid):
         max_steps = config.max_steps or default_max_steps(n0)
-        k = int(math.floor(config.epsilon * math.log(n0) ** 2))
+        k = window_steps(n0, config.epsilon)
         records = [rec for recs, _ in islice(blocks, len(tasks[gi])) for rec in recs]
         _refuse_all_overflow(records, n0)
         rows.append(summarize_records(records, n0, k, max_steps, law))
@@ -680,6 +680,8 @@ class LemmaSweepConfig:
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n0_grid)
         object.__setattr__(self, "n0_grid", grid)
+        if not grid or any(n < 1 for n in grid) or list(grid) != sorted(set(grid)):
+            raise ConfigurationError(f"n0_grid entries must be >= 1 and strictly increasing, got {self.n0_grid}")
         if self.paths < 1 or self.replicates < 2 or self.steps < 1:
             raise ConfigurationError("sweep needs paths >= 1, replicates >= 2, steps >= 1")
         if self.master_seed < 0:
@@ -700,94 +702,58 @@ class LemmaSweep:
     r3_hard_violations: int
     slopes: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "n0": n0,
-                    "path": path,
-                    "n": int(n),
-                    "r2": r2,
-                    "r3": r3,
-                    "r3_se": se,
-                    "r4": r4,
-                }
-                for (n0, path, n, r2, r3, se, r4) in self.rows
-            ],
-            "r3_hard_violations": self.r3_hard_violations,
-            "slopes": self.slopes,
-        }
 
-
-def _bundle_chunk(args) -> list[tuple]:
+def _bundle_task(args) -> list:
     env, offspring, rule, n0, steps, replicates, master_seed, grid_index, path_index = args
     stream = derive_stream(master_seed, grid_index, path_index)
-    bundle = run_frozen_bundle(rule, env, offspring, n0, steps, replicates, stream)
-    table = bundle_diagnostics(bundle, rule, offspring)
-    return [
-        (
-            n0,
-            path_index,
-            int(table.n[i]),
-            float(table.r2[i]),
-            float(table.r3[i]),
-            float(table.r3_se[i]),
-            float(table.r4[i]),
-        )
-        for i in range(table.n.size)
-    ]
+    return [run_frozen_bundle(rule, env, offspring, n0, steps, replicates, stream)]
 
 
 def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
-    """Aggregate bundle diagnostics over paths and grid points."""
-    tasks = [
-        (
-            config.env,
-            config.offspring,
-            config.rule,
-            n0,
-            config.steps,
-            config.replicates,
-            config.master_seed,
-            gi,
-            p,
-        )
-        for gi, n0 in enumerate(config.n0_grid)
-        for p in range(config.paths)
-    ]
-    rows = _run_chunked(tasks, _bundle_chunk, config.threads)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    """Aggregate bundle diagnostics over paths and grid points.
 
-    hard = 0
-    for (_, _, _, _, r3, se, _) in rows:
-        if not math.isnan(r3) and r3 > 1.0 + 4.0 * se:
-            hard += 1
+    Each path's table is one (ratio, step) slab of the stacked
+    (grid point, path, ratio, step) array, ratios in the order r2, r3,
+    r3_se, r4.  Every mean is taken over a 1-D slice of it: numpy sums
+    a vector pairwise but an axis of a 2-D array in order, so an axis
+    mean would move the last bits of the slopes.
+    """
+    grid, paths, steps = config.n0_grid, config.paths, config.steps
+    tasks = [
+        (config.env, config.offspring, config.rule, n0, steps, config.replicates, config.master_seed, gi, p)
+        for gi, n0 in enumerate(grid)
+        for p in range(paths)
+    ]
+    tables = _run_chunked(tasks, _bundle_task, config.threads)
+    ratios = np.array([(t.r2, t.r3, t.r3_se, t.r4) for t in tables]).reshape(len(grid), paths, 4, steps)
+    rows = [
+        (n0, p, n, *values)
+        for gi, n0 in enumerate(grid)
+        for p in range(paths)
+        for n, values in enumerate(ratios[gi, p].T.tolist(), start=1)
+    ]
+    # a NaN r3 (nothing left alive) compares false
+    hard = int(np.count_nonzero(ratios[:, :, 1] > 1.0 + 4.0 * ratios[:, :, 2]))
 
     slopes: dict = {"r2_vs_n": {}, "r4_vs_n": {}}
     grid_means = {"r2": [], "r4": []}
     grid_ses = {"r2": [], "r4": []}
-    for n0 in config.n0_grid:
-        sub = [r for r in rows if r[0] == n0]
-        ns = sorted({r[2] for r in sub})
-        ns_arr = np.asarray(ns, dtype=float)
-        # growth in n: per-step means pooled across paths, residual-based SE
-        mean_r2 = np.array([np.nanmean([r[3] for r in sub if r[2] == n]) for n in ns])
-        mean_r4 = np.array([np.nanmean([r[6] for r in sub if r[2] == n]) for n in ns])
-        slopes["r2_vs_n"][n0] = loglog_slope(ns_arr, mean_r2)
-        slopes["r4_vs_n"][n0] = loglog_slope(ns_arr, mean_r4)
-        # growth in N: independent paths give the sampling error of each
-        # grid point's mean, propagated through a weighted fit
-        for key, col in (("r2", 3), ("r4", 6)):
-            per_path = np.array(
-                [np.nanmean([r[col] for r in sub if r[1] == p]) for p in range(config.paths)]
-            )
+    ns = np.arange(1, steps + 1, dtype=float)
+    for gi, n0 in enumerate(grid):
+        for key, r in (("r2", 0), ("r4", 3)):
+            per_step = ratios[gi, :, r]  # (path, step)
+            # growth in n: per-step means pooled across paths, residual-based SE
+            slopes[f"{key}_vs_n"][n0] = loglog_slope(ns, np.array([np.nanmean(c) for c in per_step.T]))
+            # growth in N: independent paths give the sampling error of each
+            # grid point's mean, propagated through a weighted fit
+            per_path = np.array([np.nanmean(row) for row in per_step])
             per_path = per_path[np.isfinite(per_path)]
             grid_means[key].append(float(per_path.mean()))
             grid_ses[key].append(
                 float(per_path.std(ddof=1) / math.sqrt(per_path.size)) if per_path.size > 1 else math.nan
             )
-    if len(config.n0_grid) >= 3:
-        g = np.asarray(config.n0_grid, dtype=float)
+    if len(grid) >= 3:
+        g = np.asarray(grid, dtype=float)
         slopes["r2_vs_N"] = loglog_slope(g, np.asarray(grid_means["r2"]), y_se=np.asarray(grid_ses["r2"]))
         slopes["r4_vs_N"] = loglog_slope(g, np.asarray(grid_means["r4"]), y_se=np.asarray(grid_ses["r4"]))
     return LemmaSweep(rows=rows, r3_hard_violations=hard, slopes=slopes)

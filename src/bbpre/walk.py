@@ -25,6 +25,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "default_max_steps",
+    "window_steps",
     "HittingSpec",
     "HittingResult",
     "hitting_time",
@@ -34,6 +35,11 @@ __all__ = [
 def default_max_steps(n0: int) -> int:
     """The default step cap, ``ceil(50 ln^2 n0)``."""
     return int(math.ceil(50.0 * math.log(n0) ** 2))
+
+
+def window_steps(n0: int, epsilon: float) -> int:
+    """The window ``k = floor(epsilon * ln^2 n0)`` from the hitting step to the second observed count."""
+    return int(math.floor(epsilon * math.log(n0) ** 2))
 
 
 @dataclass(frozen=True)

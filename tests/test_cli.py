@@ -237,6 +237,23 @@ def test_lemma_sweep_cli(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 10
 
 
+def test_lemma_sweep_refuses_non_integer_deterministic_means(tmp_path, capsys):
+    # bundles sample by the block engine's rules, so lemma-sweep refuses what simulate refuses
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"offspring": {"kind": "deterministic"}}))
+    out = tmp_path / "sweep.csv"
+    for argv in (
+        ["lemma-sweep", "--paths", "2", "--replicates", "20", "--max-steps", "5", "--out", str(out)],
+        ["simulate", "--n0", "100", "--replicates", "3", "--max-steps", "5"],
+    ):
+        code, stdout, stderr = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and stdout == ""
+        payload = json.loads(stderr.strip().splitlines()[-1])
+        assert payload["error"] == "configuration"
+        assert "deterministic offspring needs integer means" in payload["message"]
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"env": {"std": 0.9}, "rule": {"kind": "polygamous"}}))

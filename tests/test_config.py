@@ -13,7 +13,7 @@ def test_defaults_are_the_canonical_model():
     assert offspring.mean_f == ExpMeanMap(1.0, 0.0)
     assert rule.kind == "monogamous"
     assert rule.alpha == 0.5
-    assert offspring.moment_order == 2.0
+    assert rule.delta == 1.0
 
 
 def test_shifted_preset_moves_both_means():
@@ -39,9 +39,8 @@ def test_alpha_beta_consistency_enforced():
     # the derived moment order 1/alpha must stay below beta
     with pytest.raises(ConfigurationError):
         build_model_triple(alpha=0.2, beta=3.0)
-    env, offspring, rule = build_model_triple(alpha=0.4, beta=3.0)
-    assert offspring.moment_order == pytest.approx(2.5)
-    assert rule.delta == pytest.approx(1.5)
+    _, _, rule = build_model_triple(alpha=0.4, beta=3.0)
+    assert 1.0 + rule.delta == pytest.approx(2.5)
 
 
 def test_unknown_keys_are_rejected():

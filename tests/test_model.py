@@ -42,7 +42,7 @@ ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
 def test_degenerate_environment_is_constant():
     env = EnvironmentModel(std=0.0)
     rng = np.random.default_rng(0)
-    assert all(env.sample(rng) == 0.0 for _ in range(20))
+    assert all(env.sample(rng, size=1)[0] == 0.0 for _ in range(20))
     assert np.all(env.sample(rng, size=100) == 0.0)
 
 
@@ -144,7 +144,7 @@ def test_deterministic_family():
                                             return_trajectories=True)
     assert all(r.censored for r in records) and steps.size == 30
     assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
-    cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]))
+    cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]), 2.0)
     assert not cf.any() and not cm.any()
     bad = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.5), mean_m=ConstantMeanMap(1.0))
     with pytest.raises(ConfigurationError):
@@ -201,9 +201,9 @@ def test_mate_examples():
 
 
 def test_approximant_examples():
-    assert monogamous(1).approximant(2.5, 4.0, 0.0) == 2.5
+    assert monogamous(1).g(2.5, 4.0, 0.0) == 2.5
     for rule in ALL_RULES:
-        assert rule.approximant(0.0, 0.0, 0.7) == 0.0
+        assert rule.g(0.0, 0.0, 0.7) == 0.0
 
 
 def test_homogeneity_spot_check():
@@ -212,7 +212,7 @@ def test_homogeneity_spot_check():
         for _ in range(50):
             x, y = rng.uniform(0, 50, size=2)
             z = rng.standard_normal()
-            assert rule.approximant(3 * x, 3 * y, z) == pytest.approx(3 * rule.approximant(x, y, z), rel=1e-12)
+            assert float(rule.g(3 * x, 3 * y, z)) == pytest.approx(3 * float(rule.g(x, y, z)), rel=1e-12)
 
 
 def test_alpha_range_is_validated():
@@ -256,6 +256,8 @@ def test_walk_increment_examples():
     lopsided = OffspringModel(mean_f=ExpMeanMap(), mean_m=ExpMeanMap(scale=1.2))
     etas = np.array([-1.0, 0.0, 2.2])
     assert np.array_equal(walk_increments(rule, lopsided, etas), etas)  # min selects the smaller female mean
+    shifted = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
+    assert np.array_equal(walk_increments(rule, shifted, etas), etas - 1.0)
 
 
 def test_walk_increment_degenerate_model():
@@ -339,7 +341,7 @@ def test_approximation_monogamous_and_asexual_have_zero_residual(rng):
 def test_approximation_polygamous_witness():
     # at (x, y=0): |L - g| = x, which outgrows rho * x^alpha; reported honestly
     rule = polygamous()
-    assert abs(rule.L(10, 0, 0.0) - rule.approximant(10.0, 0.0, 0.0)) == 10.0
+    assert abs(rule.L(10, 0, 0.0) - rule.g(10.0, 0.0, 0.0)) == 10.0
     check = check_approximation(rule, grid=50_000, stream=np.random.default_rng(8))
     assert check.verdict == "fail"
     assert any(w[1] == 0 and w[0] >= 2 for w in check.witnesses)
@@ -363,7 +365,7 @@ def test_property_superadditivity(x, y, u, v, z):
 @given(x=reals, y=reals, u=reals, v=reals, z=envs)
 def test_property_lipschitz(x, y, u, v, z):
     for rule in ALL_RULES:
-        lhs = abs(rule.approximant(x, y, z) - rule.approximant(u, v, z))
+        lhs = abs(float(rule.g(x, y, z)) - float(rule.g(u, v, z)))
         rhs = float(rule.lipschitz(z)) * (abs(x - u) + abs(y - v))
         assert lhs <= rhs + 1e-12 * (1.0 + rhs)
 
@@ -372,8 +374,8 @@ def test_property_lipschitz(x, y, u, v, z):
 @given(x=reals, y=reals, t=st.floats(min_value=0.0, max_value=10.0), z=envs)
 def test_property_homogeneity(x, y, t, z):
     for rule in ALL_RULES:
-        tg = t * rule.approximant(x, y, z)
-        assert abs(rule.approximant(t * x, t * y, z) - tg) <= 1e-12 * (1.0 + abs(tg))
+        tg = t * float(rule.g(x, y, z))
+        assert abs(float(rule.g(t * x, t * y, z)) - tg) <= 1e-12 * (1.0 + abs(tg))
 
 
 # ---------------------------------------------------------------------------

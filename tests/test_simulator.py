@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from bbpre import (
     OverflowGuardError,
     TableMap,
     asexual,
-    bundle_diagnostics,
     derive_stream,
     monogamous,
     run_extinction_records,
@@ -28,7 +29,7 @@ from bbpre import (
 from bbpre import model
 from bbpre.model import POISSON_EXACT_MAX
 from bbpre.simulator import run_block
-from bbpre.walk import HittingSpec, hitting_time
+from bbpre.walk import HittingSpec, hitting_time, window_steps
 
 
 def canonical():
@@ -235,7 +236,7 @@ def test_coupled_window_size_is_exact():
     env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), asexual()
     n0, cap = 1000, 400
     for epsilon in (1.0, 0.5):
-        k = math.floor(epsilon * math.log(n0) ** 2)
+        k = window_steps(n0, epsilon)
         streams = [derive_stream(9, i).spawn(2)[0] for i in range(64)]
         run = run_block(rule, env, off, n0, cap, streams, derive_stream(9), epsilon=epsilon, recording="full")
         live = [i for i in range(64) if run.theta[i] > 0 and not math.isnan(run.n_theta_plus_k[i])]
@@ -305,23 +306,33 @@ def test_coupled_requires_n0_at_least_three():
 # ---------------------------------------------------------------------------
 
 
+RATIOS = ("r2", "r3", "r3_se", "r4")
+
+
 def test_frozen_bundle_shapes_and_absorption():
+    # the bundle dies out before its horizon: from then on every ratio is NaN
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
-    bundle = run_frozen_bundle(monogamous(1), env, off, 3, 40, 500, derive_stream(14))
-    assert bundle.counts.shape == (500, 41)
-    assert np.all(bundle.counts[:, 0] == 3)
-    dead = bundle.counts == 0
-    assert np.all(dead[:, :-1] <= dead[:, 1:])  # once zero, always zero
-    assert bundle.eta.shape == bundle.xi.shape == (40,)
-    assert np.array_equal(bundle.xi, bundle.eta - 1.0)
+    table = run_frozen_bundle(monogamous(1), env, off, 3, 40, 500, derive_stream(14))
+    assert table.n0 == 3 and table.replicates == 500
+    assert np.array_equal(table.n, np.arange(1, 41))
+    dead = np.isnan(table.r3)
+    assert not dead[0] and dead[-1]
+    assert np.all(dead[:-1] <= dead[1:])  # once extinct, always extinct
+    for name in RATIOS:
+        assert getattr(table, name).shape == (40,)
+        assert np.array_equal(np.isnan(getattr(table, name)), dead)
+    assert table.r3[np.argmax(dead) - 1] == 0.0  # the step where the last replicate died
 
 
 def test_bundle_deterministic_given_seed():
     env, off, rule = canonical()
     a = run_frozen_bundle(rule, env, off, 100, 20, 50, derive_stream(15))
     b = run_frozen_bundle(rule, env, off, 100, 20, 50, derive_stream(15))
-    assert np.array_equal(a.counts, b.counts) and np.array_equal(a.eta, b.eta)
+    other = run_frozen_bundle(rule, env, off, 100, 20, 50, derive_stream(16))
+    for name in RATIOS:
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert not np.array_equal(a.r3, other.r3)
 
 
 def test_noiseless_asexual_bundle_has_zero_residual_ratios():
@@ -329,8 +340,7 @@ def test_noiseless_asexual_bundle_has_zero_residual_ratios():
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.0), mean_m=ConstantMeanMap(1.0))
     rule = asexual()
-    bundle = run_frozen_bundle(rule, env, off, 50, 30, 100, derive_stream(16))
-    table = bundle_diagnostics(bundle, rule, off)
+    table = run_frozen_bundle(rule, env, off, 50, 30, 100, derive_stream(16))
     assert np.all(table.r2 == 0.0)
     assert np.all(table.r3 == 1.0)
     assert np.all(table.r3_se == 0.0)
@@ -339,11 +349,30 @@ def test_noiseless_asexual_bundle_has_zero_residual_ratios():
 
 def test_bundle_r3_inequality_canonical():
     env, off, rule = canonical()
-    bundle = run_frozen_bundle(rule, env, off, 1000, 20, 3000, derive_stream(17))
-    table = bundle_diagnostics(bundle, rule, off)
+    table = run_frozen_bundle(rule, env, off, 1000, 20, 3000, derive_stream(17))
     ok = ~np.isnan(table.r3)
     assert ok.all()
     assert np.all(table.r3[ok] <= 1.0 + 4.0 * table.r3_se[ok])
+
+
+def test_bundle_totals_past_the_exact_poisson_range_take_the_normal_approximation():
+    # requested totals of 2e15 and 4e16, far above POISSON_EXACT_MAX, as in a block
+    off = OffspringModel(mean_f=ConstantMeanMap(20.0), mean_m=ConstantMeanMap(20.0))
+    table = run_frozen_bundle(asexual(), EnvironmentModel(std=0.5), off, 10**14, 2, 200, derive_stream(19))
+    assert np.all(np.isfinite(table.r3)) and np.all(np.abs(table.r3 - 1.0) <= 4.0 * table.r3_se)
+
+
+def test_poisson_totals_are_drawn_in_one_place():
+    # blocks and bundles share one sampling rule: no other code of the package draws a Poisson total
+    owners = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "poisson":
+                inner = [(b - a, name) for a, b, name in spans if a <= node.lineno <= b]
+                owners.append(f"{path.stem}.{min(inner)[1] if inner else '<module>'}")
+    assert owners and set(owners) == {"model._poisson_totals"}
 
 
 def _reference_bundle(rule, env_model, offspring_model, n0, steps, replicates, stream):
@@ -407,6 +436,7 @@ def _reference_diagnostics(n0, eta, xi, S, counts, rule, offspring_model):
 def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps, reps):
     env = EnvironmentModel(std=0.5)
     dying = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
+    doubling = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(2.0), mean_m=ConstantMeanMap(1.0))
     # a rule with L(0, 0) = 1: an extinct replicate must still stay extinct
     revives = model.MatingRule(
         kind="custom",
@@ -418,19 +448,16 @@ def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps
     off, rule = {
         "canonical": (OffspringModel(), monogamous(1)),
         "dying": (dying, monogamous(1)),
-        "deterministic": (OffspringModel(kind="deterministic"), asexual()),
+        "deterministic": (doubling, asexual()),
         "monogamous3": (OffspringModel(), monogamous(3)),
         "custom": (dying, revives),
     }[case]
-    bundle = run_frozen_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
+    table = run_frozen_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
     eta, xi, S, counts = _reference_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
-    assert bundle.counts.shape == (reps, steps + 1)
-    for got, want in ((bundle.eta, eta), (bundle.xi, xi), (bundle.walk_sum, S), (bundle.counts, counts)):
-        assert np.array_equal(got, want)
-    table = bundle_diagnostics(bundle, rule, off)
+    assert table.n0 == n0 and table.replicates == reps and np.array_equal(table.n, np.arange(1, steps + 1))
     want = _reference_diagnostics(n0, eta, xi, S, counts, rule, off)
-    for got, ref in zip((table.r2, table.r3, table.r3_se, table.r4), want):
-        assert np.array_equal(got, ref, equal_nan=True)
+    for name, ref in zip(RATIOS, want):
+        assert np.array_equal(getattr(table, name), ref, equal_nan=True)
     if case in ("dying", "custom"):
         # deaths mid-run, then nothing alive before the horizon (the loop stops early)
         alive = (counts > 0).sum(axis=0)

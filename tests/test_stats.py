@@ -331,6 +331,15 @@ def test_lemma_sweep_small():
     assert slope <= 2.0 * se  # no statistically positive growth in n
 
 
+def test_lemma_sweep_grid_must_be_positive_and_strictly_increasing():
+    # a duplicate entry would repeat its CSV rows and overwrite its slope entry
+    model = dict(env=EnvironmentModel(std=0.5), offspring=OffspringModel(), rule=monogamous(1))
+    for grid in ((300, 300), (1000, 300), (0, 300), ()):
+        with pytest.raises(ConfigurationError, match="n0_grid"):
+            LemmaSweepConfig(n0_grid=grid, **model)
+    assert LemmaSweepConfig(n0_grid=(1, 300), **model).n0_grid == (1, 300)
+
+
 def test_lemma_sweep_deterministic_across_threads():
     kw = dict(
         env=EnvironmentModel(std=0.5),
