@@ -113,9 +113,10 @@ class BlockRun:
     ``steps`` holds the recorded steps (``STEP_DTYPE``, with
     ``replicate_id`` the block position), replicate-major and in step
     order within a replicate, with none of an overflow-tagged
-    replicate's.  It is the only array of its size that ``run_block``
-    allocates: the per-generation chunks are placed into it row by row
-    (``_place_steps``), never concatenated, filtered or sorted.
+    replicate's.  The steps are held once: ``run_block`` appends each
+    recorded generation to one byte buffer and ``_place_steps`` puts
+    the rows in replicate order in place, so ``steps`` is a view of
+    that buffer.
     """
 
     tau: np.ndarray
@@ -256,7 +257,7 @@ def run_block(
     observed = np.full((size, 2), np.nan)
     tau = np.full(size, -1, dtype=np.int64)
     overflow_step = np.zeros(size, dtype=np.int64)
-    recorded = []
+    recorded = bytearray()  # the recorded STEP_DTYPE rows, generation-major
 
     # These arrays and the window arrays hold one row per live replicate
     # (means_w: female/male first, then replicate), so a generation reads
@@ -320,7 +321,7 @@ def run_block(
                 rec["xi"] = x
                 rec["S"] = s_w[keep, j]
                 rec["R"] = nxt[keep] - cur[keep] * np.exp(x)
-                recorded.append(rec)
+                recorded += rec.data
             if n in pending:
                 at, which = np.nonzero(tgt == n)
                 observed[rows[at], which] = nxt[at]
@@ -355,31 +356,23 @@ def run_block(
     )
 
 
-def _place_steps(chunks: list, overflow_step: np.ndarray) -> np.ndarray:
-    """The ``STEP_DTYPE`` rows of ``chunks`` (one per recorded generation), replicate-major, overflow-tagged dropped.
+def _place_steps(recorded: bytearray, overflow_step: np.ndarray) -> np.ndarray:
+    """The ``STEP_DTYPE`` rows of ``recorded`` (generation-major), replicate-major, overflow-tagged dropped.
 
-    A chunk holds each replicate at most once, so each replicate's rows
-    are counted, its first row is placed by a cumulative sum, and every
-    chunk is written straight to its replicates' next free rows: one
-    array of the result's size is allocated, and rows keep their
-    generation order within a replicate.  An overflow discards the
-    replicate's steps.
+    The rows are put in order in place, one field at a time: a stable
+    sort by replicate keeps each replicate's rows in generation order,
+    and the only other memory is the row order and one field's copy.
+    The result is a view of ``recorded``.
     """
-    kept = overflow_step == 0
-    count = np.zeros(kept.size, dtype=np.int64)
-    for rec in chunks:
-        count[rec["replicate_id"]] += 1
-    count[~kept] = 0
-    free = np.cumsum(count) - count  # each replicate's next free row
-    steps = np.empty(int(count.sum()), dtype=STEP_DTYPE)
-    tagged = not kept.all()
-    for rec in chunks:
-        if tagged:
-            rec = rec[kept[rec["replicate_id"]]]
-        ids = rec["replicate_id"]
-        steps[free[ids]] = rec
-        free[ids] += 1
-    return steps
+    steps = np.frombuffer(recorded, dtype=STEP_DTYPE)
+    ids = steps["replicate_id"]
+    order = np.argsort(ids, kind="stable")
+    if overflow_step.any():
+        order = order[overflow_step[ids[order]] == 0]
+    for name in STEP_DTYPE.names:
+        col = steps[name]
+        col[: order.size] = col[order]
+    return steps[: order.size]
 
 
 # ---------------------------------------------------------------------------

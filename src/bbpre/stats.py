@@ -318,8 +318,9 @@ def run_extinction_records(
     ``return_trajectories`` is set: ``steps`` is one
     ``simulator.STEP_DTYPE`` array of every recorded step, replicate-major
     (empty under terminal recording).  A single block's array is returned
-    as it is; several are copied into one preallocated array, and each
-    block is released once it is copied.
+    as it is, a view of the one buffer its run recorded into, so its
+    steps are held once; several are copied into one preallocated array,
+    and each block is released once it is copied.
     Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
     """
     if replicates < 1:
@@ -709,6 +710,11 @@ def _bundle_task(args) -> list:
     return [run_frozen_bundle(rule, env, offspring, n0, steps, replicates, stream)]
 
 
+def _nanmean(x: np.ndarray) -> float:
+    """``np.nanmean`` of a 1-D array; NaN, without numpy's empty-slice warning, when every entry is NaN."""
+    return math.nan if np.isnan(x).all() else float(np.nanmean(x))
+
+
 def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
     """Aggregate bundle diagnostics over paths and grid points.
 
@@ -743,10 +749,10 @@ def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
         for key, r in (("r2", 0), ("r4", 3)):
             per_step = ratios[gi, :, r]  # (path, step)
             # growth in n: per-step means pooled across paths, residual-based SE
-            slopes[f"{key}_vs_n"][n0] = loglog_slope(ns, np.array([np.nanmean(c) for c in per_step.T]))
+            slopes[f"{key}_vs_n"][n0] = loglog_slope(ns, np.array([_nanmean(c) for c in per_step.T]))
             # growth in N: independent paths give the sampling error of each
             # grid point's mean, propagated through a weighted fit
-            per_path = np.array([np.nanmean(row) for row in per_step])
+            per_path = np.array([_nanmean(row) for row in per_step])
             per_path = per_path[np.isfinite(per_path)]
             grid_means[key].append(float(per_path.mean()))
             grid_ses[key].append(

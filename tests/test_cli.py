@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bbpre
 from bbpre import (
     ConfigurationError,
     ConstantMeanMap,
@@ -252,6 +257,22 @@ def test_lemma_sweep_refuses_non_integer_deterministic_means(tmp_path, capsys):
         assert payload["error"] == "configuration"
         assert "deterministic offspring needs integer means" in payload["message"]
     assert not out.exists()
+
+
+def test_lemma_sweep_with_every_path_dying_writes_nothing_to_stderr(tmp_path):
+    # every path dies before its horizon, so the late per-step columns are all NaN
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"offspring": {"mean_f": {"shift": -1.0}, "mean_m": {"shift": -1.0}}}))
+    out = tmp_path / "sweep.csv"
+    argv = ["lemma-sweep", "--config", str(cfg), "--n0", "3", "--paths", "3", "--replicates", "50",
+            "--max-steps", "30", "--out", str(out)]
+    src = str(Path(bbpre.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "bbpre", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 30 and rows[-1][4] == "nan"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -650,8 +650,10 @@ def test_placed_steps_equal_the_concatenated_filtered_sorted_chunks(monkeypatch,
 
     blocks, dropped = [], []
 
-    def concatenate_filter_sort(chunks, overflow_step):
-        steps = np.concatenate(chunks) if chunks else np.empty(0, dtype=simulator.STEP_DTYPE)
+    def concatenate_filter_sort(recorded, overflow_step):
+        # the buffer is the recorded generations' chunks, concatenated
+        steps = np.frombuffer(bytes(recorded), dtype=simulator.STEP_DTYPE)
+        assert np.all(np.diff(steps["n"]) >= 0)  # generation-major
         tagged = overflow_step[steps["replicate_id"]] > 0
         steps = steps[~tagged]
         steps = steps[np.argsort(steps["replicate_id"], kind="stable")]
