@@ -43,7 +43,6 @@ from .stats import (
     ExperimentConfig,
     LemmaSweep,
     LemmaSweepConfig,
-    ReplicateRecord,
     SummaryReport,
     SummaryRow,
     ks_statistic,

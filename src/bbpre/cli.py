@@ -24,6 +24,7 @@ from .errors import BbpreError, ConfigurationError
 from .limit_law import FirstPassageLaw
 from .model import audit_conditions
 from .rng import derive_stream
+from .simulator import RECORDING_MODES
 from .stats import (
     AUDIT_STREAM_KEY,
     ExperimentConfig,
@@ -149,7 +150,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     _add_run_flags(p, 1000)
     p.add_argument("--n0", type=_positive_int("--n0"), default=100_000, help="initial couple count >= 1")
-    p.add_argument("--recording", choices=["terminal", "sparse", "full"], default="terminal",
+    p.add_argument("--recording", choices=RECORDING_MODES, default="terminal",
                    help="trajectory recording mode (default terminal)")
 
     p = sub.add_parser("coupled", help="process and walk on one environment sequence per replicate")
@@ -210,22 +211,20 @@ def _models_from_args(args):
 
 def _cmd_simulate(args) -> int:
     env, offspring, rule = _models_from_args(args)
-    # steps are recorded only for a trajectory file; recording draws nothing, so the records are the same
-    keep_steps = args.recording != "terminal" and args.out is not None
-    result = run_extinction_records(
-        env, offspring, rule, args.n0, args.replicates, args.max_steps, args.seed, args.threads,
-        args.recording if keep_steps else "terminal", return_trajectories=keep_steps,
+    # steps are recorded only for a trajectory file; recording draws nothing, so the outcomes are the same
+    recording = args.recording if args.out is not None else "terminal"
+    run = run_extinction_records(
+        env, offspring, rule, args.n0, args.replicates, args.max_steps, args.seed, args.threads, recording
     )
-    records, steps = result if keep_steps else (result, None)
     if args.out:
-        write_replicates_csv(args.out, records)
-        if keep_steps:
-            write_trajectories_csv(args.out.parent / (args.out.stem + "_trajectories.csv"), steps)
-    censored = sum(1 for r in records if r.censored)
-    overflow = sum(1 for r in records if r.overflow)
+        write_replicates_csv(args.out, {args.n0: run})
+        if recording != "terminal":
+            write_trajectories_csv(args.out.parent / (args.out.stem + "_trajectories.csv"), run.steps)
+    overflow = run.overflow_step > 0
+    censored = np.count_nonzero((run.tau < 0) & ~overflow)
     print(
-        f"simulate: n0={args.n0} replicates={len(records)} censored={censored} overflow={overflow} "
-        f"out={args.out or '-'}"
+        f"simulate: n0={args.n0} replicates={run.tau.size} censored={censored} "
+        f"overflow={np.count_nonzero(overflow)} out={args.out or '-'}"
     )
     return 0
 
@@ -243,15 +242,15 @@ def _cmd_coupled(args) -> int:
         threads=args.threads,
         max_steps=args.max_steps,
     )
-    records = run_replicates(config, 0)
+    run = run_replicates(config, 0)
     if args.out:
-        write_replicates_csv(args.out, records)
-    censored = sum(1 for r in records if r.censored)
-    theta_cens = sum(1 for r in records if r.theta is None)
-    overflow = sum(1 for r in records if r.overflow)
+        write_replicates_csv(args.out, {args.n0: run})
+    overflow = run.overflow_step > 0
+    censored = np.count_nonzero((run.tau < 0) & ~overflow)
     print(
-        f"coupled: n0={args.n0} replicates={len(records)} tau_censored={censored} "
-        f"theta_censored={theta_cens} overflow={overflow} out={args.out or '-'}"
+        f"coupled: n0={args.n0} replicates={run.tau.size} tau_censored={censored} "
+        f"theta_censored={np.count_nonzero(run.theta < 0)} overflow={np.count_nonzero(overflow)} "
+        f"out={args.out or '-'}"
     )
     return 0
 
@@ -351,7 +350,7 @@ def _cmd_lemma_sweep(args) -> int:
     sweep = lemma_bound_sweep(config)
     if args.out:
         write_sweep_csv(args.out, sweep)
-    print(f"lemma-sweep: rows={len(sweep.rows)} r3_hard_violations={sweep.r3_hard_violations}")
+    print(f"lemma-sweep: rows={sweep.ratios[:, :, 0].size} r3_hard_violations={sweep.r3_hard_violations}")
     for name, per_n0 in sweep.slopes.items():
         if isinstance(per_n0, dict):
             for n0, (slope, se) in per_n0.items():

@@ -6,6 +6,11 @@ first-passage reference law via one-sample Kolmogorov-Smirnov
 distances, tabulates the hitting-window survival frequencies, and
 aggregates the frozen-bundle ratio diagnostics.
 
+A sweep's result is the block engine's own: one ``simulator.BlockRun``
+per grid point, its blocks' arrays joined in replicate order, so an
+array position is the replicate index.  The summaries and the CSV
+writers read those arrays directly.
+
 Censoring: runs that hit the step cap are right-censored.  They are
 counted, never dropped: the empirical distribution function uses the
 total replicate count in its denominator and jumps only at uncensored
@@ -30,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,12 +53,11 @@ from .model import (
     walk_increments,
 )
 from .rng import derive_stream
-from .simulator import STEP_DTYPE, run_block, run_frozen_bundle
+from .simulator import STEP_DTYPE, BlockRun, DiagnosticTable, run_block, run_frozen_bundle
 from .walk import default_max_steps, window_steps
 
 __all__ = [
     "ks_statistic",
-    "ReplicateRecord",
     "ExperimentConfig",
     "SummaryRow",
     "SummaryReport",
@@ -74,6 +78,8 @@ OFFSPRING_BLOCK_KEY = 2**31 + 2
 # Replicates per lockstep block: fixed, so that results never depend on --threads.
 BLOCK = 1024
 CENSORING_SLACK = 0.05
+# Walk increments drawn for the Monte Carlo sigma when no analytic value exists.
+SIGMA_MC_SAMPLES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +148,6 @@ def loglog_slope(x: np.ndarray, y: np.ndarray, y_se=None) -> tuple[float, float]
 
 
 @dataclass(frozen=True)
-class ReplicateRecord:
-    """Flat per-replicate outcome row (the CSV schema)."""
-
-    replicate_id: int
-    n0: int
-    tau: Optional[int]
-    censored: bool
-    theta: Optional[int]
-    n_theta: Optional[int]
-    n_theta_plus_k: Optional[int]
-    steps_run: int
-    overflow: bool = False
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition: model triple, N grid, replicate count, seeds, outputs."""
 
@@ -171,7 +162,6 @@ class ExperimentConfig:
     max_steps: Optional[int] = None
     sigma_xi: Optional[float] = None
     audit_samples: int = 100_000
-    sigma_mc_samples: int = 1_000_000
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -189,29 +179,26 @@ class ExperimentConfig:
 
 
 def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
-    """``worker`` over ``task_args``, merged in task order.
+    """The list of ``worker(args)`` results, one per entry of ``task_args``, in task order.
 
     With several workers the tasks start in decreasing ``cost(args)``
     (stable), so the longest ones do not start last; ``cost`` must read
     only the task's arguments.
     """
     if threads <= 1 or len(task_args) <= 1:
-        chunks = [worker(a) for a in task_args]
-    else:
-        order = list(range(len(task_args)))
-        if cost is not None:
-            order.sort(key=lambda i: -cost(task_args[i]))
-        chunks = [None] * len(task_args)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, chunk in zip(order, pool.map(worker, [task_args[i] for i in order])):
-                chunks[i] = chunk
-    merged = []
-    for c in chunks:
-        merged.extend(c)
-    return merged
+        return [worker(a) for a in task_args]
+    order = list(range(len(task_args)))
+    if cost is not None:
+        order.sort(key=lambda i: -cost(task_args[i]))
+    results = [None] * len(task_args)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        for i, result in zip(order, pool.map(worker, [task_args[i] for i in order])):
+            results[i] = result
+    return results
 
 
-def _block_task(args) -> list[tuple]:
+def _block_task(args) -> BlockRun:
+    """One block's ``BlockRun``, its steps' ``replicate_id`` shifted by the block's first replicate."""
     env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, stop, epsilon, recording = args
     # each replicate's environment is the first child of its own stream:
     # the generator derive_stream(master_seed, grid_index, rep).spawn(2)[0], built directly
@@ -221,31 +208,8 @@ def _block_task(args) -> list[tuple]:
     ]
     off_rng = derive_stream(master_seed, grid_index, OFFSPRING_BLOCK_KEY, block)
     run = run_block(rule, env, offspring, n0, max_steps, env_streams, off_rng, epsilon, recording)
-    records = [
-        ReplicateRecord(
-            replicate_id=start + i,
-            n0=n0,
-            tau=None if tau < 0 else tau,
-            censored=tau < 0 and not over,
-            theta=None if theta < 0 else theta,
-            n_theta=None if math.isnan(at) else int(at),
-            n_theta_plus_k=None if math.isnan(at_k) else int(at_k),
-            steps_run=steps,
-            overflow=bool(over),
-        )
-        for i, (tau, over, steps, theta, at, at_k) in enumerate(
-            zip(
-                run.tau.tolist(),
-                run.overflow_step.tolist(),
-                run.steps_run.tolist(),
-                run.theta.tolist(),
-                run.n_theta.tolist(),
-                run.n_theta_plus_k.tolist(),
-            )
-        )
-    ]
     run.steps["replicate_id"] += start
-    return [(records, run.steps)]
+    return run
 
 
 def _block_cost(args) -> int:
@@ -277,27 +241,48 @@ def _coupled_tasks(config: ExperimentConfig, grid_index: int) -> list[tuple]:
     )
 
 
-def _refuse_all_overflow(records: list[ReplicateRecord], n0: int) -> None:
+def _joined(runs: list) -> BlockRun:
+    """The ``BlockRun`` of a sweep's blocks, in block order; the blocks' runs are released from ``runs``.
+
+    A single block's run is returned as it is, so its steps stay a view
+    of the one buffer its run recorded into.  Several are copied into
+    one preallocated steps array, each block released once it is copied.
+    """
+    if len(runs) == 1:
+        return runs[0]
+    names = [f.name for f in fields(BlockRun) if f.name != "steps"]
+    joined = {name: np.concatenate([getattr(r, name) for r in runs]) for name in names}
+    steps = np.empty(sum(r.steps.size for r in runs), dtype=STEP_DTYPE)
+    at = 0
+    for i in range(len(runs)):
+        block_steps = runs[i].steps
+        runs[i] = None
+        steps[at : at + block_steps.size] = block_steps
+        at += block_steps.size
+    return BlockRun(steps=steps, **joined)
+
+
+def _refuse_all_overflow(run: BlockRun, n0: int) -> None:
     """Raise ``OverflowGuardError`` when every replicate of a grid point is overflow-tagged.
 
     Such a sweep has no usable replicate, so no statistic would be
     computed from it.  A sweep with any usable replicate passes.
     """
-    if records and all(r.overflow for r in records):
+    if run.overflow_step.all():
         raise OverflowGuardError(
-            f"N={n0}: all {len(records)} replicates crossed the offspring-mean guard (overflow-tagged)"
+            f"N={n0}: all {run.overflow_step.size} replicates crossed the offspring-mean guard (overflow-tagged)"
         )
 
 
-def run_replicates(config: ExperimentConfig, grid_index: int) -> list[ReplicateRecord]:
-    """All coupled replicates for one grid point, in replicate order.
+def run_replicates(config: ExperimentConfig, grid_index: int) -> BlockRun:
+    """The ``BlockRun`` of all coupled replicates of one grid point; position ``i`` is replicate ``i``.
 
-    Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
+    A coupled sweep records no steps, so ``steps`` is empty.  Raises
+    ``OverflowGuardError`` when every replicate is overflow-tagged.
     """
-    blocks = _run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads, _block_cost)
-    records = [rec for records, _ in blocks for rec in records]
-    _refuse_all_overflow(records, config.n_grid[grid_index])
-    return records
+    run = _joined(_run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads, _block_cost))
+    _refuse_all_overflow(run, config.n_grid[grid_index])
+    return run
 
 
 def run_extinction_records(
@@ -310,17 +295,15 @@ def run_extinction_records(
     master_seed: int,
     threads: int = 1,
     recording: str = "terminal",
-    return_trajectories: bool = False,
-):
+) -> BlockRun:
     """Extinction-only replicate sweep (the ``simulate`` subcommand's engine).
 
-    Returns the record list, or ``(records, steps)`` when
-    ``return_trajectories`` is set: ``steps`` is one
-    ``simulator.STEP_DTYPE`` array of every recorded step, replicate-major
-    (empty under terminal recording).  A single block's array is returned
-    as it is, a view of the one buffer its run recorded into, so its
-    steps are held once; several are copied into one preallocated array,
-    and each block is released once it is copied.
+    Returns one ``BlockRun``; position ``i`` is replicate ``i``, and
+    ``theta``, ``n_theta`` and ``n_theta_plus_k`` are unobserved.
+    ``steps`` holds every recorded step, replicate-major, and is empty
+    under terminal recording.  A single block's steps are returned as
+    they are, a view of the one buffer its run recorded into, so they
+    are held once; several blocks' steps are copied into one array.
     Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
     """
     if replicates < 1:
@@ -331,21 +314,9 @@ def run_extinction_records(
         raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
     ms = max_steps or default_max_steps(max(n0, 3))
     tasks = _block_tasks(env, offspring, rule, n0, replicates, ms, master_seed, 0, recording=recording)
-    blocks = _run_chunked(tasks, _block_task, threads, _block_cost)
-    records = [rec for recs, _ in blocks for rec in recs]
-    _refuse_all_overflow(records, n0)
-    if not return_trajectories:
-        return records
-    if len(blocks) == 1:
-        return records, blocks[0][1]
-    steps = np.empty(sum(s.size for _, s in blocks), dtype=STEP_DTYPE)
-    at = 0
-    for i in range(len(blocks)):
-        block_steps = blocks[i][1]
-        blocks[i] = None
-        steps[at : at + block_steps.size] = block_steps
-        at += block_steps.size
-    return records, steps
+    run = _joined(_run_chunked(tasks, _block_task, threads, _block_cost))
+    _refuse_all_overflow(run, n0)
+    return run
 
 
 @dataclass
@@ -427,7 +398,7 @@ class SummaryReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False, sort_keys=False)
 
 
-def _scaled_sorted(values: list, scale: float) -> np.ndarray:
+def _scaled_sorted(values: np.ndarray, scale: float) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=float)) / scale
 
 
@@ -449,7 +420,7 @@ def resolve_sigma(config: ExperimentConfig) -> tuple[float, str, Optional[float]
             raise ConfigurationError("walk increment is degenerate (sigma = 0); no reference law exists")
         return float(exact), "analytic", None
     stream = derive_stream(config.master_seed, SIGMA_STREAM_KEY)
-    eta = np.asarray(config.env.sample(stream, size=config.sigma_mc_samples), dtype=float)
+    eta = np.asarray(config.env.sample(stream, size=SIGMA_MC_SAMPLES), dtype=float)
     xs = walk_increments(config.rule, config.offspring, eta)
     sd = float(xs.std(ddof=1))
     if sd <= 0:
@@ -459,20 +430,28 @@ def resolve_sigma(config: ExperimentConfig) -> tuple[float, str, Optional[float]
 
 
 def summarize_records(
-    records: list[ReplicateRecord],
+    run: BlockRun,
     n0: int,
     k: int,
     max_steps: int,
     law: FirstPassageLaw,
 ) -> SummaryRow:
+    """The summary row of one grid point's ``BlockRun``.
+
+    Overflow-tagged replicates are counted in ``replicates`` and
+    ``overflow_count`` and left out of every statistic; the others are
+    the KS denominator, censored ones included.  Raises
+    ``ExcessCensoringError`` when the censored fraction exceeds the
+    law's tail beyond ``max_steps`` plus ``CENSORING_SLACK``.
+    """
     scale = math.log(n0) ** 2
-    usable = [r for r in records if not r.overflow]
-    n_total = len(usable)
-    overflow_count = len(records) - n_total
-    taus = [r.tau for r in usable if r.tau is not None]
-    thetas = [r.theta for r in usable if r.theta is not None]
-    censored = n_total - len(taus)
-    theta_censored = n_total - len(thetas)
+    usable = run.overflow_step == 0
+    n_total = int(np.count_nonzero(usable))
+    overflow_count = run.overflow_step.size - n_total
+    taus = run.tau[usable & (run.tau >= 0)]
+    thetas = run.theta[usable & (run.theta >= 0)]
+    censored = n_total - taus.size
+    theta_censored = n_total - thetas.size
 
     expected_tail = 1.0 - law.cdf(max_steps / scale)
     if n_total and censored / n_total > expected_tail + CENSORING_SLACK:
@@ -481,26 +460,25 @@ def summarize_records(
             f"tail {expected_tail:.3f} plus slack {CENSORING_SLACK}"
         )
 
-    tau_scaled = _scaled_sorted(taus, scale) if taus else np.array([])
-    theta_scaled = _scaled_sorted(thetas, scale) if thetas else np.array([])
-    ks_tau = ks_statistic(tau_scaled, law, n_total=n_total) if taus else None
-    ks_theta = ks_statistic(theta_scaled, law, n_total=n_total) if thetas else None
+    tau_scaled = _scaled_sorted(taus, scale)
+    ks_tau = ks_statistic(tau_scaled, law, n_total=n_total) if taus.size else None
+    ks_theta = ks_statistic(_scaled_sorted(thetas, scale), law, n_total=n_total) if thetas.size else None
 
-    obs_theta = [r for r in usable if r.n_theta is not None]
-    obs_k = [r for r in usable if r.n_theta_plus_k is not None]
-    frac_pos = (sum(1 for r in obs_theta if r.n_theta > 0) / len(obs_theta)) if obs_theta else None
-    frac_k_pos = (sum(1 for r in obs_k if r.n_theta_plus_k > 0) / len(obs_k)) if obs_k else None
+    obs_theta = run.n_theta[usable & ~np.isnan(run.n_theta)]
+    obs_k = run.n_theta_plus_k[usable & ~np.isnan(run.n_theta_plus_k)]
+    frac_pos = int(np.count_nonzero(obs_theta > 0)) / obs_theta.size if obs_theta.size else None
+    frac_k_pos = int(np.count_nonzero(obs_k > 0)) / obs_k.size if obs_k.size else None
 
     # censored replicates contribute the cap: a documented lower bound on
     # the uncensorable mean (the limit law itself has no mean)
     mean_tau = (
-        float((sum(taus) + censored * max_steps) / n_total / scale) if n_total else None
+        float((int(taus.sum()) + censored * max_steps) / n_total / scale) if n_total else None
     )
     median_tau = _censored_median(tau_scaled, n_total) if n_total else None
 
     return SummaryRow(
         n0=n0,
-        replicates=len(records),
+        replicates=run.overflow_step.size,
         censored_count=censored,
         theta_censored_count=theta_censored,
         overflow_count=overflow_count,
@@ -510,11 +488,11 @@ def summarize_records(
         ks_theta=ks_theta,
         frac_n_theta_pos=frac_pos,
         frac_n_theta_k_pos=frac_k_pos,
-        n_theta_observed=len(obs_theta),
-        n_theta_k_observed=len(obs_k),
+        n_theta_observed=obs_theta.size,
+        n_theta_k_observed=obs_k.size,
         mean_tau_scaled=mean_tau,
         median_tau_scaled=median_tau,
-        total_steps=sum(r.steps_run for r in records),
+        total_steps=int(run.steps_run.sum()),
     )
 
 
@@ -542,14 +520,13 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         _run_chunked([t for grid_tasks in tasks for t in grid_tasks], _block_task, config.threads, _block_cost)
     )
     rows = []
-    all_records: list[ReplicateRecord] = []
+    runs = {}
     for gi, n0 in enumerate(config.n_grid):
         max_steps = config.max_steps or default_max_steps(n0)
         k = window_steps(n0, config.epsilon)
-        records = [rec for recs, _ in islice(blocks, len(tasks[gi])) for rec in recs]
-        _refuse_all_overflow(records, n0)
-        rows.append(summarize_records(records, n0, k, max_steps, law))
-        all_records.extend(records)
+        run = runs[n0] = _joined(list(islice(blocks, len(tasks[gi]))))
+        _refuse_all_overflow(run, n0)
+        rows.append(summarize_records(run, n0, k, max_steps, law))
     report = SummaryReport(
         rows=rows,
         sigma=sigma,
@@ -565,15 +542,15 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
     if out_prefix is not None:
         out_prefix = Path(out_prefix)
         out_prefix.parent.mkdir(parents=True, exist_ok=True)
-        write_replicates_csv(Path(f"{out_prefix}_replicates.csv"), all_records)
-        for row in rows:
-            recs = [r for r in all_records if r.n0 == row.n0 and not r.overflow]
-            taus = sorted(r.tau for r in recs if r.tau is not None)
-            if taus:
+        write_replicates_csv(Path(f"{out_prefix}_replicates.csv"), runs)
+        for n0, run in runs.items():
+            usable = run.overflow_step == 0
+            taus = run.tau[usable & (run.tau >= 0)]
+            if taus.size:
                 write_ecdf_csv(
-                    Path(f"{out_prefix}_ecdf_tau_N{row.n0}.csv"),
-                    np.asarray(taus, dtype=float) / math.log(row.n0) ** 2,
-                    len(recs),
+                    Path(f"{out_prefix}_ecdf_tau_N{n0}.csv"),
+                    _scaled_sorted(taus, math.log(n0) ** 2),
+                    int(np.count_nonzero(usable)),
                     law,
                 )
         Path(f"{out_prefix}_summary.json").write_text(report.to_json() + "\n")
@@ -599,16 +576,6 @@ REPLICATE_COLUMNS = (
 )
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_lines(path: Path, header: str, lines) -> None:
     """Write ``header`` and then ``lines``, one per row, joining ``CSV_CHUNK_ROWS`` rows per write."""
     it = iter(lines)
@@ -618,22 +585,30 @@ def _write_lines(path: Path, header: str, lines) -> None:
             fh.write("\n".join(chunk) + "\n")
 
 
-def write_replicates_csv(path: Path, records: Sequence[ReplicateRecord]) -> None:
+def _count_cell(v: float) -> str:
+    """A count as its exact integer, blank where unobserved (NaN)."""
+    return "" if math.isnan(v) else str(int(v))
+
+
+def write_replicates_csv(path: Path, runs: dict) -> None:
+    """One row per replicate of each ``{n0: BlockRun}`` grid point, in grid then replicate order.
+
+    ``censored_flag`` is 1 where a replicate has no extinction time
+    (censored at the cap or overflow-tagged).
+    """
     rows = (
-        ",".join(
-            _cell(v)
-            for v in (
-                r.replicate_id,
-                r.n0,
-                r.tau,
-                r.tau is None,
-                r.theta,
-                r.n_theta,
-                r.n_theta_plus_k,
-                r.steps_run,
+        f"{i},{n0},{'' if tau < 0 else tau},{int(tau < 0)},{'' if theta < 0 else theta},"
+        f"{_count_cell(at)},{_count_cell(at_k)},{steps}"
+        for n0, run in runs.items()
+        for i, (tau, theta, at, at_k, steps) in enumerate(
+            zip(
+                run.tau.tolist(),
+                run.theta.tolist(),
+                run.n_theta.tolist(),
+                run.n_theta_plus_k.tolist(),
+                run.steps_run.tolist(),
             )
         )
-        for r in records
     )
     _write_lines(path, ",".join(REPLICATE_COLUMNS), rows)
 
@@ -691,23 +666,27 @@ class LemmaSweepConfig:
 
 @dataclass
 class LemmaSweep:
-    """Sweep output: per (n0, path, n) ratio rows plus slope fits.
+    """Sweep output: the stacked ratio array plus slope fits.
 
-    ``r3_hard_violations`` counts steps with r3 above 1 + 4 SE.  Slopes
-    are OLS fits of log mean ratio against log step (per grid point) and
-    against log n0 (across the grid); a nonpositive slope within noise
-    is the boundedness check.
+    ``ratios[g, p, r, n - 1]`` is ratio ``r`` (r2, r3, r3_se, r4, in that
+    order) at step ``n`` of path ``p`` of grid point ``n0_grid[g]``, NaN
+    once nothing is left alive; ``write_sweep_csv`` writes one row per
+    (grid point, path, step).  ``r3_hard_violations`` counts steps with
+    r3 above 1 + 4 SE.  Slopes are OLS fits of log mean ratio against log
+    step (per grid point) and against log n0 (across the grid); a
+    nonpositive slope within noise is the boundedness check.
     """
 
-    rows: list
+    n0_grid: tuple
+    ratios: np.ndarray
     r3_hard_violations: int
     slopes: dict
 
 
-def _bundle_task(args) -> list:
+def _bundle_task(args) -> DiagnosticTable:
     env, offspring, rule, n0, steps, replicates, master_seed, grid_index, path_index = args
     stream = derive_stream(master_seed, grid_index, path_index)
-    return [run_frozen_bundle(rule, env, offspring, n0, steps, replicates, stream)]
+    return run_frozen_bundle(rule, env, offspring, n0, steps, replicates, stream)
 
 
 def _nanmean(x: np.ndarray) -> float:
@@ -732,12 +711,6 @@ def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
     ]
     tables = _run_chunked(tasks, _bundle_task, config.threads)
     ratios = np.array([(t.r2, t.r3, t.r3_se, t.r4) for t in tables]).reshape(len(grid), paths, 4, steps)
-    rows = [
-        (n0, p, n, *values)
-        for gi, n0 in enumerate(grid)
-        for p in range(paths)
-        for n, values in enumerate(ratios[gi, p].T.tolist(), start=1)
-    ]
     # a NaN r3 (nothing left alive) compares false
     hard = int(np.count_nonzero(ratios[:, :, 1] > 1.0 + 4.0 * ratios[:, :, 2]))
 
@@ -762,11 +735,14 @@ def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
         g = np.asarray(grid, dtype=float)
         slopes["r2_vs_N"] = loglog_slope(g, np.asarray(grid_means["r2"]), y_se=np.asarray(grid_ses["r2"]))
         slopes["r4_vs_N"] = loglog_slope(g, np.asarray(grid_means["r4"]), y_se=np.asarray(grid_ses["r4"]))
-    return LemmaSweep(rows=rows, r3_hard_violations=hard, slopes=slopes)
+    return LemmaSweep(n0_grid=grid, ratios=ratios, r3_hard_violations=hard, slopes=slopes)
 
 
 def write_sweep_csv(path: Path, sweep: LemmaSweep) -> None:
+    """One row per (grid point, path, step) of ``sweep.ratios``."""
     lines = ["N0,path,n,r2,r3,r3_se,r4"]
-    for (n0, p, n, r2, r3, se, r4) in sweep.rows:
-        lines.append(f"{n0},{p},{n},{r2!r},{r3!r},{se!r},{r4!r}")
+    for n0, per_path in zip(sweep.n0_grid, sweep.ratios):
+        for p, table in enumerate(per_path):
+            for n, (r2, r3, se, r4) in enumerate(table.T.tolist(), start=1):
+                lines.append(f"{n0},{p},{n},{r2!r},{r3!r},{se!r},{r4!r}")
     Path(path).write_text("\n".join(lines) + "\n")

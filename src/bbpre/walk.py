@@ -71,14 +71,6 @@ class HittingSpec:
         return 2.0 / (1.0 + self.beta)
 
     @property
-    def log_n0(self) -> float:
-        return math.log(self.n0)
-
-    @property
-    def log2_n0(self) -> float:
-        return math.log(self.n0) ** 2
-
-    @property
     def threshold(self) -> float:
         ln = math.log(self.n0)
         return math.exp(self.gamma * math.log(ln)) - ln

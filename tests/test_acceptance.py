@@ -183,7 +183,7 @@ def test_criterion_4_hitting_window_frequencies(grid_report):
 
 
 def test_criterion_5_conditional_mean_inequality(sweep):
-    rows = len(sweep.rows)
+    rows = sweep.ratios[:, :, 0].size
     report(
         5,
         "per-step conditional mean bound over frozen bundles",
@@ -275,8 +275,8 @@ def test_criterion_8_asexual_reduction():
     offspring = OffspringModel()
     rule = asexual()
     # the sweep engine behind ``simulate``, keyed like the oracle by the criterion number
-    records = run_extinction_records(env, offspring, rule, n0, replicates, cap, ACCEPT_SEED + 8)
-    ours = np.array([r.tau if r.tau is not None else cap + 1 for r in records], dtype=float)
+    run = run_extinction_records(env, offspring, rule, n0, replicates, cap, ACCEPT_SEED + 8)
+    ours = np.where(run.tau < 0, cap + 1, run.tau).astype(float)
     oracle = _one_sex_oracle_taus(n0, replicates, cap, ACCEPT_SEED + 800, SIGMA_ENV)
     d = float(ks_2samp(ours, oracle).statistic)
     crit = 1.628 * math.sqrt((2.0 * replicates) / (replicates * replicates))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bbpre
@@ -20,6 +21,7 @@ from bbpre import (
     monogamous,
     run_extinction_records,
     run_replicates,
+    stats,
 )
 from bbpre.cli import build_parser, main
 
@@ -381,9 +383,9 @@ def test_seed_is_a_non_negative_integer(capsys):
 def test_simulate_records_steps_only_for_a_trajectory_file(tmp_path, monkeypatch, capsys):
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append((args[8], kwargs["return_trajectories"]))
-        return run_extinction_records(*args, **kwargs)
+    def spy(*args):
+        calls.append(args[8])
+        return run_extinction_records(*args)
 
     monkeypatch.setattr(cli, "run_extinction_records", spy)
     argv = ["simulate", "--n0", "200", "--replicates", "5", "--seed", "9"]
@@ -393,9 +395,32 @@ def test_simulate_records_steps_only_for_a_trajectory_file(tmp_path, monkeypatch
         code, stdout, _ = run_cli(capsys, *argv, *extra)
         assert code == 0
         lines.append(stdout.split(" out=")[0])
-    assert calls == [("terminal", False), ("terminal", False), ("full", True)]
+    assert calls == ["terminal", "terminal", "full"]
     assert lines[0] == lines[1] == lines[2]
     assert (tmp_path / "r_trajectories.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run_experiment", ["experiment", "--n-grid", "100", "--replicates", "20"]),
+        ("run_replicates", ["coupled", "--n0", "100", "--replicates", "20"]),
+        ("run_extinction_records", ["simulate", "--n0", "100", "--replicates", "20"]),
+    ],
+)
+def test_subcommands_call_the_sweeps_through_the_cli_modules_names(monkeypatch, capsys, name, argv):
+    # bench/child.py times a run from the first call to one of these names, patched into bbpre.cli
+    sweep = getattr(cli, name)
+    assert sweep is getattr(stats, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and calls == [name]
 
 
 def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
@@ -404,18 +429,19 @@ def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
     monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
-    records = run_extinction_records(env, off, rule, 1000, 40, 200, 5)
-    tagged = sum(r.overflow for r in records)
+    run = run_extinction_records(env, off, rule, 1000, 40, 200, 5)
+    tagged = np.count_nonzero(run.overflow_step)
     assert 0 < tagged < 40
     code, stdout, _ = run_cli(capsys, "simulate", "--n0", "1000", "--replicates", "40", "--max-steps", "200",
                               "--seed", "5")
     assert code == 0
-    censored = sum(r.censored for r in records)
+    censored = np.count_nonzero((run.tau < 0) & (run.overflow_step == 0))
     assert f"censored={censored} overflow={tagged} " in stdout
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(1000,), replicates=40, master_seed=5,
                               max_steps=200)
-    records = run_replicates(config, 0)
-    tagged, censored = sum(r.overflow for r in records), sum(r.censored for r in records)
+    run = run_replicates(config, 0)
+    tagged = np.count_nonzero(run.overflow_step)
+    censored = np.count_nonzero((run.tau < 0) & (run.overflow_step == 0))
     assert 0 < tagged < 40
     code, stdout, _ = run_cli(capsys, "coupled", "--n0", "1000", "--replicates", "40", "--max-steps", "200",
                               "--seed", "5")

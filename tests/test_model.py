@@ -140,9 +140,9 @@ def test_poisson_totals_equal_the_two_call_reference(lam):
 def test_deterministic_family():
     env = EnvironmentModel(std=0.5)
     model = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.0), mean_m=ConstantMeanMap(2.0))
-    records, steps = run_extinction_records(env, model, asexual(), 7, 3, 10, 4, recording="full",
-                                            return_trajectories=True)
-    assert all(r.censored for r in records) and steps.size == 30
+    run = run_extinction_records(env, model, asexual(), 7, 3, 10, 4, recording="full")
+    steps = run.steps
+    assert np.all(run.tau == -1) and np.all(run.overflow_step == 0) and steps.size == 30
     assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
     cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]), 2.0)
     assert not cf.any() and not cm.any()

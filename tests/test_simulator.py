@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -54,6 +55,15 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _outcomes(run):
+    """A ``BlockRun``'s per-replicate arrays as bytes, comparable with ``==`` (NaN equal to NaN)."""
+    return [getattr(run, f.name).tobytes() for f in dataclasses.fields(run) if f.name != "steps"]
+
+
+def _same_runs(a, b):
+    return _outcomes(a) == _outcomes(b) and a.steps.tobytes() == b.steps.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # single steps, on the recorded rows of the block engine
 # ---------------------------------------------------------------------------
@@ -75,15 +85,13 @@ def test_zero_couples_absorb_without_sampling():
 
 def test_asexual_step_returns_female_total():
     env, off = EnvironmentModel(std=0.5), OffspringModel()
-    _, steps = run_extinction_records(env, off, asexual(), 1000, 20, 200, 2, recording="full",
-                                      return_trajectories=True)
+    steps = run_extinction_records(env, off, asexual(), 1000, 20, 200, 2, recording="full").steps
     assert steps.size > 0 and np.array_equal(steps["N"], steps["F_total"])
 
 
 def test_monogamous_step_bounded_by_both_totals():
     env, off, rule = canonical()
-    _, steps = run_extinction_records(env, off, rule, 500, 20, 200, 3, recording="full",
-                                      return_trajectories=True)
+    steps = run_extinction_records(env, off, rule, 500, 20, 200, 3, recording="full").steps
     assert steps.size > 0 and np.array_equal(steps["N"], np.minimum(steps["F_total"], steps["M_total"]))
 
 
@@ -95,29 +103,27 @@ def test_monogamous_step_bounded_by_both_totals():
 def test_forced_zero_offspring_dies_at_step_one():
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(mean_f=ExpMeanMap(scale=0.0), mean_m=ExpMeanMap(scale=0.0))
-    records = run_extinction_records(env, off, monogamous(1), 1000, 10, 100, 3)
-    assert all(r.tau == 1 and not r.censored for r in records)
+    run = run_extinction_records(env, off, monogamous(1), 1000, 10, 100, 3)
+    assert np.all(run.tau == 1) and np.all(run.steps_run == 1)
 
 
 def test_extinction_is_absorbing_and_tau_is_first_zero():
     env, off, rule = canonical()
-    records, steps = run_extinction_records(env, off, rule, 50, 20, 10_000, 4, recording="full",
-                                            return_trajectories=True)
-    assert all(r.tau is not None for r in records)
-    for r in records:
-        rows = _rows(steps, r.replicate_id)
-        assert rows["n"].tolist() == list(range(1, r.tau + 1))
+    run = run_extinction_records(env, off, rule, 50, 20, 10_000, 4, recording="full")
+    assert np.all(run.tau > 0)
+    for i, tau in enumerate(run.tau.tolist()):
+        rows = _rows(run.steps, i)
+        assert rows["n"].tolist() == list(range(1, tau + 1))
         assert rows["N"][-1] == 0
         assert np.all(rows["N"][:-1] > 0)
 
 
 def test_trajectory_step_invariants_full_recording():
     env, off, rule = canonical()
-    records, steps = run_extinction_records(env, off, rule, 200, 20, 10_000, 5, recording="full",
-                                            return_trajectories=True)
-    for r in records:
-        prev, s = float(r.n0), 0.0
-        for rec in _rows(steps, r.replicate_id):
+    run = run_extinction_records(env, off, rule, 200, 20, 10_000, 5, recording="full")
+    for i in range(20):
+        prev, s = 200.0, 0.0
+        for rec in _rows(run.steps, i):
             assert rec["N"] == rule.L(int(rec["F_total"]), int(rec["M_total"]), float(rec["eta"]))
             # R cancels two terms of size N_prev e^xi: allow a few ulps of that size
             growth = prev * math.exp(rec["xi"])
@@ -131,10 +137,9 @@ def test_representation_identity():
     # N_n = N0 e^{S_n} + sum_i R_i e^{S_n - S_i}, exact up to float accumulation
     env, off, rule = canonical()
     n0 = 10_000
-    records, steps = run_extinction_records(env, off, rule, n0, 5, 5_000, 6, recording="full",
-                                            return_trajectories=True)
-    for r in records:
-        rows = _rows(steps, r.replicate_id)
+    steps = run_extinction_records(env, off, rule, n0, 5, 5_000, 6, recording="full").steps
+    for i in range(5):
+        rows = _rows(steps, i)
         S, R, N = rows["S"], rows["R"], rows["N"]
         for n in (1, len(S) // 2, len(S) - 1):
             rebuilt = n0 * math.exp(S[n]) + float(np.sum(R[: n + 1] * np.exp(S[n] - S[: n + 1])))
@@ -145,26 +150,26 @@ def test_recording_modes():
     env, off, rule = canonical()
 
     def sweep(recording):
-        return run_extinction_records(env, off, rule, 100, 20, 2_000, 7, recording=recording, return_trajectories=True)
+        return run_extinction_records(env, off, rule, 100, 20, 2_000, 7, recording=recording)
 
-    (full, full_steps), (sparse, sparse_steps), (terminal, terminal_steps) = map(sweep, ("full", "sparse", "terminal"))
-    assert [r.tau for r in full] == [r.tau for r in sparse] == [r.tau for r in terminal]
-    assert terminal_steps.size == 0
-    assert 0 < sparse_steps.size < full_steps.size
+    full, sparse, terminal = map(sweep, ("full", "sparse", "terminal"))
+    assert np.array_equal(full.tau, sparse.tau) and np.array_equal(full.tau, terminal.tau)
+    assert terminal.steps.size == 0
+    assert 0 < sparse.steps.size < full.steps.size
     stride = math.ceil(math.log(100))
-    for r in full:
-        assert _rows(full_steps, r.replicate_id).size == r.steps_run
-        n = _rows(sparse_steps, r.replicate_id)["n"]
-        assert n[-1] == r.steps_run and np.all((n[:-1] % stride) == 0)
+    for i, steps_run in enumerate(full.steps_run.tolist()):
+        assert _rows(full.steps, i).size == steps_run
+        n = _rows(sparse.steps, i)["n"]
+        assert n[-1] == steps_run and np.all((n[:-1] % stride) == 0)
     with pytest.raises(ConfigurationError):
         sweep("everything")
 
 
 def test_identical_seeds_reproduce_bit_identical_trajectories():
     env, off, rule = canonical()
-    a = run_extinction_records(env, off, rule, 500, 20, 5_000, 42, recording="full", return_trajectories=True)
-    b = run_extinction_records(env, off, rule, 500, 20, 5_000, 42, recording="full", return_trajectories=True)
-    assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
+    a = run_extinction_records(env, off, rule, 500, 20, 5_000, 42, recording="full")
+    b = run_extinction_records(env, off, rule, 500, 20, 5_000, 42, recording="full")
+    assert _same_runs(a, b)
 
 
 def test_overflow_aborts_with_tagged_record():
@@ -204,8 +209,8 @@ def test_subcritical_toy_matches_markov_chain_absorption():
         exact_cdf.append(dist[0])
 
     reps = 100_000
-    records = run_extinction_records(env, off, rule, 1, reps, horizon, 1234)
-    taus = np.array([r.tau if r.tau is not None else horizon + 1 for r in records])
+    run = run_extinction_records(env, off, rule, 1, reps, horizon, 1234)
+    taus = np.where(run.tau < 0, horizon + 1, run.tau)
     empirical = np.array([(taus <= n).mean() for n in range(1, horizon + 1)])
     # DKW at alpha = 1e-3 plus the truncation slack
     assert np.max(np.abs(empirical - np.asarray(exact_cdf))) <= math.sqrt(math.log(2e3) / (2 * reps)) + 1e-9
@@ -219,7 +224,7 @@ def test_censoring_fraction_bounded_by_limit_law_tail():
     n0 = 10**4
     cap = math.ceil(50 * math.log(n0) ** 2)
     reps = 400
-    censored = sum(r.censored for r in run_extinction_records(env, off, rule, n0, reps, cap, 77))
+    censored = np.count_nonzero(run_extinction_records(env, off, rule, n0, reps, cap, 77).tau < 0)
     tail = 1.0 - FirstPassageLaw(0.5).cdf(50.0)
     assert tail == pytest.approx(0.2227, abs=5e-4)
     assert censored / reps <= tail + 4.0 * math.sqrt(tail * (1 - tail) / reps)
@@ -491,25 +496,28 @@ def test_block_sweep_theta_is_the_whole_cap_walks_and_counts_follow_the_rules(mo
     config = ExperimentConfig(
         env=env, offspring=off, rule=rule, n_grid=(n0,), replicates=72, epsilon=2.0, master_seed=seed, max_steps=cap
     )
-    records = run_replicates(config, 0)
+    sweep = run_replicates(config, 0)
     k = math.floor(2.0 * math.log(n0) ** 2)
     spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
     cases = {"after_tau": 0, "past_cap": 0}
-    for r in records:
-        eta = env.sample(derive_stream(seed, 0, r.replicate_id).spawn(2)[0], size=cap)
-        assert r.theta == hitting_time(spec, model.walk_increments(rule, off, eta)).theta
-        if r.theta is None:
-            assert r.n_theta is None and r.n_theta_plus_k is None
-            assert r.steps_run == cap
+    for i in range(72):
+        tau, theta, steps_run = int(sweep.tau[i]), int(sweep.theta[i]), int(sweep.steps_run[i])
+        at, at_k = sweep.n_theta[i], sweep.n_theta_plus_k[i]
+        eta = env.sample(derive_stream(seed, 0, i).spawn(2)[0], size=cap)
+        hit = hitting_time(spec, model.walk_increments(rule, off, eta)).theta
+        assert theta == (-1 if hit is None else hit)
+        if theta < 0:
+            assert math.isnan(at) and math.isnan(at_k)
+            assert steps_run == cap
             continue
-        if r.tau is not None and r.theta > r.tau:
-            assert r.n_theta == 0
+        if tau >= 0 and theta > tau:
+            assert at == 0
             cases["after_tau"] += 1
-        if r.tau is None:
-            assert r.n_theta is not None
-            assert (r.n_theta_plus_k is None) == (r.theta + k > cap)
-            cases["past_cap"] += r.theta + k > cap
-        assert r.steps_run == (cap if r.tau is None else max(r.tau, r.theta))
+        if tau < 0:
+            assert not math.isnan(at)
+            assert math.isnan(at_k) == (theta + k > cap)
+            cases["past_cap"] += theta + k > cap
+        assert steps_run == (cap if tau < 0 else max(tau, theta))
     assert min(cases.values()) >= 2
 
     # the counts at theta and theta + k are the recorded counts of the same block streams
@@ -518,14 +526,15 @@ def test_block_sweep_theta_is_the_whole_cap_walks_and_counts_follow_the_rules(mo
         off_rng = derive_stream(seed, 0, stats.OFFSPRING_BLOCK_KEY, block)
         run = run_block(rule, env, off, n0, cap, env_streams, off_rng, epsilon=2.0, recording="full")
         counts = {(int(s["replicate_id"]), int(s["n"])): float(s["N"]) for s in run.steps}
-        for i, rec in enumerate(records[start : start + 16]):
-            if rec.theta is None:
+        for i in range(len(env_streams)):
+            tau, theta = int(sweep.tau[start + i]), int(sweep.theta[start + i])
+            if theta < 0:
                 continue
-            for step, got in ((rec.theta, rec.n_theta), (rec.theta + k, rec.n_theta_plus_k)):
+            for step, got in ((theta, sweep.n_theta[start + i]), (theta + k, sweep.n_theta_plus_k[start + i])):
                 if (i, step) in counts:
                     assert got == counts[(i, step)]
                 else:
-                    assert got == (0 if rec.tau is not None else None)
+                    assert _same(got, 0.0 if tau >= 0 else math.nan)
 
 
 def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
@@ -534,13 +543,13 @@ def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(500,), replicates=40, master_seed=8, threads=1)
     one = run_replicates(config, 0)
     two = run_replicates(ExperimentConfig(**{**config.__dict__, "threads": 2}), 0)
-    assert one == two
-    assert [r.replicate_id for r in one] == list(range(40))
-    a = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=1, recording="sparse", return_trajectories=True)
-    b = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=2, recording="sparse", return_trajectories=True)
-    assert a[0] == b[0] and np.array_equal(a[1], b[1])
-    assert [r.replicate_id for r in a[0]] == list(range(40))
-    assert np.all(np.diff(a[1]["replicate_id"]) >= 0)
+    assert _same_runs(one, two) and one.tau.size == 40
+    a = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=1, recording="sparse")
+    b = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=2, recording="sparse")
+    assert _same_runs(a, b) and a.tau.size == 40
+    # every replicate records its last step, under the replicate id of its position
+    assert np.array_equal(np.unique(a.steps["replicate_id"]), np.arange(40))
+    assert np.all(np.diff(a.steps["replicate_id"]) >= 0)
 
 
 def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
@@ -555,43 +564,40 @@ def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
     runs = {
         "coupled": lambda: run_replicates(config, 0),
         "coupled_d3": lambda: run_replicates(d3, 0),
-        "full": lambda: run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full",
-                                               return_trajectories=True),
+        "full": lambda: run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full"),
         # counts around 1e12 take both branches of the Poisson/normal switch
-        "full_large": lambda: run_extinction_records(env, off, rule, 5 * 10**11, 30, 60, 12, recording="full",
-                                                     return_trajectories=True),
+        "full_large": lambda: run_extinction_records(env, off, rule, 5 * 10**11, 30, 60, 12, recording="full"),
         # one window of 200 generations by default: every overflow is mid-window
-        "overflow": lambda: run_extinction_records(env, overflowing, rule, 1000, 40, 200, 5, recording="full",
-                                                   return_trajectories=True),
+        "overflow": lambda: run_extinction_records(env, overflowing, rule, 1000, 40, 200, 5, recording="full"),
     }
     wide = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 7)
     for name, run in runs.items():
-        narrow = run()
-        if name.startswith("coupled"):
-            assert narrow == wide[name]
-        else:
-            assert narrow[0] == wide[name][0] and np.array_equal(narrow[1], wide[name][1])
-    assert wide["coupled_d3"] != wide["coupled"]
-    first = wide["full"][1][wide["full"][1]["replicate_id"] == 0]
+        assert _same_runs(run(), wide[name]), name
+    assert _outcomes(wide["coupled_d3"]) != _outcomes(wide["coupled"])
+    first = _rows(wide["full"].steps, 0)
     assert np.array_equal(first["S"], np.cumsum(first["xi"]))
-    large = wide["full_large"][1]
+    large = wide["full_large"].steps
     above = [large["F_total"][large["n"] == n] > POISSON_EXACT_MAX for n in range(1, 61)]
     assert sum(a.any() and not a.all() for a in above) >= 10
-    tagged = [r.steps_run for r in wide["overflow"][0] if r.overflow]
-    assert 0 < len(tagged) < 40 and max(tagged) < 200
+    overflow = wide["overflow"]
+    tagged = overflow.steps_run[overflow.overflow_step > 0]
+    assert 0 < tagged.size < 40 and tagged.max() < 200
 
 
 def test_block_environment_streams_are_each_replicates_first_child():
     env, off, rule = canonical()
     seed, grid_index, start = 9, 2, 5
     args = (env, off, rule, 200, 60, seed, grid_index, 0, start, start + 6, None, "full")
-    [(records, steps)] = stats._block_task(args)
-    assert [r.replicate_id for r in records] == list(range(start, start + 6))
-    for r in records:
-        eta = steps["eta"][steps["replicate_id"] == r.replicate_id]
-        assert eta.size == r.steps_run
-        assert np.array_equal(eta, env.sample(derive_stream(seed, grid_index, r.replicate_id).spawn(2)[0], size=eta.size))
+    run = stats._block_task(args)
+    assert run.tau.size == 6
+    # the block's arrays are indexed by block position, its steps by replicate
+    assert np.array_equal(np.unique(run.steps["replicate_id"]), np.arange(start, start + 6))
+    for i, steps_run in enumerate(run.steps_run.tolist()):
+        rep = start + i
+        eta = _rows(run.steps, rep)["eta"]
+        assert eta.size == steps_run
+        assert np.array_equal(eta, env.sample(derive_stream(seed, grid_index, rep).spawn(2)[0], size=eta.size))
 
 
 def test_block_engine_raises_the_sampling_errors(monkeypatch):
@@ -611,21 +617,20 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
     cap, seed, reps = 200, 5, 40
-    records, steps = run_extinction_records(
-        env, off, rule, 1000, reps, cap, seed, recording="full", return_trajectories=True
-    )
-    rows = np.bincount(steps["replicate_id"], minlength=reps)
+    run = run_extinction_records(env, off, rule, 1000, reps, cap, seed, recording="full")
+    rows = np.bincount(run.steps["replicate_id"], minlength=reps)
     tagged = 0
-    for r in records:
-        assert rows[r.replicate_id] == (0 if r.overflow else r.steps_run)
-        eta = env.sample(derive_stream(seed, 0, r.replicate_id).spawn(2)[0], size=cap)
-        if r.overflow:
+    for i in range(reps):
+        tau, over, steps_run = int(run.tau[i]), int(run.overflow_step[i]), int(run.steps_run[i])
+        assert rows[i] == (0 if over else steps_run)
+        eta = env.sample(derive_stream(seed, 0, i).spawn(2)[0], size=cap)
+        if over:
             tagged += 1
-            assert r.tau is None and not r.censored
-            assert eta[r.steps_run - 1] >= 1.25 and np.all(eta[: r.steps_run - 1] < 1.25)
+            assert tau == -1 and steps_run == over
+            assert eta[steps_run - 1] >= 1.25 and np.all(eta[: steps_run - 1] < 1.25)
         else:
-            assert r.steps_run == (cap if r.tau is None else r.tau)
-            assert np.all(eta[: r.steps_run] < 1.25)
+            assert steps_run == (cap if tau < 0 else tau)
+            assert np.all(eta[:steps_run] < 1.25)
     assert 0 < tagged < reps
 
 
@@ -645,8 +650,7 @@ def test_placed_steps_equal_the_concatenated_filtered_sorted_chunks(monkeypatch,
     off, n0, cap, seed = BLOCK_SETUPS[setup]
 
     def sweep(threads):
-        return run_extinction_records(env, off, rule, n0, 40, cap, seed, threads=threads, recording=recording,
-                                      return_trajectories=True)
+        return run_extinction_records(env, off, rule, n0, 40, cap, seed, threads=threads, recording=recording)
 
     blocks, dropped = [], []
 
@@ -663,14 +667,14 @@ def test_placed_steps_equal_the_concatenated_filtered_sorted_chunks(monkeypatch,
 
     with monkeypatch.context() as patched:
         patched.setattr(simulator, "_place_steps", concatenate_filter_sort)
-        records, _ = sweep(1)
+        outcomes = _outcomes(sweep(1))
     assert len(blocks) == 3
     assert (sum(dropped) > 0) == (setup == "overflow")
     reference = np.concatenate(blocks)
     for threads in (1, 2):
-        placed_records, steps = sweep(threads)
-        assert placed_records == records
-        assert steps.dtype == reference.dtype and steps.tobytes() == reference.tobytes()
+        placed = sweep(threads)
+        assert _outcomes(placed) == outcomes
+        assert placed.steps.dtype == reference.dtype and placed.steps.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("setup", sorted(BLOCK_SETUPS))
@@ -679,13 +683,10 @@ def test_extinction_records_do_not_depend_on_the_recording(monkeypatch, setup):
     monkeypatch.setattr(stats, "BLOCK", 16)
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     off, n0, cap, seed = BLOCK_SETUPS[setup]
-    outcomes = [
-        [(r.tau, r.steps_run, r.overflow, r.censored) for r in
-         run_extinction_records(env, off, rule, n0, 40, cap, seed, recording=recording)]
-        for recording in simulator.RECORDING_MODES
-    ]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert any(overflow for _, _, overflow, _ in outcomes[0]) == (setup == "overflow")
+    runs = [run_extinction_records(env, off, rule, n0, 40, cap, seed, recording=recording)
+            for recording in simulator.RECORDING_MODES]
+    assert _outcomes(runs[0]) == _outcomes(runs[1]) == _outcomes(runs[2])
+    assert runs[0].overflow_step.any() == (setup == "overflow")
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +727,9 @@ def test_coupled_records_do_not_depend_on_the_scan_round(monkeypatch):
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
     d3 = ExperimentConfig(**{**config.__dict__, "rule": monogamous(3)})
     wide = [run_replicates(config, 0), run_replicates(d3, 0)]
-    assert sum(r.theta is None for r in wide[0]) > 0 and sum(r.theta is not None for r in wide[0]) > 0
+    assert np.any(wide[0].theta < 0) and np.any(wide[0].theta >= 0)
     monkeypatch.setattr(simulator, "SCAN_CELLS", 7)
-    assert [run_replicates(config, 0), run_replicates(d3, 0)] == wide
+    assert [_outcomes(run_replicates(config, 0)), _outcomes(run_replicates(d3, 0))] == [_outcomes(r) for r in wide]
 
 
 def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):

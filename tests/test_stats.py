@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -24,7 +25,9 @@ from bbpre import (
     run_replicates,
     stats,
 )
+from bbpre.simulator import STEP_DTYPE, BlockRun
 from bbpre.stats import summarize_records, write_replicates_csv, write_trajectories_csv
+from bbpre.walk import default_max_steps
 
 
 def small_config(**kw):
@@ -41,6 +44,13 @@ def small_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def block_run(tau, overflow_step, steps_run, theta, n_theta, n_theta_plus_k):
+    """A ``BlockRun`` of the given per-replicate values, with no recorded steps."""
+    ints = [np.array(v, dtype=np.int64) for v in (tau, overflow_step, steps_run, theta)]
+    counts = [np.array(v, dtype=float) for v in (n_theta, n_theta_plus_k)]
+    return BlockRun(*ints, *counts, steps=np.empty(0, dtype=STEP_DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +134,13 @@ def test_experiment_config_validation():
 
 
 def test_run_extinction_records_contract():
-    records = run_extinction_records(
+    run = run_extinction_records(
         EnvironmentModel(std=0.5), OffspringModel(), monogamous(1), 1000, 25, None, 42, threads=1
     )
-    assert len(records) == 25
-    assert [r.replicate_id for r in records] == list(range(25))
-    assert all(r.theta is None for r in records)
-    assert all((r.tau is None) == r.censored for r in records)
+    assert run.tau.size == 25 and run.steps.size == 0
+    assert np.all(run.theta == -1) and np.all(np.isnan(run.n_theta)) and np.all(np.isnan(run.n_theta_plus_k))
+    assert np.all(run.overflow_step == 0)
+    assert np.all(run.steps_run == np.where(run.tau < 0, default_max_steps(1000), run.tau))
 
 
 def test_replicates_independent_of_thread_count():
@@ -138,7 +148,8 @@ def test_replicates_independent_of_thread_count():
     cfg2 = small_config(threads=2)
     a = run_replicates(cfg1, 1)
     b = run_replicates(cfg2, 1)
-    assert a == b
+    names = [f.name for f in dataclasses.fields(BlockRun)]
+    assert [getattr(a, n).tobytes() for n in names] == [getattr(b, n).tobytes() for n in names]
 
 
 def test_summary_reconciles_and_serializes(tmp_path):
@@ -252,33 +263,40 @@ def test_supercritical_drift_aborts_on_excess_censoring():
 
 def test_summarize_records_empty_overflow_only():
     law = FirstPassageLaw(0.5)
-    from bbpre.stats import ReplicateRecord
-
-    recs = [
-        ReplicateRecord(0, 100, None, False, None, None, None, 3, overflow=True),
-        ReplicateRecord(1, 100, 5, False, 7, 4, 0, 12, overflow=False),
-    ]
-    row = summarize_records(recs, 100, 21, 1000, law)
+    # replicate 0 is overflow-tagged at step 3, replicate 1 died at step 5 and hit at step 7
+    run = block_run([-1, 5], [3, 0], [3, 12], [-1, 7], [np.nan, 4.0], [np.nan, 0.0])
+    row = summarize_records(run, 100, 21, 1000, law)
+    assert row.replicates == 2
     assert row.overflow_count == 1
     assert row.censored_count == 0
     assert row.ks_tau is not None
+    assert row.total_steps == 15
 
 
 def test_replicates_csv_cells(tmp_path):
-    from bbpre.stats import ReplicateRecord
-
-    recs = [ReplicateRecord(0, 100, None, True, None, None, None, 50, overflow=False)]
-    write_replicates_csv(tmp_path / "r.csv", recs)
-    lines = (tmp_path / "r.csv").read_text().splitlines()
-    assert lines[1] == "0,100,,1,,,,50"
+    # censored; observed tau and theta with a count past int64; overflow-tagged at step 3 after
+    # hitting at step 2; then a second grid point, whose replicate ids start again at 0
+    runs = {
+        100: block_run(
+            [-1, 12, -1], [0, 0, 3], [50, 12, 3], [-1, 7, 2], [np.nan, 2.0**70, 5.0], [np.nan, 0.0, np.nan]
+        ),
+        1000: block_run([4], [0], [9], [9], [0.0], [0.0]),
+    }
+    write_replicates_csv(tmp_path / "r.csv", runs)
+    assert (tmp_path / "r.csv").read_text().splitlines() == [
+        "replicate_id,N0,tau,censored_flag,theta,N_theta,N_theta_plus_k,steps_run",
+        "0,100,,1,,,,50",
+        "1,100,12,0,7,1180591620717411303424,0,12",
+        "2,100,,1,2,5,,3",
+        "0,1000,4,0,9,0,0,9",
+    ]
 
 
 def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 7)  # many chunks and a ragged last one
     off = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
-    _, steps = run_extinction_records(
-        EnvironmentModel(std=0.5), off, monogamous(1), 200, 12, None, 9, recording="full", return_trajectories=True
-    )
+    run = run_extinction_records(EnvironmentModel(std=0.5), off, monogamous(1), 200, 12, None, 9, recording="full")
+    steps = run.steps
     assert steps.size > 7 * 3
     write_trajectories_csv(tmp_path / "t.csv", steps)
     want = ["replicate_id,n,eta,F_total,M_total,N,xi,S,R"] + [
@@ -297,8 +315,7 @@ def test_recorded_steps_are_held_once():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _, steps = run_extinction_records(env, off, rule, 10_000, 40, None, 1, recording="full",
-                                          return_trajectories=True)
+        steps = run_extinction_records(env, off, rule, 10_000, 40, None, 1, recording="full").steps
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -324,7 +341,7 @@ def test_lemma_sweep_small():
         threads=1,
     )
     sweep = lemma_bound_sweep(config)
-    assert len(sweep.rows) == 4 * 15
+    assert sweep.n0_grid == (500,) and sweep.ratios.shape == (1, 4, 4, 15)
     assert sweep.r3_hard_violations == 0
     slope, se = sweep.slopes["r2_vs_n"][500]
     assert math.isfinite(slope) and math.isfinite(se)
@@ -353,4 +370,4 @@ def test_lemma_sweep_deterministic_across_threads():
     )
     a = lemma_bound_sweep(LemmaSweepConfig(threads=1, **kw))
     b = lemma_bound_sweep(LemmaSweepConfig(threads=2, **kw))
-    assert a.rows == b.rows
+    assert a.ratios.tobytes() == b.ratios.tobytes()

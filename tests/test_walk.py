@@ -70,7 +70,7 @@ def test_hitting_time_censors_on_ascent():
 def test_hitting_minimality_and_sandwich():
     rng = np.random.default_rng(17)
     spec = HittingSpec(n0=5000, beta=3.0, max_steps=20_000)
-    ln_n0 = spec.log_n0
+    ln_n0 = math.log(spec.n0)
     ln_gamma = spec.threshold + ln_n0  # ln^gamma N
     hits = 0
     for _ in range(50):
@@ -122,7 +122,8 @@ def test_theta_median_matches_first_passage_prediction():
     env = EnvironmentModel(std=0.5)
     spec = HittingSpec(n0=n0, beta=3.0)
     theta = _hitting_steps(env, spec, 1000, 9)
-    depth = spec.log_n0 - (spec.threshold + spec.log_n0)
-    predicted = (depth / (0.5 * norm.ppf(0.75))) ** 2 / spec.log2_n0
-    observed = float(np.quantile(np.where(theta > 0, theta / spec.log2_n0, np.inf), 0.5))
+    ln_n0 = math.log(spec.n0)
+    depth = ln_n0 - (spec.threshold + ln_n0)
+    predicted = (depth / (0.5 * norm.ppf(0.75))) ** 2 / ln_n0**2
+    observed = float(np.quantile(np.where(theta > 0, theta / ln_n0**2, np.inf), 0.5))
     assert abs(observed - predicted) / predicted <= 0.15
