@@ -18,7 +18,6 @@ from .model import (
     ConditionCheck,
     ConditionReport,
     ConstantMap,
-    ConstantMeanMap,
     EnvironmentModel,
     ExpMeanMap,
     MatingRule,

@@ -242,7 +242,7 @@ def _cmd_coupled(args) -> int:
         threads=args.threads,
         max_steps=args.max_steps,
     )
-    run = run_replicates(config, 0)
+    run = run_replicates(config)[0]
     if args.out:
         write_replicates_csv(args.out, {args.n0: run})
     overflow = run.overflow_step > 0

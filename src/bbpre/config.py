@@ -13,12 +13,12 @@ flags override file values):
     }
 
 Mean maps are ``scale * exp(eta + shift)`` (give ``{"constant": v}``
-for an environment-independent mean).  The monogamous capacity ``d`` is
-a positive integer or a step table
+for an environment-independent mean), with finite values.  The
+monogamous capacity ``d`` is a positive integer or a step table
 ``{"breakpoints": [...], "values": [...]}``.  ``alpha`` must satisfy
 ``1/alpha < beta`` so the derived moment order ``1 + delta`` stays
 below ``beta``; ``beta`` also sets the hitting threshold of coupled
-runs.
+runs.  Any value of the wrong type or shape is a configuration error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import ConfigurationError
 from .model import (
-    ConstantMeanMap,
+    ConstantMap,
     EnvironmentModel,
     ExpMeanMap,
     MatingRule,
@@ -93,15 +93,17 @@ def _build_mean_map(spec, default_shift: float):
     if not isinstance(spec, dict):
         raise ConfigurationError(f"mean map must be an object, got {spec!r}")
     _require_keys(spec, {"scale", "shift", "constant"}, "mean map")
-    if "constant" in spec:
-        v = float(spec["constant"])
-        if v < 0:
-            raise ConfigurationError(f"constant mean must be >= 0, got {v}")
-        return ConstantMeanMap(v)
-    scale = float(spec.get("scale", 1.0))
+    values = {key: float(v) for key, v in spec.items()}
+    if not all(map(math.isfinite, values.values())):
+        raise ConfigurationError(f"mean map values must be finite, got {spec!r}")
+    if "constant" in values:
+        if values["constant"] < 0:
+            raise ConfigurationError(f"constant mean must be >= 0, got {values['constant']}")
+        return ConstantMap(values["constant"])
+    scale = values.get("scale", 1.0)
     if scale < 0:
         raise ConfigurationError(f"mean map scale must be >= 0, got {scale}")
-    return ExpMeanMap(scale=scale, shift=float(spec.get("shift", default_shift)))
+    return ExpMeanMap(scale=scale, shift=values.get("shift", default_shift))
 
 
 def build_offspring(section: Optional[dict], preset: Optional[str] = None, alpha: float = 0.5) -> OffspringModel:
@@ -165,13 +167,19 @@ def build_model_triple(
     beta: Optional[float] = None,
     d=None,
 ) -> tuple[EnvironmentModel, OffspringModel, MatingRule]:
-    """Assemble (env, offspring, rule) from a config dict plus flag overrides."""
+    """Assemble (env, offspring, rule) from a config dict plus flag overrides.
+
+    A value of the wrong type or shape is a ``ConfigurationError``, like every other refused value.
+    """
     cfg = file_config or {}
     _require_keys(cfg, {"env", "offspring", "rule"}, "config")
-    env = build_env(cfg.get("env"), sigma_env=sigma_env)
-    rule = build_rule(cfg.get("rule"), kind=rule_kind, alpha=alpha, d=d)
-    off_section = dict(cfg.get("offspring") or {})
-    if beta is not None:
-        off_section["beta"] = beta
-    offspring = build_offspring(off_section, preset=preset, alpha=rule.alpha)
+    try:
+        env = build_env(cfg.get("env"), sigma_env=sigma_env)
+        rule = build_rule(cfg.get("rule"), kind=rule_kind, alpha=alpha, d=d)
+        off_section = dict(cfg.get("offspring") or {})
+        if beta is not None:
+            off_section["beta"] = beta
+        offspring = build_offspring(off_section, preset=preset, alpha=rule.alpha)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigurationError(f"malformed config value: {type(exc).__name__}: {exc}") from exc
     return env, offspring, rule

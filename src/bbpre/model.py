@@ -54,7 +54,6 @@ __all__ = [
     "ConstantMap",
     "TableMap",
     "ExpMeanMap",
-    "ConstantMeanMap",
     "EnvironmentModel",
     "OffspringModel",
     "MatingRule",
@@ -89,7 +88,7 @@ POISSON_EXACT_MAX = 1e12
 
 @dataclass(frozen=True)
 class ConstantMap:
-    """z -> value, ignoring z. Array-aware."""
+    """z -> value, ignoring z (a capacity, a bound or an environment-independent mean). Array-aware."""
 
     value: float
 
@@ -97,6 +96,9 @@ class ConstantMap:
         if isinstance(z, np.ndarray):
             return np.full(z.shape, self.value, dtype=float)
         return self.value
+
+    def log(self, z: np.ndarray) -> np.ndarray:
+        return np.full(z.shape, math.log(self.value) if self.value > 0.0 else -math.inf)
 
 
 @dataclass(frozen=True)
@@ -140,21 +142,6 @@ class ExpMeanMap:
         if self.scale <= 0.0:
             return np.full(eta.shape, -np.inf)
         return math.log(self.scale) + eta + self.shift
-
-
-@dataclass(frozen=True)
-class ConstantMeanMap:
-    """eta -> value, ignoring the environment."""
-
-    value: float
-
-    def __call__(self, eta):
-        if isinstance(eta, np.ndarray):
-            return np.full(eta.shape, self.value, dtype=float)
-        return self.value
-
-    def log(self, eta: np.ndarray) -> np.ndarray:
-        return np.full(eta.shape, math.log(self.value) if self.value > 0.0 else -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ first-passage reference law via one-sample Kolmogorov-Smirnov
 distances, tabulates the hitting-window survival frequencies, and
 aggregates the frozen-bundle ratio diagnostics.
 
-A sweep's result is the block engine's own: one ``simulator.BlockRun``
-per grid point, its blocks' arrays joined in replicate order, so an
-array position is the replicate index.  The summaries and the CSV
-writers read those arrays directly.
+Every replicate sweep (``run_replicates``, behind ``coupled`` and
+``experiment``, and ``run_extinction_records``, behind ``simulate``)
+runs through one function, ``_sweep``.  Its result is the block engine's
+own: one ``simulator.BlockRun`` per grid point, its blocks' arrays
+joined in replicate order, so an array position is the replicate
+index.  The summaries and the CSV writers read those arrays directly.
 
 Censoring: runs that hit the step cap are right-censored.  They are
 counted, never dropped: the empirical distribution function uses the
@@ -25,9 +27,10 @@ replicate's environment is keyed by (master seed, grid index, replicate
 index), each block's offspring draws by (master seed, grid index,
 ``OFFSPRING_BLOCK_KEY``, block index); blocks, of every grid point at
 once, are the unit of work of the worker processes, which start the
-largest blocks (step cap times replicates) first; results are merged in
+largest blocks (step cap times replicates) first; results are joined in
 (grid, block) order, so reruns and thread-count changes reproduce
-outputs byte for byte.
+outputs byte for byte.  A grid point whose replicates are all
+overflow-tagged is refused before any grid point is summarized.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ BLOCK = 1024
 CENSORING_SLACK = 0.05
 # Walk increments drawn for the Monte Carlo sigma when no analytic value exists.
 SIGMA_MC_SAMPLES = 1_000_000
+# Environment samples of an experiment's condition audit.
+AUDIT_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +165,6 @@ class ExperimentConfig:
     master_seed: int = 42
     threads: int = 1
     max_steps: Optional[int] = None
-    sigma_xi: Optional[float] = None
-    audit_samples: int = 100_000
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -212,35 +215,6 @@ def _block_task(args) -> BlockRun:
     return run
 
 
-def _block_cost(args) -> int:
-    """A ``_block_task``'s work bound: its step cap times its replicates."""
-    max_steps, start, stop = args[4], args[8], args[9]
-    return max_steps * (stop - start)
-
-
-def _block_tasks(env, offspring, rule, n0, replicates, max_steps, master_seed, grid_index, epsilon=None,
-                 recording="terminal") -> list[tuple]:
-    """Split replicates ``0 .. replicates-1`` of one grid point into ``BLOCK``-sized ``_block_task`` arguments.
-
-    Blocks are the unit of work handed to the ``threads`` worker
-    processes; the partition does not depend on ``threads``.
-    """
-    return [
-        (env, offspring, rule, n0, max_steps, master_seed, grid_index, block, start, min(start + BLOCK, replicates),
-         epsilon, recording)
-        for block, start in enumerate(range(0, replicates, BLOCK))
-    ]
-
-
-def _coupled_tasks(config: ExperimentConfig, grid_index: int) -> list[tuple]:
-    n0 = config.n_grid[grid_index]
-    max_steps = config.max_steps or default_max_steps(n0)
-    return _block_tasks(
-        config.env, config.offspring, config.rule, n0, config.replicates, max_steps, config.master_seed, grid_index,
-        epsilon=config.epsilon,
-    )
-
-
 def _joined(runs: list) -> BlockRun:
     """The ``BlockRun`` of a sweep's blocks, in block order; the blocks' runs are released from ``runs``.
 
@@ -262,27 +236,50 @@ def _joined(runs: list) -> BlockRun:
     return BlockRun(steps=steps, **joined)
 
 
-def _refuse_all_overflow(run: BlockRun, n0: int) -> None:
-    """Raise ``OverflowGuardError`` when every replicate of a grid point is overflow-tagged.
+def _sweep(env, offspring, rule, points, replicates, master_seed, threads, epsilon=None,
+           recording="terminal") -> list[BlockRun]:
+    """One ``BlockRun`` per ``(n0, max_steps)`` of ``points``, a point's position being its grid index.
 
-    Such a sweep has no usable replicate, so no statistic would be
-    computed from it.  A sweep with any usable replicate passes.
+    Every point's replicates are split into ``BLOCK``-sized blocks, all
+    handed to the workers at once (the partition does not depend on
+    ``threads``); a point's blocks are then joined in order, so array
+    position ``i`` is replicate ``i``.  ``epsilon=None`` runs the
+    extinction-only engine.  Raises ``OverflowGuardError`` when every
+    replicate of some point is overflow-tagged: such a point has no
+    usable replicate, so no statistic would be computed from it.
     """
-    if run.overflow_step.all():
-        raise OverflowGuardError(
-            f"N={n0}: all {run.overflow_step.size} replicates crossed the offspring-mean guard (overflow-tagged)"
-        )
+    starts = range(0, replicates, BLOCK)
+    tasks = [
+        (env, offspring, rule, n0, max_steps, master_seed, gi, block, start, min(start + BLOCK, replicates),
+         epsilon, recording)
+        for gi, (n0, max_steps) in enumerate(points)
+        for block, start in enumerate(starts)
+    ]
+    # a block's work bound, its step cap times its replicates, starts the largest blocks first
+    blocks = _run_chunked(tasks, _block_task, threads, lambda t: t[4] * (t[9] - t[8]))
+    runs = []
+    for n0, _ in points:
+        # _joined releases each block from the list it is given, so that list must be the blocks' only holder
+        point, blocks = blocks[: len(starts)], blocks[len(starts) :]
+        run = _joined(point)
+        if run.overflow_step.all():
+            raise OverflowGuardError(
+                f"N={n0}: all {replicates} replicates crossed the offspring-mean guard (overflow-tagged)"
+            )
+        runs.append(run)
+    return runs
 
 
-def run_replicates(config: ExperimentConfig, grid_index: int) -> BlockRun:
-    """The ``BlockRun`` of all coupled replicates of one grid point; position ``i`` is replicate ``i``.
+def run_replicates(config: ExperimentConfig) -> list[BlockRun]:
+    """The coupled sweep of ``config``: one ``BlockRun`` per grid point, position ``i`` being replicate ``i``.
 
-    A coupled sweep records no steps, so ``steps`` is empty.  Raises
-    ``OverflowGuardError`` when every replicate is overflow-tagged.
+    A coupled sweep records no steps, so each ``steps`` is empty.  Raises
+    ``OverflowGuardError`` when every replicate of some grid point is
+    overflow-tagged.
     """
-    run = _joined(_run_chunked(_coupled_tasks(config, grid_index), _block_task, config.threads, _block_cost))
-    _refuse_all_overflow(run, config.n_grid[grid_index])
-    return run
+    points = [(n0, config.max_steps or default_max_steps(n0)) for n0 in config.n_grid]
+    return _sweep(config.env, config.offspring, config.rule, points, config.replicates, config.master_seed,
+                  config.threads, config.epsilon)
 
 
 def run_extinction_records(
@@ -312,11 +309,12 @@ def run_extinction_records(
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     if master_seed < 0:
         raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
-    ms = max_steps or default_max_steps(max(n0, 3))
-    tasks = _block_tasks(env, offspring, rule, n0, replicates, ms, master_seed, 0, recording=recording)
-    run = _joined(_run_chunked(tasks, _block_task, threads, _block_cost))
-    _refuse_all_overflow(run, n0)
-    return run
+    points = [(n0, max_steps or default_max_steps(max(n0, 3)))]
+    return _sweep(env, offspring, rule, points, replicates, master_seed, threads, recording=recording)[0]
+
+
+# The summary JSON keys that differ from their SummaryRow field names.
+_SUMMARY_KEYS = {"n0": "N", "frac_n_theta_pos": "frac_N_theta_pos", "frac_n_theta_k_pos": "frac_N_theta_k_pos"}
 
 
 @dataclass
@@ -341,24 +339,7 @@ class SummaryRow:
     total_steps: int
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.n0,
-            "replicates": self.replicates,
-            "censored_count": self.censored_count,
-            "theta_censored_count": self.theta_censored_count,
-            "overflow_count": self.overflow_count,
-            "k": self.k,
-            "max_steps": self.max_steps,
-            "ks_tau": self.ks_tau,
-            "ks_theta": self.ks_theta,
-            "frac_N_theta_pos": self.frac_n_theta_pos,
-            "frac_N_theta_k_pos": self.frac_n_theta_k_pos,
-            "n_theta_observed": self.n_theta_observed,
-            "n_theta_k_observed": self.n_theta_k_observed,
-            "mean_tau_scaled": self.mean_tau_scaled,
-            "median_tau_scaled": self.median_tau_scaled,
-            "total_steps": self.total_steps,
-        }
+        return {_SUMMARY_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -411,9 +392,7 @@ def _censored_median(sorted_scaled: np.ndarray, n_total: int) -> Optional[float]
 
 
 def resolve_sigma(config: ExperimentConfig) -> tuple[float, str, Optional[float]]:
-    """The reference-law sigma: configured, analytic, or Monte Carlo."""
-    if config.sigma_xi is not None:
-        return float(config.sigma_xi), "configured", None
+    """The reference-law sigma: analytic, or Monte Carlo."""
     exact = analytic_sigma_xi(config.rule, config.env, config.offspring)
     if exact is not None:
         if exact <= 0:
@@ -497,13 +476,13 @@ def summarize_records(
 
 
 def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) -> SummaryReport:
-    """Full sweep: per-N coupled replicates, KS distances, window frequencies.
+    """Full sweep: ``run_replicates(config)``, then per-N KS distances and window frequencies.
 
     When ``out_prefix`` is given, writes ``<prefix>_replicates.csv``,
     one ``<prefix>_ecdf_tau_N<count>.csv`` per grid point, and
     ``<prefix>_summary.json``.  Raises ``OverflowGuardError``, before
-    writing anything, when every replicate of some grid point is
-    overflow-tagged.
+    summarizing any grid point or writing anything, when every
+    replicate of some grid point is overflow-tagged.
     """
     sigma, sigma_source, sigma_se = resolve_sigma(config)
     law = FirstPassageLaw(sigma)
@@ -511,22 +490,16 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         config.rule,
         config.env,
         config.offspring,
-        config.audit_samples,
+        AUDIT_SAMPLES,
         derive_stream(config.master_seed, AUDIT_STREAM_KEY),
     )
-    # every grid point's blocks go to the workers at once, merged in (grid, block) order
-    tasks = [_coupled_tasks(config, gi) for gi in range(len(config.n_grid))]
-    blocks = iter(
-        _run_chunked([t for grid_tasks in tasks for t in grid_tasks], _block_task, config.threads, _block_cost)
-    )
-    rows = []
-    runs = {}
-    for gi, n0 in enumerate(config.n_grid):
-        max_steps = config.max_steps or default_max_steps(n0)
-        k = window_steps(n0, config.epsilon)
-        run = runs[n0] = _joined(list(islice(blocks, len(tasks[gi]))))
-        _refuse_all_overflow(run, n0)
-        rows.append(summarize_records(run, n0, k, max_steps, law))
+    runs = dict(zip(config.n_grid, run_replicates(config)))
+    rows = [
+        summarize_records(
+            run, n0, window_steps(n0, config.epsilon), config.max_steps or default_max_steps(n0), law
+        )
+        for n0, run in runs.items()
+    ]
     report = SummaryReport(
         rows=rows,
         sigma=sigma,

@@ -288,10 +288,10 @@ def test_criterion_8_asexual_reduction():
 
 
 def test_criterion_9_determinism(tmp_path):
-    config = canonical_config(n_grid=(100, 1_000), replicates=100, threads=1, audit_samples=2_000)
+    config = canonical_config(n_grid=(100, 1_000), replicates=100, threads=1)
     run_experiment(config, out_prefix=tmp_path / "a")
     run_experiment(config, out_prefix=tmp_path / "b")
-    config2 = canonical_config(n_grid=(100, 1_000), replicates=100, threads=2, audit_samples=2_000)
+    config2 = canonical_config(n_grid=(100, 1_000), replicates=100, threads=2)
     run_experiment(config2, out_prefix=tmp_path / "c")
     a_sum = (tmp_path / "a_summary.json").read_bytes()
     a_csv = (tmp_path / "a_replicates.csv").read_bytes()

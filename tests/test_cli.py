@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import bbpre
 from bbpre import (
     ConfigurationError,
-    ConstantMeanMap,
+    ConstantMap,
     EnvironmentModel,
     ExperimentConfig,
     ExpMeanMap,
@@ -339,6 +340,26 @@ def test_unknown_top_level_config_keys_are_rejected(tmp_path, capsys):
         assert json.loads(stderr.strip().splitlines()[-1])["error"] == "configuration"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"env": {"mean": "x"}}',
+        '{"env": "x"}',
+        '{"offspring": {"beta": null}}',
+        '{"rule": {"d": {"values": [1]}}}',
+        '{"offspring": {"mean_f": {"shift": NaN}}}',
+        '{"offspring": {"mean_f": {"constant": NaN}, "mean_m": {"constant": 1}}}',
+    ],
+    ids=["env-mean-string", "env-string", "beta-null", "d-table-without-breakpoints", "shift-nan", "constant-nan"],
+)
+def test_malformed_config_values_are_configuration_errors(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, stdout, stderr = run_cli(capsys, "simulate", "--config", str(cfg), "--n0", "50", "--replicates", "2")
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr.strip().splitlines()[-1])["error"] == "configuration"
+
+
 def test_integer_flags_parse_exactly_or_refuse(capsys):
     for flag, value in (("--n0", "1000.9"), ("--replicates", "3.7")):
         code, _, stderr = run_cli(capsys, "simulate", flag, value)
@@ -423,6 +444,25 @@ def test_subcommands_call_the_sweeps_through_the_cli_modules_names(monkeypatch, 
     assert code == 0 and calls == [name]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["experiment", "--n-grid", "100", "--replicates", "5"], ["coupled", "--n0", "100", "--replicates", "5"]],
+    ids=["experiment", "coupled"],
+)
+def test_commands_set_every_experiment_config_field(monkeypatch, capsys, argv):
+    # a field that no command sets could be changed only from the tests
+    passed = []
+
+    def spy(**kwargs):
+        passed.append(set(kwargs))
+        return ExperimentConfig(**kwargs)
+
+    monkeypatch.setattr(cli, "ExperimentConfig", spy)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert passed == [{f.name for f in dataclasses.fields(ExperimentConfig)}]
+
+
 def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
     # the female mean jumps past the guard only where eta >= 1.25; the male mean follows eta,
     # so the walk has the positive sigma that experiment needs
@@ -439,7 +479,7 @@ def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
     assert f"censored={censored} overflow={tagged} " in stdout
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(1000,), replicates=40, master_seed=5,
                               max_steps=200)
-    run = run_replicates(config, 0)
+    run = run_replicates(config)[0]
     tagged = np.count_nonzero(run.overflow_step)
     censored = np.count_nonzero((run.tau < 0) & (run.overflow_step == 0))
     assert 0 < tagged < 40
@@ -455,7 +495,7 @@ def test_summary_lines_count_overflow_tagged_replicates(monkeypatch, capsys):
 def test_sweeps_whose_replicates_all_overflow_exit_2(tmp_path, monkeypatch, capsys):
     # a female mean of 1e301 crosses the guard at step 1 in every replicate
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    off = OffspringModel(mean_f=ConstantMeanMap(1e301), mean_m=ExpMeanMap())
+    off = OffspringModel(mean_f=ConstantMap(1e301), mean_m=ExpMeanMap())
     monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
     runs = {
         "simulate": ["simulate", "--n0", "1000", "--replicates", "30", "--seed", "5", "--recording", "full"],

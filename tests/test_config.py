@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bbpre import ConfigurationError, ConstantMeanMap, ExpMeanMap, TableMap
+from bbpre import ConfigurationError, ConstantMap, ExpMeanMap, TableMap
 from bbpre.config import build_model_triple, build_offspring, build_rule, load_config_file
 
 
@@ -24,7 +24,7 @@ def test_shifted_preset_moves_both_means():
 
 def test_constant_mean_map():
     model = build_offspring({"kind": "deterministic", "mean_f": {"constant": 1}, "mean_m": {"constant": 1}})
-    assert model.mean_f == ConstantMeanMap(1.0)
+    assert model.mean_f == ConstantMap(1.0)
 
 
 def test_capacity_table():

@@ -74,14 +74,20 @@ DIGESTS = {
 }
 
 
+# The runs that take --threads; each is pinned at one and at two worker processes.
+THREADED = ("coupled", "experiment", "lemma-sweep", "simulate-full", "simulate-sparse")
+CASES = [pytest.param(name, ["--threads", "1"] if name in THREADED else [], id=name) for name in sorted(RUNS)] + [
+    pytest.param(name, ["--threads", "2"], id=f"{name}-threads2") for name in THREADED
+]
+
+
 def digests_of(directory) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_output_digests_are_pinned(name, tmp_path, capsys):
+@pytest.mark.parametrize("name, threads", CASES)
+def test_output_digests_are_pinned(name, threads, tmp_path, capsys):
     argv = [a.format(out=tmp_path) for a in RUNS[name]]
-    threaded = name not in ("audit", "limit-law-table", "limit-law-quantiles")
-    assert main(argv + ["--threads", "1"] if threaded else argv) == 0
+    assert main(argv + threads) == 0
     capsys.readouterr()
     assert digests_of(tmp_path) == DIGESTS[name]

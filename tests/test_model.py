@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp, poisson
 
 from bbpre import (
     ConfigurationError,
-    ConstantMeanMap,
+    ConstantMap,
     DegenerateModelError,
     EnvironmentModel,
     ExpMeanMap,
@@ -139,14 +139,14 @@ def test_poisson_totals_equal_the_two_call_reference(lam):
 
 def test_deterministic_family():
     env = EnvironmentModel(std=0.5)
-    model = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.0), mean_m=ConstantMeanMap(2.0))
+    model = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.0), mean_m=ConstantMap(2.0))
     run = run_extinction_records(env, model, asexual(), 7, 3, 10, 4, recording="full")
     steps = run.steps
     assert np.all(run.tau == -1) and np.all(run.overflow_step == 0) and steps.size == 30
     assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
     cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]), 2.0)
     assert not cf.any() and not cm.any()
-    bad = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.5), mean_m=ConstantMeanMap(1.0))
+    bad = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.5), mean_m=ConstantMap(1.0))
     with pytest.raises(ConfigurationError):
         run_extinction_records(env, bad, asexual(), 3, 3, 10, 4)
 
@@ -271,7 +271,7 @@ def test_analytic_sigma_detection():
     assert analytic_sigma_xi(monogamous(1), env, OffspringModel()) == 0.4
     assert analytic_sigma_xi(asexual(), env, OffspringModel()) == 0.4
     assert analytic_sigma_xi(polygamous(), env, OffspringModel()) == 0.4
-    const = OffspringModel(mean_f=ConstantMeanMap(2.0), mean_m=ConstantMeanMap(2.0))
+    const = OffspringModel(mean_f=ConstantMap(2.0), mean_m=ConstantMap(2.0))
     assert analytic_sigma_xi(monogamous(1), env, const) is None
 
 

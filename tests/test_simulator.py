@@ -9,7 +9,7 @@ from scipy.stats import poisson
 
 from bbpre import (
     ConfigurationError,
-    ConstantMeanMap,
+    ConstantMap,
     DegenerateModelError,
     EnvironmentModel,
     ExperimentConfig,
@@ -343,7 +343,7 @@ def test_bundle_deterministic_given_seed():
 def test_noiseless_asexual_bundle_has_zero_residual_ratios():
     # F = 1 per couple deterministically: N_n = N_0 forever, R_n = 0, r3 = 1
     env = EnvironmentModel(std=0.5)
-    off = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.0), mean_m=ConstantMeanMap(1.0))
+    off = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.0), mean_m=ConstantMap(1.0))
     rule = asexual()
     table = run_frozen_bundle(rule, env, off, 50, 30, 100, derive_stream(16))
     assert np.all(table.r2 == 0.0)
@@ -362,7 +362,7 @@ def test_bundle_r3_inequality_canonical():
 
 def test_bundle_totals_past_the_exact_poisson_range_take_the_normal_approximation():
     # requested totals of 2e15 and 4e16, far above POISSON_EXACT_MAX, as in a block
-    off = OffspringModel(mean_f=ConstantMeanMap(20.0), mean_m=ConstantMeanMap(20.0))
+    off = OffspringModel(mean_f=ConstantMap(20.0), mean_m=ConstantMap(20.0))
     table = run_frozen_bundle(asexual(), EnvironmentModel(std=0.5), off, 10**14, 2, 200, derive_stream(19))
     assert np.all(np.isfinite(table.r3)) and np.all(np.abs(table.r3 - 1.0) <= 4.0 * table.r3_se)
 
@@ -441,7 +441,7 @@ def _reference_diagnostics(n0, eta, xi, S, counts, rule, offspring_model):
 def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps, reps):
     env = EnvironmentModel(std=0.5)
     dying = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
-    doubling = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(2.0), mean_m=ConstantMeanMap(1.0))
+    doubling = OffspringModel(kind="deterministic", mean_f=ConstantMap(2.0), mean_m=ConstantMap(1.0))
     # a rule with L(0, 0) = 1: an extinct replicate must still stay extinct
     revives = model.MatingRule(
         kind="custom",
@@ -496,7 +496,7 @@ def test_block_sweep_theta_is_the_whole_cap_walks_and_counts_follow_the_rules(mo
     config = ExperimentConfig(
         env=env, offspring=off, rule=rule, n_grid=(n0,), replicates=72, epsilon=2.0, master_seed=seed, max_steps=cap
     )
-    sweep = run_replicates(config, 0)
+    sweep = run_replicates(config)[0]
     k = math.floor(2.0 * math.log(n0) ** 2)
     spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
     cases = {"after_tau": 0, "past_cap": 0}
@@ -541,8 +541,8 @@ def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
     monkeypatch.setattr(stats, "BLOCK", 16)
     env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(500,), replicates=40, master_seed=8, threads=1)
-    one = run_replicates(config, 0)
-    two = run_replicates(ExperimentConfig(**{**config.__dict__, "threads": 2}), 0)
+    one = run_replicates(config)[0]
+    two = run_replicates(ExperimentConfig(**{**config.__dict__, "threads": 2}))[0]
     assert _same_runs(one, two) and one.tau.size == 40
     a = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=1, recording="sparse")
     b = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=2, recording="sparse")
@@ -558,12 +558,12 @@ def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
     # replicates that leave the window arrays (death, overflow) take only their own rows
     env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
     # the female mean jumps past the guard only where eta >= 1.25
-    overflowing = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
+    overflowing = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0))
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
     d3 = ExperimentConfig(**{**config.__dict__, "rule": monogamous(3)})
     runs = {
-        "coupled": lambda: run_replicates(config, 0),
-        "coupled_d3": lambda: run_replicates(d3, 0),
+        "coupled": lambda: run_replicates(config)[0],
+        "coupled_d3": lambda: run_replicates(d3)[0],
         "full": lambda: run_extinction_records(env, off, rule, 300, 30, None, 12, recording="full"),
         # counts around 1e12 take both branches of the Poisson/normal switch
         "full_large": lambda: run_extinction_records(env, off, rule, 5 * 10**11, 30, 60, 12, recording="full"),
@@ -603,10 +603,10 @@ def test_block_environment_streams_are_each_replicates_first_child():
 def test_block_engine_raises_the_sampling_errors(monkeypatch):
     monkeypatch.setattr(stats, "BLOCK", 16)
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    negative = OffspringModel(mean_f=ConstantMeanMap(-1.0), mean_m=ConstantMeanMap(1.0))
+    negative = OffspringModel(mean_f=ConstantMap(-1.0), mean_m=ConstantMap(1.0))
     with pytest.raises(ConfigurationError):
         run_extinction_records(env, negative, rule, 50, 20, 100, 1)
-    fractional = OffspringModel(kind="deterministic", mean_f=ConstantMeanMap(1.5), mean_m=ConstantMeanMap(1.0))
+    fractional = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.5), mean_m=ConstantMap(1.0))
     with pytest.raises(ConfigurationError):
         run_extinction_records(env, fractional, rule, 50, 20, 100, 1)
 
@@ -615,7 +615,7 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
     # the female mean jumps past the guard only where eta >= 1.25
     monkeypatch.setattr(stats, "BLOCK", 16)
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0))
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0))
     cap, seed, reps = 200, 5, 40
     run = run_extinction_records(env, off, rule, 1000, reps, cap, seed, recording="full")
     rows = np.bincount(run.steps["replicate_id"], minlength=reps)
@@ -638,7 +638,7 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
 BLOCK_SETUPS = {
     "canonical": (OffspringModel(), 500, None, 8),
     # the female mean jumps past the guard only where eta >= 1.25, tagging replicates mid-run
-    "overflow": (OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMeanMap(1.0)), 1000, 200, 5),
+    "overflow": (OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0)), 1000, 200, 5),
 }
 
 
@@ -726,10 +726,10 @@ def test_coupled_records_do_not_depend_on_the_scan_round(monkeypatch):
     env, off, rule = canonical()
     config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
     d3 = ExperimentConfig(**{**config.__dict__, "rule": monogamous(3)})
-    wide = [run_replicates(config, 0), run_replicates(d3, 0)]
+    wide = [run_replicates(config)[0], run_replicates(d3)[0]]
     assert np.any(wide[0].theta < 0) and np.any(wide[0].theta >= 0)
     monkeypatch.setattr(simulator, "SCAN_CELLS", 7)
-    assert [_outcomes(run_replicates(config, 0)), _outcomes(run_replicates(d3, 0))] == [_outcomes(r) for r in wide]
+    assert [_outcomes(run_replicates(config)[0]), _outcomes(run_replicates(d3)[0])] == [_outcomes(r) for r in wide]
 
 
 def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
@@ -737,7 +737,7 @@ def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
     # and vanishes from eta = 1.5 on (xi = -inf); stream 1 starts below -0.25
     # and first reaches 1.5 at step 156
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    off = OffspringModel(mean_f=TableMap((-0.25, 1.5), (0.5, 1.0, 0.0)), mean_m=ConstantMeanMap(1.0))
+    off = OffspringModel(mean_f=TableMap((-0.25, 1.5), (0.5, 1.0, 0.0)), mean_m=ConstantMap(1.0))
     spec = HittingSpec(n0=3, beta=off.beta, max_steps=2000)
     eta = env.sample(derive_stream(1).spawn(2)[0], size=2000)
     assert eta[0] < -0.25 and np.argmax(eta >= 1.5) == 155

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ def small_config(**kw):
         epsilon=1.0,
         master_seed=42,
         threads=1,
-        audit_samples=2_000,
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -146,8 +146,8 @@ def test_run_extinction_records_contract():
 def test_replicates_independent_of_thread_count():
     cfg1 = small_config(threads=1)
     cfg2 = small_config(threads=2)
-    a = run_replicates(cfg1, 1)
-    b = run_replicates(cfg2, 1)
+    a = run_replicates(cfg1)[1]
+    b = run_replicates(cfg2)[1]
     names = [f.name for f in dataclasses.fields(BlockRun)]
     assert [getattr(a, n).tobytes() for n in names] == [getattr(b, n).tobytes() for n in names]
 
@@ -254,8 +254,6 @@ def test_supercritical_drift_aborts_on_excess_censoring():
         n_grid=(100,),
         replicates=20,
         max_steps=500,
-        sigma_xi=0.5,
-        audit_samples=500,
     )
     with pytest.raises(ExcessCensoringError):
         run_experiment(config)
@@ -321,6 +319,31 @@ def test_recorded_steps_are_held_once():
         tracemalloc.stop()
     assert steps.nbytes > 4 * 2**20
     assert peak < 1.5 * steps.nbytes + 2**20
+
+
+def test_joined_blocks_are_released_once_copied(monkeypatch):
+    # 40 replicates in blocks of 16 under full recording: three blocks, whose
+    # runs must not outlive their copy into the joined steps array
+    monkeypatch.setattr(stats, "BLOCK", 16)
+    block_task, joined = stats._block_task, stats._joined
+    refs, dead_after_join = [], []
+
+    def tracked_block(args):
+        run = block_task(args)
+        refs.append(weakref.ref(run))
+        return run
+
+    def checked_join(runs):
+        run = joined(runs)
+        dead_after_join.append([ref() is None for ref in refs])
+        return run
+
+    monkeypatch.setattr(stats, "_block_task", tracked_block)
+    monkeypatch.setattr(stats, "_joined", checked_join)
+    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), polygamous()
+    run = run_extinction_records(env, off, rule, 1000, 40, None, 1, recording="full")
+    assert run.tau.size == 40 and run.steps.size > 0
+    assert dead_after_join == [[True, True, True]]
 
 
 # ---------------------------------------------------------------------------
