@@ -10,7 +10,6 @@ stderr: ``{"error": "configuration"|"runtime", "message": "..."}``.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MODEL_PRESETS, build_model_triple, load_config_file
+from .config import MODEL_PRESETS, build_model_triple, load_config_file, read_int, read_real
 from .errors import BbpreError, ConfigurationError
 from .limit_law import FirstPassageLaw
 from .model import audit_conditions
@@ -46,68 +45,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _exact_int(text: str) -> int:
-    """The integer ``text`` spells exactly (``1000``, ``1e3``, ``1e32``); ValueError for any other value.
-
-    Parsed as a decimal, never through float, so large powers of ten stay
-    exact; fractions and values past the float64 range (the sweep's
-    count type) are refused.
-    """
-    try:
-        v = decimal.Decimal(text)
-    except decimal.InvalidOperation:
-        raise ValueError(f"not a number: {text!r}") from None
-    if not (math.isfinite(float(v)) and v == v.to_integral_value()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(v)
+def _int_flag(flag: str, minimum: int = 1):
+    return lambda text: read_int(text, flag, minimum)
 
 
-def _positive_int(flag: str, minimum: int = 1):
-    def parse(text: str) -> int:
-        try:
-            v = _exact_int(text)
-        except ValueError:
-            raise ConfigurationError(f"{flag} expects an integer >= {minimum}, got {text!r}")
-        if v < minimum:
-            raise ConfigurationError(f"{flag} expects an integer >= {minimum}, got {text!r}")
-        return v
-
-    return parse
-
-
-def _positive_float(flag: str, minimum: float = 0.0, inclusive: bool = False):
-    def parse(text: str) -> float:
-        try:
-            v = float(text)
-        except ValueError:
-            raise ConfigurationError(f"{flag} expects a real > {minimum}, got {text!r}")
-        ok = v >= minimum if inclusive else v > minimum
-        if not (math.isfinite(v) and ok):
-            cmp = ">=" if inclusive else ">"
-            raise ConfigurationError(f"{flag} expects a finite real {cmp} {minimum}, got {text!r}")
-        return v
-
-    return parse
+def _real_flag(flag: str, low: float = 0.0, high: float = math.inf, low_closed: bool = False):
+    return lambda text: read_real(text, flag, low, high, low_closed=low_closed)
 
 
 def _parse_grid(text: str) -> tuple:
-    try:
-        return tuple(_exact_int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"--n-grid expects comma-separated counts, got {text!r}")
+    return tuple(read_int(p, "--n-grid", 3) for p in text.split(","))
 
 
 def _parse_table(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"--table expects start:stop:count, got {text!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), _exact_int(parts[2])
-    except ValueError:
-        raise ConfigurationError(f"--table expects start:stop:count, got {text!r}")
-    if not (start > 0 and stop > start and count >= 2):
-        raise ConfigurationError(f"--table needs 0 < start < stop and count >= 2, got {text!r}")
-    return np.linspace(start, stop, count)
+    start = read_real(parts[0], "--table start", 0.0)
+    stop = read_real(parts[1], "--table stop", start)
+    return np.linspace(start, stop, read_int(parts[2], "--table count", 2))
+
+
+def _parse_quantiles(text: str) -> tuple:
+    return tuple(read_real(q, "--quantiles", 0.0, 1.0) for q in text.split(","))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -115,29 +75,29 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="offspring preset: canonical (critical) or shifted (+0.1 drift)")
     p.add_argument("--rule", choices=["monogamous", "polygamous", "asexual"], default=None,
                    help="mating rule (default: monogamous or the config file value)")
-    p.add_argument("--sigma-env", type=_positive_float("--sigma-env", 0.0, inclusive=True), default=None,
+    p.add_argument("--sigma-env", type=_real_flag("--sigma-env", low_closed=True), default=None,
                    help="environment std-dev, >= 0 (default 0.5)")
-    p.add_argument("--alpha", type=_positive_float("--alpha"), default=None,
+    p.add_argument("--alpha", type=_real_flag("--alpha", high=1.0), default=None,
                    help="residual exponent in (0, 1), must satisfy 1/alpha < beta (default 0.5)")
-    p.add_argument("--beta", type=_positive_float("--beta", 1.0), default=None,
+    p.add_argument("--beta", type=_real_flag("--beta", 1.0), default=None,
                    help="moment parameter > 1; sets the hitting threshold exponent 2/(1+beta) (default 3)")
-    p.add_argument("--d", type=_positive_int("--d"), default=None,
+    p.add_argument("--d", type=_int_flag("--d"), default=None,
                    help="monogamous pairing capacity, positive integer (default 1)")
     p.add_argument("--config", type=Path, default=None, help="JSON config file; flags override its values")
 
 
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_positive_int("--seed", 0), default=42,
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=42,
                    help="master seed, non-negative integer; fixes all outputs (default 42)")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, replicates_default: int) -> None:
-    p.add_argument("--replicates", type=_positive_int("--replicates"), default=replicates_default,
+    p.add_argument("--replicates", type=_int_flag("--replicates"), default=replicates_default,
                    help=f"replicate count >= 1 (default {replicates_default})")
     _add_seed_flag(p)
-    p.add_argument("--threads", type=_positive_int("--threads"), default=1,
+    p.add_argument("--threads", type=_int_flag("--threads"), default=1,
                    help="worker process cap >= 1; does not change results (default 1)")
-    p.add_argument("--max-steps", type=_positive_int("--max-steps"), default=None,
+    p.add_argument("--max-steps", type=_int_flag("--max-steps"), default=None,
                    help="censoring cap in steps (default: ceil(50 ln^2 N))")
     p.add_argument("--out", type=Path, default=None, help="output path (CSV) or prefix (experiment)")
 
@@ -149,20 +109,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="extinction-time replicates for one initial count")
     _add_model_flags(p)
     _add_run_flags(p, 1000)
-    p.add_argument("--n0", type=_positive_int("--n0"), default=100_000, help="initial couple count >= 1")
+    p.add_argument("--n0", type=_int_flag("--n0"), default=100_000, help="initial couple count >= 1")
     p.add_argument("--recording", choices=RECORDING_MODES, default="terminal",
                    help="trajectory recording mode (default terminal)")
 
     p = sub.add_parser("coupled", help="process and walk on one environment sequence per replicate")
     _add_model_flags(p)
     _add_run_flags(p, 1000)
-    p.add_argument("--n0", type=_positive_int("--n0", 3), default=100_000, help="initial couple count >= 3")
-    p.add_argument("--epsilon", type=_positive_float("--epsilon"), default=1.0,
+    p.add_argument("--n0", type=_int_flag("--n0", 3), default=100_000, help="initial couple count >= 3")
+    p.add_argument("--epsilon", type=_real_flag("--epsilon"), default=1.0,
                    help="window scale: k = floor(epsilon ln^2 N) (default 1.0)")
 
     p = sub.add_parser("audit", help="run the condition checks and moment audits")
     _add_model_flags(p)
-    p.add_argument("--replicates", type=_positive_int("--replicates", 100), default=100_000,
+    p.add_argument("--replicates", type=_int_flag("--replicates", 100), default=100_000,
                    help="Monte Carlo sample count >= 100 (default 100000)")
     _add_seed_flag(p)
     p.add_argument("--out", type=Path, default=None, help="write the full report as JSON")
@@ -172,25 +132,25 @@ def build_parser() -> _Parser:
     _add_run_flags(p, 2000)
     p.add_argument("--n-grid", type=_parse_grid, default=(1000, 100_000, 100_000_000),
                    help="comma-separated strictly increasing counts >= 3 (default 1000,100000,100000000)")
-    p.add_argument("--epsilon", type=_positive_float("--epsilon"), default=1.0)
+    p.add_argument("--epsilon", type=_real_flag("--epsilon"), default=1.0)
 
     p = sub.add_parser("limit-law", help="tabulate the reference law to CSV")
-    p.add_argument("--sigma", type=_positive_float("--sigma"), default=1.0,
+    p.add_argument("--sigma", type=_real_flag("--sigma"), default=1.0,
                    help="scale parameter > 0 (std of one walk increment)")
     p.add_argument("--table", type=_parse_table, default=None, help="t grid start:stop:count (t > 0)")
-    p.add_argument("--quantiles", type=str, default=None, help="comma-separated levels in (0,1)")
+    p.add_argument("--quantiles", type=_parse_quantiles, default=None, help="comma-separated levels in (0,1)")
     p.add_argument("--out", type=Path, default=None, help="CSV output path (default: stdout)")
 
     p = sub.add_parser("lemma-sweep", help="frozen-bundle ratio diagnostics and slope fits")
     _add_model_flags(p)
-    p.add_argument("--n0", type=_positive_int("--n0"), default=10_000)
-    p.add_argument("--paths", type=_positive_int("--paths"), default=20, help="frozen environment paths (default 20)")
-    p.add_argument("--replicates", type=_positive_int("--replicates", 2), default=10_000,
+    p.add_argument("--n0", type=_int_flag("--n0"), default=10_000)
+    p.add_argument("--paths", type=_int_flag("--paths"), default=20, help="frozen environment paths (default 20)")
+    p.add_argument("--replicates", type=_int_flag("--replicates", 2), default=10_000,
                    help="offspring randomizations per path (default 10000)")
-    p.add_argument("--max-steps", type=_positive_int("--max-steps"), default=50,
+    p.add_argument("--max-steps", type=_int_flag("--max-steps"), default=50,
                    help="per-path step horizon (default 50)")
     _add_seed_flag(p)
-    p.add_argument("--threads", type=_positive_int("--threads"), default=1)
+    p.add_argument("--threads", type=_int_flag("--threads"), default=1)
     p.add_argument("--out", type=Path, default=None, help="ratio table CSV path")
 
     return parser
@@ -311,14 +271,8 @@ def _cmd_limit_law(args) -> int:
     law = FirstPassageLaw(args.sigma)
     lines = []
     if args.quantiles:
-        try:
-            qs = [float(q) for q in args.quantiles.split(",")]
-        except ValueError:
-            qs = None
-        if qs is None or not all(0.0 < q < 1.0 for q in qs):
-            raise ConfigurationError(f"--quantiles expects comma-separated reals in (0,1), got {args.quantiles!r}")
         lines.append("q,quantile")
-        for q in qs:
+        for q in args.quantiles:
             lines.append(f"{q!r},{law.quantile(q)!r}")
     else:
         grid = args.table if args.table is not None else np.linspace(0.1, 10.0, 100)

@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import read_int, read_real
 from .errors import ConfigurationError, ExcessCensoringError, OverflowGuardError
 from .limit_law import FirstPassageLaw
 from .model import (
@@ -167,18 +168,24 @@ class ExperimentConfig:
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        if not grid or any(n < 3 for n in grid) or list(grid) != sorted(set(grid)):
-            raise ConfigurationError(f"n_grid entries must be >= 3 and strictly increasing, got {self.n_grid}")
-        if self.replicates < 1:
-            raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        read = {
+            "n_grid": _read_grid(self.n_grid, "n_grid", 3),
+            "replicates": read_int(self.replicates, "replicates", 1),
+            "epsilon": read_real(self.epsilon, "epsilon", 0.0),
+            "master_seed": read_int(self.master_seed, "master_seed", 0),
+            "threads": read_int(self.threads, "threads", 1),
+            "max_steps": None if self.max_steps is None else read_int(self.max_steps, "max_steps", 1),
+        }
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
+
+
+def _read_grid(grid, where: str, minimum: int) -> tuple:
+    """``grid`` as a nonempty, strictly increasing tuple of integers ``>= minimum``."""
+    read = tuple(read_int(n, where, minimum) for n in grid)
+    if not read or list(read) != sorted(set(read)):
+        raise ConfigurationError(f"{where} entries must be >= {minimum} and strictly increasing, got {grid}")
+    return read
 
 
 def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
@@ -277,7 +284,7 @@ def run_replicates(config: ExperimentConfig) -> list[BlockRun]:
     ``OverflowGuardError`` when every replicate of some grid point is
     overflow-tagged.
     """
-    points = [(n0, config.max_steps or default_max_steps(n0)) for n0 in config.n_grid]
+    points = [(n0, default_max_steps(n0) if config.max_steps is None else config.max_steps) for n0 in config.n_grid]
     return _sweep(config.env, config.offspring, config.rule, points, config.replicates, config.master_seed,
                   config.threads, config.epsilon)
 
@@ -303,14 +310,10 @@ def run_extinction_records(
     are held once; several blocks' steps are copied into one array.
     Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
     """
-    if replicates < 1:
-        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    if master_seed < 0:
-        raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
-    points = [(n0, max_steps or default_max_steps(max(n0, 3)))]
-    return _sweep(env, offspring, rule, points, replicates, master_seed, threads, recording=recording)[0]
+    n0, replicates = read_int(n0, "n0", 1), read_int(replicates, "replicates", 1)
+    master_seed, threads = read_int(master_seed, "master_seed", 0), read_int(threads, "threads", 1)
+    cap = default_max_steps(max(n0, 3)) if max_steps is None else read_int(max_steps, "max_steps", 1)
+    return _sweep(env, offspring, rule, [(n0, cap)], replicates, master_seed, threads, recording=recording)[0]
 
 
 # The summary JSON keys that differ from their SummaryRow field names.
@@ -495,9 +498,8 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
     )
     runs = dict(zip(config.n_grid, run_replicates(config)))
     rows = [
-        summarize_records(
-            run, n0, window_steps(n0, config.epsilon), config.max_steps or default_max_steps(n0), law
-        )
+        summarize_records(run, n0, window_steps(n0, config.epsilon),
+                          default_max_steps(n0) if config.max_steps is None else config.max_steps, law)
         for n0, run in runs.items()
     ]
     report = SummaryReport(
@@ -627,14 +629,16 @@ class LemmaSweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n0_grid)
-        object.__setattr__(self, "n0_grid", grid)
-        if not grid or any(n < 1 for n in grid) or list(grid) != sorted(set(grid)):
-            raise ConfigurationError(f"n0_grid entries must be >= 1 and strictly increasing, got {self.n0_grid}")
-        if self.paths < 1 or self.replicates < 2 or self.steps < 1:
-            raise ConfigurationError("sweep needs paths >= 1, replicates >= 2, steps >= 1")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        read = {
+            "n0_grid": _read_grid(self.n0_grid, "n0_grid", 1),
+            "paths": read_int(self.paths, "paths", 1),
+            "replicates": read_int(self.replicates, "replicates", 2),
+            "steps": read_int(self.steps, "steps", 1),
+            "master_seed": read_int(self.master_seed, "master_seed", 0),
+            "threads": read_int(self.threads, "threads", 1),
+        }
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass

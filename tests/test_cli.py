@@ -151,9 +151,10 @@ def test_bad_flag_value_names_the_flag(capsys):
     assert "--n0" in payload["message"]
     code, _, stderr = run_cli(capsys, "experiment", "--n-grid", "10,5")
     assert code == 1
-    code, _, stderr = run_cli(capsys, "limit-law", "--table", "5:1:10")
-    assert code == 1
-    assert "--table" in json.loads(stderr.strip().splitlines()[-1])["message"]
+    for table in ("5:1:10", "1:1e400:3", "inf:5:3", "nan:5:3"):
+        code, stdout, stderr = run_cli(capsys, "limit-law", "--table", table)
+        assert code == 1 and stdout == ""
+        assert "--table" in json.loads(stderr.strip().splitlines()[-1])["message"]
 
 
 def test_help_lists_flags_for_every_subcommand(capsys):
@@ -349,8 +350,16 @@ def test_unknown_top_level_config_keys_are_rejected(tmp_path, capsys):
         '{"rule": {"d": {"values": [1]}}}',
         '{"offspring": {"mean_f": {"shift": NaN}}}',
         '{"offspring": {"mean_f": {"constant": NaN}, "mean_m": {"constant": 1}}}',
+        '{"env": {"std": true}}',
+        '{"rule": {"d": true}}',
+        '{"offspring": {"beta": 1e400}}',
+        '{"rule": {"d": {"breakpoints": [NaN], "values": [1, 2]}}}',
+        '{"rule": {"d": {"breakpoints": [0], "values": [1.5, 2]}}}',
+        '{"rule": {"d": 1e400}}',
+        '{"rule": {"d": 1' + "0" * 400 + '}}',
     ],
-    ids=["env-mean-string", "env-string", "beta-null", "d-table-without-breakpoints", "shift-nan", "constant-nan"],
+    ids=["env-mean-string", "env-string", "beta-null", "d-table-without-breakpoints", "shift-nan", "constant-nan",
+         "std-true", "d-true", "beta-overflow", "breakpoint-nan", "d-table-fraction", "d-overflow", "d-400-digits"],
 )
 def test_malformed_config_values_are_configuration_errors(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

@@ -131,6 +131,15 @@ def test_experiment_config_validation():
         small_config(replicates=0)
     with pytest.raises(ConfigurationError):
         small_config(epsilon=0.0)
+    for field, bad in (("epsilon", math.nan), ("epsilon", math.inf), ("max_steps", 0), ("replicates", True)):
+        with pytest.raises(ConfigurationError, match=field):
+            small_config(**{field: bad})
+    model = dict(env=EnvironmentModel(std=0.5), offspring=OffspringModel(), rule=monogamous(1))
+    for threads in (0, -3):
+        with pytest.raises(ConfigurationError, match="threads"):
+            LemmaSweepConfig(threads=threads, **model)
+    with pytest.raises(ConfigurationError, match="max_steps"):
+        run_extinction_records(n0=100, replicates=3, max_steps=0, master_seed=1, **model)
 
 
 def test_run_extinction_records_contract():
