@@ -589,24 +589,53 @@ def write_replicates_csv(path: Path, runs: dict) -> None:
 
 
 def write_ecdf_csv(path: Path, sorted_scaled: np.ndarray, n_total: int, law: FirstPassageLaw) -> None:
-    lines = ["t,F_empirical,F_chi"]
-    f_law = np.asarray(law.cdf(sorted_scaled), dtype=float)
-    for i, t in enumerate(sorted_scaled, start=1):
-        lines.append(f"{t!r},{i / n_total!r},{float(f_law[i - 1])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per sorted scaled time ``t``: the censored ECDF ``i / n_total`` and the law's CDF at ``t``."""
+    f_law = np.asarray(law.cdf(sorted_scaled), dtype=float).tolist()
+    rows = (
+        f"{t!r},{i / n_total!r},{f!r}"
+        for i, (t, f) in enumerate(zip(sorted_scaled.tolist(), f_law), start=1)
+    )
+    _write_lines(path, "t,F_empirical,F_chi", rows)
 
 
 TRAJECTORY_COLUMNS = STEP_DTYPE.names
 
 
+def _trajectory_rows(steps: np.ndarray):
+    """The CSV rows of ``steps``, formatted a ``CSV_CHUNK_ROWS`` chunk and one column at a time."""
+    for first in range(0, steps.size, CSV_CHUNK_ROWS):
+        chunk = steps[first : first + CSV_CHUNK_ROWS]
+        eta = list(map(repr, chunk["eta"].tolist()))
+        # xi is eta itself under the canonical mean maps: compare bits, so -0.0 and 0.0 stay apart
+        same = np.array_equal(chunk["xi"].view(np.int64), chunk["eta"].view(np.int64))
+        xi = eta if same else map(repr, chunk["xi"].tolist())
+        counts = (map(int, chunk[name].tolist()) for name in ("F_total", "M_total", "N"))
+        yield from (
+            f"{rep_id},{n},{e},{f},{m},{c},{x},{s},{r}"
+            for rep_id, n, e, f, m, c, x, s, r in zip(
+                chunk["replicate_id"].tolist(),
+                chunk["n"].tolist(),
+                eta,
+                *counts,
+                xi,
+                map(repr, chunk["S"].tolist()),
+                map(repr, chunk["R"].tolist()),
+            )
+        )
+
+
 def write_trajectories_csv(path: Path, steps: np.ndarray) -> None:
-    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as integers."""
-    rows = (
-        f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
-        for first in range(0, steps.size, CSV_CHUNK_ROWS)
-        for rep_id, n, eta, f, m, c, xi, s, r in steps[first : first + CSV_CHUNK_ROWS].tolist()
-    )
-    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), rows)
+    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as exact integers.
+
+    Each ``CSV_CHUNK_ROWS`` chunk is formatted column by column: one
+    ``tolist()`` per field, ``repr`` over the float columns and ``int``
+    over the counts, so a count past 2**63 keeps its exact integer text.
+    Where a chunk's ``xi`` has the same bits as its ``eta`` (every row
+    under the canonical mean maps) the ``eta`` text is written for both,
+    so each recorded float is formatted once.  Only one chunk's text is
+    held at a time.
+    """
+    _write_lines(path, ",".join(TRAJECTORY_COLUMNS), _trajectory_rows(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ RUNS = {
         "simulate", "--rule", "polygamous", "--n0", "200", "--replicates", "20", "--recording", "full",
         "--seed", "9", "--out", "{out}/full.csv",
     ],
+    # the shifted preset's xi is eta + 0.1, never eta's bits: the trajectory writer formats both columns
+    "simulate-shifted": [
+        "simulate", "--model", "shifted", "--rule", "polygamous", "--n0", "200", "--replicates", "5",
+        "--max-steps", "60", "--recording", "full", "--seed", "9", "--out", "{out}/shifted.csv",
+    ],
     "simulate-sparse": [
         "simulate", "--n0", "500", "--replicates", "20", "--recording", "sparse", "--seed", "4",
         "--out", "{out}/sparse.csv",
@@ -43,8 +48,8 @@ RUNS = {
 
 DIGESTS = {
     "experiment": {
-        "exp_ecdf_tau_N100.csv": "f7bd43ae01e632bfae21a1e1bd5721daf50be41e932e0f4b489c6ec4741190fa",
-        "exp_ecdf_tau_N1000.csv": "2981b98b24a503ca1a4b8662ebcac376f96ea95a61b933022ae60d2732ea648d",
+        "exp_ecdf_tau_N100.csv": "f844743eb9348fe6736da65196437f5ca1309b8c29b6b6e0d8e72c0a9a5284df",
+        "exp_ecdf_tau_N1000.csv": "1f081e8722ae3beb7f8ea4ad5b05c72b9537b478d766080947d1561bcc314a52",
         "exp_replicates.csv": "24cdc2626bbca5f86383acbbdf02683ee271531f69173b44453a37fcb18cd0d3",
         "exp_summary.json": "f67ae2ba3823d468a86b259b7d641c5a31779fe56c28f25119514d440d75190e",
     },
@@ -54,6 +59,10 @@ DIGESTS = {
     "simulate-full": {
         "full.csv": "fc72fbcfe187aa12fe27cee7d5c0b3fd799fc43c4197b5f8d8c2cb0be8e29463",
         "full_trajectories.csv": "e1a3bcf7e14e90e24abba39b1238a9dca2cd5f0604ebdedfb0bb21daccdfb1f3",
+    },
+    "simulate-shifted": {
+        "shifted.csv": "f54846acc6748a19946cb922adfea7dcd9aab5ca837120a74d47f098ede2e518",
+        "shifted_trajectories.csv": "26060671987ff207e519f4924c425523e3a0b02e43caf2cfdf0f9032d07bfcc7",
     },
     "simulate-sparse": {
         "sparse.csv": "2cc2d1afc6f6735af9eb521dbb2418a39f113d05e4996fabe86888fe8f327cac",
@@ -75,7 +84,7 @@ DIGESTS = {
 
 
 # The runs that take --threads; each is pinned at one and at two worker processes.
-THREADED = ("coupled", "experiment", "lemma-sweep", "simulate-full", "simulate-sparse")
+THREADED = ("coupled", "experiment", "lemma-sweep", "simulate-full", "simulate-shifted", "simulate-sparse")
 CASES = [pytest.param(name, ["--threads", "1"] if name in THREADED else [], id=name) for name in sorted(RUNS)] + [
     pytest.param(name, ["--threads", "2"], id=f"{name}-threads2") for name in THREADED
 ]

@@ -207,6 +207,19 @@ def test_experiment_outputs_are_deterministic(tmp_path):
     assert ra == (tmp_path / "c_replicates.csv").read_bytes()
 
 
+def test_ecdf_files_hold_plain_numbers(tmp_path):
+    run_experiment(small_config(), out_prefix=tmp_path / "exp")
+    files = sorted(tmp_path.glob("exp_ecdf_tau_N*.csv"))
+    assert [p.name for p in files] == ["exp_ecdf_tau_N100.csv", "exp_ecdf_tau_N1000.csv"]
+    for path in files:
+        header, *rows = path.read_text().splitlines()
+        assert header == "t,F_empirical,F_chi" and rows
+        cells = [[float(cell) for cell in row.split(",")] for row in rows]
+        assert all(len(row) == 3 for row in cells)
+        t = [row[0] for row in cells]
+        assert t == sorted(t)
+
+
 def test_experiment_hands_every_grid_points_blocks_to_the_workers_at_once(tmp_path, monkeypatch):
     # 40 replicates in blocks of 16: three blocks per grid point, the last one ragged
     monkeypatch.setattr(stats, "BLOCK", 16)
@@ -311,6 +324,85 @@ def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch):
         for rep_id, n, eta, f, m, c, xi, s, r in steps.tolist()
     ]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
+def plain_trajectory_csv(steps) -> str:
+    """The trajectory CSV of ``steps`` formatted row by row: the writer's oracle."""
+    rows = ["replicate_id,n,eta,F_total,M_total,N,xi,S,R"] + [
+        f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
+        for rep_id, n, eta, f, m, c, xi, s, r in steps.tolist()
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def test_trajectory_writer_edge_cases(tmp_path, monkeypatch):
+    monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 3)
+    # chunk 1: xi is eta's bits except that eta is -0.0 where xi is 0.0; chunk 2: xi equals eta;
+    # chunk 3: one bit-equal xi among unequal ones; chunk 4: a ragged single row
+    rows = [
+        (0, 1, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0),
+        (0, 2, 0.25, 2.0**53 + 2, 2.0**70, 1e300, 0.25, 0.25, 1.5),
+        (0, 3, 1e-300, 1.0, 2.0, 1.0, 1e-300, 0.25, -2.5),
+        (1, 1, -1.5, 3.0, 4.0, 3.0, -1.5, -1.5, 0.1),
+        (1, 2, 2.5, 5.0, 6.0, 5.0, 2.5, 1.0, 0.2),
+        (1, 3, 0.1, 7.0, 8.0, 7.0, 0.1, 1.1, 0.3),
+        (2, 1, 0.5, 9.0, 9.0, 9.0, 0.6, 0.6, 0.4),
+        (2, 2, 0.7, 1.0, 1.0, 1.0, 0.7, 1.3, 0.5),
+        (2, 3, -0.7, 0.0, 0.0, 0.0, 0.7, 2.0, 0.6),
+        (3, 1, 1.0, 1e17, 2.0, 1.0, 2.0, 2.0, 0.7),
+    ]
+    steps = np.array(rows, dtype=STEP_DTYPE)
+    write_trajectories_csv(tmp_path / "t.csv", steps)
+    text = (tmp_path / "t.csv").read_text()
+    assert text == plain_trajectory_csv(steps)
+    lines = text.splitlines()
+    assert lines[1] == "0,1,-0.0,0,0,0,0.0,0.0,-0.0"
+    # 1e300 is written as the exact integer value of its float, all 301 digits
+    assert lines[2] == f"0,2,0.25,9007199254740994,1180591620717411303424,{int(1e300)},0.25,0.25,1.5"
+    assert lines[10] == "3,1,1.0,100000000000000000,2,1,2.0,2.0,0.7"
+
+    write_trajectories_csv(tmp_path / "empty.csv", np.empty(0, dtype=STEP_DTYPE))
+    assert (tmp_path / "empty.csv").read_text() == "replicate_id,n,eta,F_total,M_total,N,xi,S,R\n"
+
+
+def test_trajectory_writer_canonical_recording(tmp_path, monkeypatch):
+    monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 7)
+    run = run_extinction_records(EnvironmentModel(std=0.5), OffspringModel(), polygamous(), 200, 12, None, 9,
+                                 recording="full")
+    steps = run.steps
+    assert steps.size > 7 * 3
+    # the canonical mean maps make xi eta itself, so every chunk writes eta's text for both
+    assert steps["xi"].tobytes() == steps["eta"].tobytes()
+    write_trajectories_csv(tmp_path / "t.csv", steps)
+    assert (tmp_path / "t.csv").read_text() == plain_trajectory_csv(steps)
+
+
+def test_trajectory_writer_streams_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # 50,000 rows in chunks of 256.  Measured traced peaks of the write
+    # (numpy 2.4, CPython 3.11): 0.17 MiB for this writer, 1.7 MiB for one
+    # that calls steps["eta"].tolist() on the whole array (one float
+    # object and one list slot per row), and 5.2 MiB for one that also
+    # formats that whole column before writing.
+    monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 256)
+    rng = np.random.default_rng(4)
+    steps = np.zeros(50_000, dtype=STEP_DTYPE)
+    steps["replicate_id"] = np.arange(steps.size) // 500
+    steps["n"] = np.arange(steps.size) % 500 + 1
+    for name in ("eta", "S", "R"):
+        steps[name] = rng.standard_normal(steps.size)
+    steps["xi"] = steps["eta"]
+    for name in ("F_total", "M_total", "N"):
+        steps[name] = rng.integers(0, 10**6, steps.size)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_trajectories_csv(tmp_path / "t.csv", steps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "t.csv").read_text().count("\n") == steps.size + 1
 
 
 def test_recorded_steps_are_held_once():
