@@ -189,20 +189,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_coupled(args) -> int:
+def _experiment_config(args, n_grid) -> ExperimentConfig:
     env, offspring, rule = _models_from_args(args)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         env=env,
         offspring=offspring,
         rule=rule,
-        n_grid=(args.n0,),
+        n_grid=n_grid,
         replicates=args.replicates,
         epsilon=args.epsilon,
         master_seed=args.seed,
         threads=args.threads,
         max_steps=args.max_steps,
     )
-    run = run_replicates(config)[0]
+
+
+def _cmd_coupled(args) -> int:
+    run = run_replicates(_experiment_config(args, (args.n0,)))[0]
     if args.out:
         write_replicates_csv(args.out, {args.n0: run})
     overflow = run.overflow_step > 0
@@ -237,18 +240,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    env, offspring, rule = _models_from_args(args)
-    config = ExperimentConfig(
-        env=env,
-        offspring=offspring,
-        rule=rule,
-        n_grid=args.n_grid,
-        replicates=args.replicates,
-        epsilon=args.epsilon,
-        master_seed=args.seed,
-        threads=args.threads,
-        max_steps=args.max_steps,
-    )
+    config = _experiment_config(args, args.n_grid)
     t0 = time.monotonic()
     report = run_experiment(config, out_prefix=args.out)
     elapsed = time.monotonic() - t0

@@ -18,8 +18,10 @@ Every rule carries a real-valued approximant ``g`` that is Lipschitz
 and positively homogeneous in its first two arguments, the Lipschitz
 scale ``lipschitz(z)``, a residual scale ``rho(z)`` bounding
 ``|L - g| <= rho(z) (x + y)^alpha``, and the exponent ``alpha`` in
-(0, 1).  ``g`` and ``log_g`` accept arrays.  The associated random
-walk increment is
+(0, 1).  Every callable (``L``, ``g``, ``log_g``, the parameter maps)
+has one implementation: it takes arrays and applies elementwise, and
+takes a Python number as a 0-d array.  The associated random walk
+increment is
 
     xi(eta) = ln g(mean_f(eta), mean_m(eta), eta),
 
@@ -88,14 +90,12 @@ POISSON_EXACT_MAX = 1e12
 
 @dataclass(frozen=True)
 class ConstantMap:
-    """z -> value, ignoring z (a capacity, a bound or an environment-independent mean). Array-aware."""
+    """z -> value as float64 of z's shape, ignoring z (a capacity, a bound or an environment-independent mean)."""
 
     value: float
 
     def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            return np.full(z.shape, self.value, dtype=float)
-        return self.value
+        return np.full(np.shape(z), self.value, dtype=float)
 
     def log(self, z: np.ndarray) -> np.ndarray:
         return np.full(z.shape, math.log(self.value) if self.value > 0.0 else -math.inf)
@@ -115,28 +115,26 @@ class TableMap:
             raise ConfigurationError("TableMap breakpoints must be sorted")
 
     def __call__(self, z):
-        idx = np.searchsorted(np.asarray(self.breakpoints), z, side="right")
-        vals = np.asarray(self.values, dtype=float)
-        out = vals[idx]
-        return out if isinstance(z, np.ndarray) else float(out)
+        return np.asarray(self.values, dtype=float)[np.searchsorted(self.breakpoints, z, side="right")]
 
 
 @dataclass(frozen=True)
 class ExpMeanMap:
     """eta -> scale * exp(eta + shift); slope one in eta, so the walk
-    increment of every built-in rule reduces to eta plus a constant."""
+    increment of every built-in rule reduces to eta plus a constant.
+
+    Past the double range the mean is inf, which trips the sampling
+    guard; with ``scale == 0`` it is 0 everywhere, never ``0 * inf``.
+    """
 
     scale: float = 1.0
     shift: float = 0.0
 
     def __call__(self, eta):
-        if isinstance(eta, np.ndarray):
-            with np.errstate(over="ignore"):
-                return self.scale * np.exp(eta.astype(float) + self.shift)
-        x = eta + self.shift
-        if x > 709.0:  # math.exp raises past the double range; inf trips the guard instead
-            return math.inf if self.scale > 0 else 0.0
-        return self.scale * math.exp(x)
+        if self.scale == 0.0:
+            return np.zeros(np.shape(eta))
+        with np.errstate(over="ignore"):
+            return self.scale * np.exp(np.asarray(eta, dtype=float) + self.shift)
 
     def log(self, eta: np.ndarray) -> np.ndarray:
         if self.scale <= 0.0:
@@ -300,20 +298,14 @@ class OffspringModel:
 
 
 @dataclass(frozen=True)
-class _MonogamousL:
+class _CapacityMin:
+    """min(x, y * d(z)), the capacity cast to ``dtype``: int64 for ``L``, float for ``g``."""
+
     d: Callable
+    dtype: type
 
     def __call__(self, x, y, z):
-        yd = y * int(self.d(z))
-        return x if x <= yd else yd
-
-
-@dataclass(frozen=True)
-class _MonogamousG:
-    d: Callable
-
-    def __call__(self, x, y, z):
-        return np.minimum(x, y * np.asarray(self.d(z), dtype=float))
+        return np.minimum(x, y * np.asarray(self.d(z), dtype=self.dtype))
 
 
 @dataclass(frozen=True)
@@ -329,26 +321,19 @@ class _MaxOneOf:
     d: Callable
 
     def __call__(self, z):
-        v = self.d(z)
-        if isinstance(v, np.ndarray):
-            return np.maximum(1.0, v.astype(float))
-        return max(1.0, float(v))
+        return np.maximum(1.0, self.d(z))
 
 
 def _polygamous_l(x, y, z):
-    return x if y >= 1 else 0
+    return np.where(y >= 1, x, 0)
 
 
-def _polygamous_g(x, y, z):
+def _first(x, y, z):
     return np.asarray(x, dtype=float)
 
 
 def _first_log(lx, ly, z):
     return lx
-
-
-def _asexual_l(x, y, z):
-    return x
 
 
 @dataclass(frozen=True)
@@ -360,8 +345,11 @@ class MatingRule:
     residual scale; ``alpha`` the residual exponent in (0, 1), with
     ``delta = 1/alpha - 1``.  ``log_g``, when present, evaluates
     ``g`` in the log domain and keeps the walk increments exact for the
-    built-in rules.  ``g``, ``log_g``, ``lipschitz`` and ``rho`` must
-    accept arrays.  ``d`` is the monogamous pairing capacity map.
+    built-in rules.  Every callable takes arrays and applies
+    elementwise: ``L`` is called on whole arrays of counts (int64 or
+    float64) and environment values, so a custom ``L`` must be written
+    with numpy operations too.  ``d`` is the monogamous pairing
+    capacity map.
     """
 
     kind: str
@@ -392,8 +380,8 @@ def monogamous(d=1, alpha: float = 0.5) -> MatingRule:
         dmap = d
     return MatingRule(
         kind="monogamous",
-        L=_MonogamousL(dmap),
-        g=_MonogamousG(dmap),
+        L=_CapacityMin(dmap, np.int64),
+        g=_CapacityMin(dmap, float),
         lipschitz=_MaxOneOf(dmap),
         rho=ConstantMap(1.0),
         alpha=alpha,
@@ -407,7 +395,7 @@ def polygamous(alpha: float = 0.5) -> MatingRule:
     return MatingRule(
         kind="polygamous",
         L=_polygamous_l,
-        g=_polygamous_g,
+        g=_first,
         lipschitz=ConstantMap(1.0),
         rho=ConstantMap(1.0),
         alpha=alpha,
@@ -419,8 +407,8 @@ def asexual(alpha: float = 0.5) -> MatingRule:
     """L(x, y, z) = x: ignores males, reducing to a one-sex process."""
     return MatingRule(
         kind="asexual",
-        L=_asexual_l,
-        g=_polygamous_g,
+        L=_first,
+        g=_first,
         lipschitz=ConstantMap(1.0),
         rho=ConstantMap(1.0),
         alpha=alpha,
@@ -429,22 +417,12 @@ def asexual(alpha: float = 0.5) -> MatingRule:
 
 
 def mate_array(rule: MatingRule, f: np.ndarray, m: np.ndarray, eta, d=None) -> np.ndarray:
-    """Vectorized ``L`` for the built-in rules (python loop otherwise).
+    """``rule.L(f, m, eta)``, or ``min(f, m * d)`` given a monogamous rule's capacity ``d``.
 
-    ``d`` may give the monogamous capacity ``rule.d(eta)`` already cast
-    to int64 (or to float64, for float64 counts); it is ignored by the
-    other rules.
+    ``d`` is ``rule.d(eta)`` cast to int64 (or its float64 image, for
+    float64 counts), evaluated once for many generations.
     """
-    if rule.kind == "monogamous":
-        if d is None:
-            d = np.asarray(rule.d(eta), dtype=np.int64)
-        return np.minimum(f, m * d)
-    if rule.kind == "polygamous":
-        return np.where(m >= 1, f, 0)
-    if rule.kind == "asexual":
-        return f.copy()
-    zs = np.broadcast_to(np.asarray(eta, dtype=float), f.shape)
-    return np.array([rule.L(int(a), int(b), float(z)) for a, b, z in zip(f, m, zs)])
+    return rule.L(f, m, eta) if d is None else np.minimum(f, m * d)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +500,10 @@ def analytic_sigma_xi(rule: MatingRule, env: EnvironmentModel, model: OffspringM
 # ---------------------------------------------------------------------------
 
 _MAX_WITNESSES = 10
+# C2 and C3 draw the approximant's arguments uniformly from [0, _BOX).
+_BOX = 100.0
+# C4 draws its counts from 0 to _RESIDUAL_COUNT_RANGE.
+_RESIDUAL_COUNT_RANGE = 1000
 
 
 @dataclass
@@ -575,27 +557,21 @@ def _py(v):
     return v
 
 
-def _env_draws(env_model, stream, size):
-    if env_model is None:
-        return stream.standard_normal(size)
-    return np.asarray(env_model.sample(stream, size=size), dtype=float)
-
-
 def check_superadditivity(
     rule: MatingRule,
     trials: int,
     count_range: int,
     stream: np.random.Generator,
-    env_model: Optional[EnvironmentModel] = None,
+    env_model: EnvironmentModel,
 ) -> ConditionCheck:
     """Sampled superadditivity check L(x+u, y+v, z) >= L(x,y,z) + L(u,v,z)."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     pts = stream.integers(0, count_range + 1, size=(trials, 4))
-    z = _env_draws(env_model, stream, trials)
+    z = env_model.sample(stream, trials)
     x, y, u, v = (pts[:, i].astype(np.int64) for i in range(4))
-    lhs = mate_array(rule, x + u, y + v, z)
-    rhs = mate_array(rule, x, y, z) + mate_array(rule, u, v, z)
+    lhs = rule.L(x + u, y + v, z)
+    rhs = rule.L(x, y, z) + rule.L(u, v, z)
     bad = np.where(lhs < rhs)[0]
     witnesses = [
         (int(x[i]), int(y[i]), int(u[i]), int(v[i]), float(z[i]), int(lhs[i]), int(rhs[i]))
@@ -613,14 +589,13 @@ def check_lipschitz(
     rule: MatingRule,
     trials: int,
     stream: np.random.Generator,
-    env_model: Optional[EnvironmentModel] = None,
-    box: float = 100.0,
+    env_model: EnvironmentModel,
 ) -> ConditionCheck:
     """Sampled check |g(x,y,z) - g(u,v,z)| <= lipschitz(z) (|x-u| + |y-v|)."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    pts = stream.uniform(0.0, box, size=(trials, 4))
-    z = _env_draws(env_model, stream, trials)
+    pts = stream.uniform(0.0, _BOX, size=(trials, 4))
+    z = env_model.sample(stream, trials)
     x, y, u, v = (pts[:, i] for i in range(4))
     lhs = np.abs(rule.g(x, y, z) - rule.g(u, v, z))
     lam = np.broadcast_to(np.asarray(rule.lipschitz(z), dtype=float), lhs.shape)
@@ -634,7 +609,7 @@ def check_lipschitz(
         condition="C2",
         verdict="fail" if bad.size else "pass",
         witnesses=witnesses,
-        detail={"trials": trials, "box": box, "violations": int(bad.size)},
+        detail={"trials": trials, "box": _BOX, "violations": int(bad.size)},
     )
 
 
@@ -642,16 +617,15 @@ def check_homogeneity(
     rule: MatingRule,
     trials: int,
     stream: np.random.Generator,
-    env_model: Optional[EnvironmentModel] = None,
-    box: float = 100.0,
+    env_model: EnvironmentModel,
 ) -> ConditionCheck:
     """Sampled positive-homogeneity check g(t x, t y, z) == t g(x, y, z)."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    x = stream.uniform(0.0, box, size=trials)
-    y = stream.uniform(0.0, box, size=trials)
+    x = stream.uniform(0.0, _BOX, size=trials)
+    y = stream.uniform(0.0, _BOX, size=trials)
     t = stream.uniform(0.0, 10.0, size=trials)
-    z = _env_draws(env_model, stream, trials)
+    z = env_model.sample(stream, trials)
     tg = t * rule.g(x, y, z)
     lhs = np.abs(rule.g(t * x, t * y, z) - tg)
     bad = np.where(lhs > 1e-12 * (1.0 + np.abs(tg)))[0]
@@ -663,7 +637,7 @@ def check_homogeneity(
         condition="C3",
         verdict="fail" if bad.size else "pass",
         witnesses=witnesses,
-        detail={"trials": trials, "box": box, "violations": int(bad.size)},
+        detail={"trials": trials, "box": _BOX, "violations": int(bad.size)},
     )
 
 
@@ -671,8 +645,7 @@ def check_approximation(
     rule: MatingRule,
     grid: int,
     stream: np.random.Generator,
-    env_model: Optional[EnvironmentModel] = None,
-    count_range: int = 1000,
+    env_model: EnvironmentModel,
 ) -> ConditionCheck:
     """Sampled residual check |L - g| <= rho(z) (x + y)^alpha on x + y >= 1.
 
@@ -681,11 +654,11 @@ def check_approximation(
     """
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
-    x = stream.integers(0, count_range + 1, size=grid).astype(np.int64)
-    y = stream.integers(0, count_range + 1, size=grid).astype(np.int64)
+    x = stream.integers(0, _RESIDUAL_COUNT_RANGE + 1, size=grid).astype(np.int64)
+    y = stream.integers(0, _RESIDUAL_COUNT_RANGE + 1, size=grid).astype(np.int64)
     y[(x + y) == 0] = 1
-    z = _env_draws(env_model, stream, grid)
-    resid = np.abs(mate_array(rule, x, y, z).astype(float) - rule.g(x.astype(float), y.astype(float), z))
+    z = env_model.sample(stream, grid)
+    resid = np.abs(rule.L(x, y, z) - rule.g(x.astype(float), y.astype(float), z))
     scale = (x + y).astype(float) ** rule.alpha
     ratio = resid / scale
     bound = np.broadcast_to(np.asarray(rule.rho(z), dtype=float), ratio.shape)
@@ -700,7 +673,7 @@ def check_approximation(
         witnesses=witnesses,
         detail={
             "grid": grid,
-            "count_range": count_range,
+            "count_range": _RESIDUAL_COUNT_RANGE,
             "violations": int(bad.size),
             "max_ratio": float(ratio.max()) if grid else 0.0,
         },

@@ -128,18 +128,25 @@ class BlockRun:
     steps: np.ndarray
 
 
+def _capacity(rule: MatingRule, eta: np.ndarray) -> Optional[np.ndarray]:
+    """A monogamous rule's capacity over ``eta``, the float64 image of ``L``'s int64 cast; None for other rules.
+
+    The step loops evaluate it once per window (per path for a bundle)
+    and hand ``mate_array`` one generation's column.
+    """
+    return np.asarray(rule.d(eta), dtype=np.int64).astype(float) if rule.kind == "monogamous" else None
+
+
 def _checked_means(offspring_model: OffspringModel, means: np.ndarray, e: np.ndarray) -> None:
     """Raise the sampling error for a negative, NaN or (deterministic) non-integer mean.
 
     ``means`` stacks the female and male means of the replicates whose
     environment values are ``e``.
     """
-    bad = (means < 0).any(axis=0)
+    bad = ~(means >= 0).all(axis=0)
     if bad.any():
         i = int(bad.argmax())
-        raise ConfigurationError(f"negative conditional mean at eta={e[i]}: ({means[0, i]}, {means[1, i]})")
-    if np.isnan(means).any():
-        raise ValueError("negative or NaN offspring mean")
+        raise ConfigurationError(f"negative or NaN conditional mean at eta={e[i]}: ({means[0, i]}, {means[1, i]})")
     if offspring_model.kind == "deterministic":
         bad = (np.abs(means - np.round(means)) > 1e-9).any(axis=0)
         if bad.any():
@@ -280,8 +287,7 @@ def run_block(
         width = min(max(1, ENV_WINDOW_CELLS // rows.size), max_steps - first)
         eta = env_model.sample_rows([env_streams[i] for i in rows.tolist()], width)
         means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
-        # the monogamous capacity, as the float64 image of mate_array's int64 cast
-        d_w = np.asarray(rule.d(eta), dtype=np.int64).astype(float) if rule.kind == "monogamous" else None
+        d_w = _capacity(rule, eta)
         # without a negative mean in the window every lam is >= 0 or NaN, and
         # a NaN fails the guard test below
         nonneg = means_w.min() >= 0.0
@@ -406,9 +412,10 @@ def run_frozen_bundle(
 
     The bundle holds one float64 row of counts, one entry per replicate,
     and draws each generation by ``run_block``'s rules
-    (``_offspring_totals``).  A requested total above ``MEAN_GUARD``
-    raises ``OverflowGuardError`` instead of tagging the replicate:
-    dropping it would bias the ratios.  Rows are drawn whole: an extinct
+    (``_offspring_totals``); the path's offspring means and capacity are
+    evaluated once, as arrays, like a block window's.  A requested total
+    above ``MEAN_GUARD`` raises ``OverflowGuardError`` instead of tagging
+    the replicate: dropping it would bias the ratios.  Rows are drawn whole: an extinct
     replicate has Poisson mean 0, which draws nothing from the stream,
     and stays extinct even under a rule with ``L(0, 0) > 0``.  Steps
     whose bundle-average parent count is zero yield NaN ratios (nothing
@@ -427,21 +434,23 @@ def run_frozen_bundle(
     zeta = noise_scales(rule, offspring_model, eta)[0]
     delta = rule.delta
     p = 1.0 + delta
+    means_path = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+    d_path = _capacity(rule, eta)
     r2, r3, r3_se, r4 = (np.full(steps, np.nan) for _ in range(4))
     prev = np.full(replicates, float(n0))
     for j in range(1, steps + 1):
         mean_prev = prev.mean()
         if mean_prev <= 0.0:
             break
-        e = float(eta[j - 1])
-        means = np.array([[offspring_model.mean_f(e)], [offspring_model.mean_m(e)]], dtype=float)
+        e = eta[j - 1 : j]
+        means = means_path[:, j - 1 : j]
         lam = prev * means
         top = lam.max()
         if not (top <= MEAN_GUARD and lam.min() >= 0.0):
-            _checked_means(offspring_model, means, eta[j - 1 : j])
+            _checked_means(offspring_model, means, e)
             raise OverflowGuardError(f"bundle scale too large: an offspring total at step {j} exceeds {MEAN_GUARD:g}")
-        f, m = _offspring_totals(offspring_model, prev, means, lam, top, eta[j - 1 : j], off_rng)
-        cur = np.where(prev > 0, mate_array(rule, f, m, e), 0.0)
+        f, m = _offspring_totals(offspring_model, prev, means, lam, top, e, off_rng)
+        cur = np.where(prev > 0, mate_array(rule, f, m, e, None if d_path is None else d_path[j - 1]), 0.0)
         growth = math.exp(float(xi[j - 1]))
         resid = cur - prev * growth
         r2[j - 1] = float(np.mean(np.abs(resid) ** p)) / (math.exp(float(zeta[j - 1])) * mean_prev)

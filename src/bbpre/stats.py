@@ -745,10 +745,11 @@ def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
 
 
 def write_sweep_csv(path: Path, sweep: LemmaSweep) -> None:
-    """One row per (grid point, path, step) of ``sweep.ratios``."""
-    lines = ["N0,path,n,r2,r3,r3_se,r4"]
-    for n0, per_path in zip(sweep.n0_grid, sweep.ratios):
-        for p, table in enumerate(per_path):
-            for n, (r2, r3, se, r4) in enumerate(table.T.tolist(), start=1):
-                lines.append(f"{n0},{p},{n},{r2!r},{r3!r},{se!r},{r4!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per (grid point, path, step) of ``sweep.ratios``; only one chunk's text is held at a time."""
+    rows = (
+        f"{n0},{p},{n},{r2!r},{r3!r},{se!r},{r4!r}"
+        for n0, per_path in zip(sweep.n0_grid, sweep.ratios)
+        for p, table in enumerate(per_path)
+        for n, (r2, r3, se, r4) in enumerate(table.T.tolist(), start=1)
+    )
+    _write_lines(path, "N0,path,n,r2,r3,r3_se,r4", rows)

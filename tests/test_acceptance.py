@@ -229,9 +229,10 @@ def test_criterion_7_condition_suite():
             violations += int(np.sum(lhs < rhs))
         parts.append((f"superadditivity exhaustive <= 20 [{name}]", violations == 0, f"{violations} violations"))
 
+    unit_env = EnvironmentModel(std=1.0)
     for name, rule in rules.items():
-        lip = check_lipschitz(rule, trials=100_000, stream=derive_stream(ACCEPT_SEED, 7, 1))
-        hom = check_homogeneity(rule, trials=100_000, stream=derive_stream(ACCEPT_SEED, 7, 2))
+        lip = check_lipschitz(rule, trials=100_000, stream=derive_stream(ACCEPT_SEED, 7, 1), env_model=unit_env)
+        hom = check_homogeneity(rule, trials=100_000, stream=derive_stream(ACCEPT_SEED, 7, 2), env_model=unit_env)
         parts.append((f"lipschitz 1e5 tuples [{name}]", lip.verdict == "pass", f"{lip.detail['violations']} violations"))
         parts.append((f"homogeneity 1e5 tuples [{name}]", hom.verdict == "pass", f"{hom.detail['violations']} violations"))
 

@@ -20,6 +20,7 @@ from bbpre import (
     TableMap,
     cli,
     monogamous,
+    polygamous,
     run_extinction_records,
     run_replicates,
     stats,
@@ -261,6 +262,36 @@ def test_lemma_sweep_refuses_non_integer_deterministic_means(tmp_path, capsys):
         assert payload["error"] == "configuration"
         assert "deterministic offspring needs integer means" in payload["message"]
     assert not out.exists()
+
+
+def test_zero_scale_mean_past_the_double_range_is_zero(tmp_path, capsys):
+    # exp(eta + 800) overflows to inf; the zero scale makes the female mean 0, not 0 * inf = NaN
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"offspring": {"mean_f": {"scale": 0, "shift": 800}}}))
+    out = tmp_path / "runs.csv"
+    code, _, stderr = run_cli(capsys, "simulate", "--config", str(cfg), "--n0", "100", "--replicates", "5",
+                              "--out", str(out))
+    assert code == 0 and stderr == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["1"] * 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n0", "100", "--replicates", "5"],
+        ["lemma-sweep", "--n0", "100", "--paths", "2", "--replicates", "20", "--max-steps", "5"],
+    ],
+)
+def test_nan_mean_is_a_configuration_error(monkeypatch, capsys, argv):
+    # a NaN male mean under the polygamous rule leaves the walk increments finite
+    env, rule = EnvironmentModel(std=0.5), polygamous()
+    off = OffspringModel(mean_f=ExpMeanMap(), mean_m=ConstantMap(float("nan")))
+    monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    payload = json.loads(stderr.strip().splitlines()[-1])
+    assert payload["error"] == "configuration" and "NaN conditional mean" in payload["message"]
 
 
 def test_lemma_sweep_with_every_path_dying_writes_nothing_to_stderr(tmp_path):

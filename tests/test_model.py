@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bbpre import (
     MatingRule,
     OffspringModel,
     OverflowGuardError,
+    TableMap,
     analytic_sigma_xi,
     asexual,
     audit_conditions,
@@ -32,6 +34,8 @@ from bbpre import (
 from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moment, _poisson_totals
 
 ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
+# the condition checks' environment: standard normal draws
+UNIT_ENV = EnvironmentModel(std=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,87 @@ def test_mate_examples():
     assert monogamous(3).L(10, 2, 0.0) == 6
 
 
+# The scalar forms that the array callables replaced, kept as oracles.
+
+
+def _scalar_monogamous_l(d):
+    def L(x, y, z):
+        yd = y * int(d(z))
+        return x if x <= yd else yd
+
+    return L
+
+
+def _scalar_polygamous_l(x, y, z):
+    return x if y >= 1 else 0
+
+
+def _scalar_asexual_l(x, y, z):
+    return x
+
+
+def _scalar_table(breakpoints, values):
+    return lambda z: float(np.asarray(values, dtype=float)[np.searchsorted(np.asarray(breakpoints), z, side="right")])
+
+
+def _scalar_exp_mean(scale, shift):
+    def mean(eta):
+        x = eta + shift
+        if x > 709.0:  # math.exp raises past the double range
+            return math.inf if scale > 0 else 0.0
+        return scale * math.exp(x)
+
+    return mean
+
+
+@pytest.mark.parametrize(
+    "rule, oracle",
+    [
+        (monogamous(1), _scalar_monogamous_l(lambda z: 1.0)),
+        (monogamous(3), _scalar_monogamous_l(lambda z: 3.0)),
+        (monogamous(TableMap((-0.3, 0.4), (1, 2, 3))), _scalar_monogamous_l(_scalar_table((-0.3, 0.4), (1, 2, 3)))),
+        # a fractional capacity is truncated to an integer
+        (monogamous(TableMap((0.0,), (1.5, 2.7))), _scalar_monogamous_l(_scalar_table((0.0,), (1.5, 2.7)))),
+        (polygamous(), _scalar_polygamous_l),
+        (asexual(), _scalar_asexual_l),
+    ],
+    ids=["monogamous1", "monogamous3", "monogamous-table", "monogamous-fractional", "polygamous", "asexual"],
+)
+def test_array_mating_matches_the_scalar_form(rule, oracle):
+    grid = np.arange(13)
+    zs = np.array([-1.0, -0.3, 0.0, 0.4, 2.0])
+    x, y, z = (a.ravel() for a in np.meshgrid(grid, grid, zs, indexing="ij"))
+    want = [oracle(a, b, c) for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
+    for counts in (np.int64, float):  # the audit checks pass int64 counts, the step loops float64
+        got = rule.L(x.astype(counts), y.astype(counts), z)
+        assert got.shape == x.shape and got.tolist() == want
+    assert rule.L(x, y, z).dtype == (float if rule.kind == "asexual" else np.int64)
+    assert all(rule.L(a, b, c) == w for a, b, c, w in zip(x.tolist(), y.tolist(), z.tolist(), want))
+
+
+@pytest.mark.parametrize(
+    "fn, oracle, z",
+    [
+        (ConstantMap(2.0), lambda z: 2.0, 0.3),
+        (TableMap((-0.3, 0.4), (1, 2, 3)), _scalar_table((-0.3, 0.4), (1, 2, 3)), -0.3),
+        (TableMap((-0.3, 0.4), (1, 2, 3)), _scalar_table((-0.3, 0.4), (1, 2, 3)), 5.0),
+        (monogamous(TableMap((0.0,), (0.5, 2.0))).lipschitz, lambda z: max(1.0, 0.5 if z < 0 else 2.0), -1.0),
+        (ExpMeanMap(), _scalar_exp_mean(1.0, 0.0), 0.7),
+        (ExpMeanMap(scale=2.0, shift=800.0), _scalar_exp_mean(2.0, 800.0), 0.0),  # overflows to inf
+        (ExpMeanMap(scale=0.0, shift=800.0), _scalar_exp_mean(0.0, 800.0), 0.0),  # 0, not 0 * inf
+        (ExpMeanMap(scale=0.0), _scalar_exp_mean(0.0, 0.0), 0.5),
+    ],
+)
+def test_maps_take_a_python_float_through_the_array_form(fn, oracle, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(z)
+    assert np.asarray(got).dtype == np.float64 and np.shape(got) == ()
+    # np.exp and math.exp may differ in the last bit
+    assert float(got) == pytest.approx(oracle(z), rel=2**-52, abs=0.0)
+    assert float(got) == fn(np.array([z]))[0]
+
+
 def test_approximant_examples():
     assert monogamous(1).g(2.5, 4.0, 0.0) == 2.5
     for rule in ALL_RULES:
@@ -288,7 +373,7 @@ def test_superadditivity_direct_example():
 
 def test_superadditivity_sampled_passes_for_builtins(rng):
     for rule in ALL_RULES:
-        check = check_superadditivity(rule, trials=100_000, count_range=50, stream=rng)
+        check = check_superadditivity(rule, trials=100_000, count_range=50, stream=rng, env_model=UNIT_ENV)
         assert check.verdict == "pass", check.witnesses
         assert check.detail["violations"] == 0
 
@@ -296,13 +381,13 @@ def test_superadditivity_sampled_passes_for_builtins(rng):
 def test_superadditivity_finds_broken_rule(rng):
     broken = MatingRule(
         kind="custom",
-        L=lambda x, y, z: math.ceil(x / 2),
+        L=lambda x, y, z: np.ceil(x / 2),
         g=lambda x, y, z: x / 2.0,
         lipschitz=lambda z: 1.0,
         rho=lambda z: 1.0,
         alpha=0.5,
     )
-    check = check_superadditivity(broken, trials=5_000, count_range=5, stream=rng)
+    check = check_superadditivity(broken, trials=5_000, count_range=5, stream=rng, env_model=UNIT_ENV)
     assert check.verdict == "fail"
     assert check.witnesses
 
@@ -323,17 +408,17 @@ def test_exhaustive_superadditivity_small_grid():
 
 def test_lipschitz_check_passes_for_builtins(rng):
     for rule in ALL_RULES:
-        assert check_lipschitz(rule, trials=20_000, stream=rng).verdict == "pass"
+        assert check_lipschitz(rule, trials=20_000, stream=rng, env_model=UNIT_ENV).verdict == "pass"
 
 
 def test_homogeneity_check_passes_for_builtins(rng):
     for rule in ALL_RULES:
-        assert check_homogeneity(rule, trials=20_000, stream=rng).verdict == "pass"
+        assert check_homogeneity(rule, trials=20_000, stream=rng, env_model=UNIT_ENV).verdict == "pass"
 
 
 def test_approximation_monogamous_and_asexual_have_zero_residual(rng):
     for rule in (monogamous(1), monogamous(4), asexual()):
-        check = check_approximation(rule, grid=20_000, stream=rng)
+        check = check_approximation(rule, grid=20_000, stream=rng, env_model=UNIT_ENV)
         assert check.verdict == "pass"
         assert check.detail["max_ratio"] == 0.0
 
@@ -342,7 +427,7 @@ def test_approximation_polygamous_witness():
     # at (x, y=0): |L - g| = x, which outgrows rho * x^alpha; reported honestly
     rule = polygamous()
     assert abs(rule.L(10, 0, 0.0) - rule.g(10.0, 0.0, 0.0)) == 10.0
-    check = check_approximation(rule, grid=50_000, stream=np.random.default_rng(8))
+    check = check_approximation(rule, grid=50_000, stream=np.random.default_rng(8), env_model=UNIT_ENV)
     assert check.verdict == "fail"
     assert any(w[1] == 0 and w[0] >= 2 for w in check.witnesses)
 

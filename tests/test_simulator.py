@@ -445,7 +445,7 @@ def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps
     # a rule with L(0, 0) = 1: an extinct replicate must still stay extinct
     revives = model.MatingRule(
         kind="custom",
-        L=lambda x, y, z: 1 if x == y == 0 else min(x, y),
+        L=lambda x, y, z: np.where((x == 0) & (y == 0), 1, np.minimum(x, y)),
         g=lambda x, y, z: np.minimum(x, y),
         lipschitz=lambda z: np.ones_like(z),
         rho=lambda z: np.ones_like(z),
@@ -761,7 +761,7 @@ def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):
         return run_block(rule, env, off, 200, 400, streams, derive_stream(16), epsilon=1.0, recording="sparse")
 
     fast = run()
-    monkeypatch.setattr(simulator, "mate_array", lambda rule, f, m, e, d: model.mate_array(rule, f, m, e))
+    monkeypatch.setattr(simulator, "_capacity", lambda rule, eta: None)  # rule.L at every generation
     slow = run()
     assert np.any(fast.tau > 0) and np.any(fast.tau < 0)
     assert np.array_equal(fast.steps, slow.steps) and fast.steps.size > 0
