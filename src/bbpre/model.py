@@ -81,6 +81,9 @@ MEAN_GUARD = 1e300
 # numpy's rejection sampler is exact here; above, the normal approximation
 # has relative error below 1e-6 per draw and cannot produce negatives.
 POISSON_EXACT_MAX = 1e12
+# The centered-moment series are summed in passes of at most this many
+# (mean x term) cells, so their memory does not grow with the sample count.
+MOMENT_PASS_CELLS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +101,8 @@ class ConstantMap:
         return np.full(np.shape(z), self.value, dtype=float)
 
     def log(self, z: np.ndarray) -> np.ndarray:
-        return np.full(z.shape, math.log(self.value) if self.value > 0.0 else -math.inf)
+        v = self.value  # as np.log: -inf at 0, NaN below 0 and at NaN
+        return np.full(z.shape, math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan)
 
 
 @dataclass(frozen=True)
@@ -204,54 +208,48 @@ def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) ->
     return out
 
 
-def _series_length(lam: float, order: float) -> int:
-    return int(max(lam + 12.0 * math.sqrt(lam) + 20.0, 2.0 * lam + 10.0 * order + 20.0))
+def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
+    """E|X - lam|^order for X ~ Poisson(lam), elementwise over an array of means.
 
-
-def _poisson_centered_abs_moment(lam: float, order: float, log_fact: Optional[np.ndarray] = None) -> float:
-    """E|X - lam|^order for X ~ Poisson(lam), by truncated series.
-
-    The truncation point makes the geometric tail bound below 1e-12 of
-    the accumulated sum; ``order == 2`` returns the exact variance.
-    ``log_fact`` is a table of ``ln k!`` that callers summing many means
-    build once; it is extended here when the series runs past it.
+    ``order == 2`` returns the means (the variance).  Otherwise a mean's
+    series runs to ``max(lam + 12 sqrt(lam) + 20, 2 lam + 10 order + 20)``
+    and doubles until its last term is below 1e-12 of its sum (past
+    ``2 lam + 10 order + 20`` the term ratio is < 0.56, so the remaining
+    tail is < 1.3 * last term).  The positive means are summed largest
+    first, in passes of at most ``MOMENT_PASS_CELLS`` (mean x term) cells
+    as long as the series of the pass's largest mean; ``ln k!`` is
+    tabulated once, for the longest series.  Other means give 0.
     """
-    if lam < 0:
-        raise ValueError("negative Poisson mean")
-    if lam == 0.0:
-        return 0.0
     if order == 2.0:
-        return float(lam)
-    k_max = _series_length(lam, order)
-    while True:
-        if log_fact is None or log_fact.size <= k_max:
+        return lams
+    out = np.zeros(lams.shape)
+    pos = np.flatnonzero(lams > 0.0)
+    pos = pos[np.argsort(lams.flat[pos])[::-1]]
+    desc = lams.flat[pos]
+    log_fact = np.empty(0)
+    start, k_min = 0, 0
+    while start < pos.size:
+        top = float(desc[start])
+        k_max = max(int(max(top + 12.0 * math.sqrt(top) + 20.0, 2.0 * top + 10.0 * order + 20.0)), k_min)
+        lam = desc[start : start + max(1, MOMENT_PASS_CELLS // (k_max + 1)), None]
+        if log_fact.size <= k_max:
             log_fact = log_factorial(np.arange(k_max + 1))
-        k = np.arange(0, k_max + 1, dtype=float)
-        terms = np.abs(k - lam) ** order * np.exp(k * math.log(lam) - lam - log_fact[: k_max + 1])
-        total = float(terms.sum())
-        # beyond 2*lam + 10*order + 20 the term ratio is < 0.56, so the
-        # remaining tail is < 1.3 * last term
-        if 1.3 * float(terms[-1]) <= 1e-12 * max(total, 1e-300):
-            return total
-        k_max *= 2
-
-
-def _poisson_centered_abs_moment_array(lams: np.ndarray, order: float) -> np.ndarray:
-    if order == 2.0:
-        return lams.astype(float)
-    out = np.zeros(lams.shape, dtype=float)
-    lam_max = float(lams.max(initial=0.0))
-    if lam_max <= 1e4:
-        pos = lams > 0
-        if pos.any():
-            lp = lams[pos].astype(float)
-            k = np.arange(0, _series_length(lam_max, order) + 1, dtype=float)
-            logp = k[None, :] * np.log(lp)[:, None] - lp[:, None] - log_factorial(k)[None, :]
-            terms = np.abs(k[None, :] - lp[:, None]) ** order * np.exp(logp)
-            out[pos] = terms.sum(axis=1)
-        return out
-    log_fact = log_factorial(np.arange(_series_length(lam_max, order) + 1))
-    return np.array([_poisson_centered_abs_moment(float(l), order, log_fact) for l in lams])
+        k = np.arange(k_max + 1, dtype=float)
+        terms = k * np.log(lam)
+        terms -= lam
+        terms -= log_fact[: k_max + 1]
+        np.exp(terms, out=terms)
+        dev = k - lam
+        np.abs(dev, out=dev)
+        dev **= order
+        terms *= dev
+        sums = terms.sum(axis=1)
+        if not np.all(1.3 * terms[:, -1] <= 1e-12 * np.maximum(sums, 1e-300)):
+            k_min = 2 * k_max
+            continue
+        out.flat[pos[start : start + lam.shape[0]]] = sums
+        start, k_min = start + lam.shape[0], 0
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,20 +274,6 @@ class OffspringModel:
             raise ConfigurationError(f"unknown offspring family {self.kind!r} (supported: poisson, deterministic)")
         if not self.beta > 1.0:
             raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
-
-    # moments ---------------------------------------------------------------
-
-    def centered_abs_moments(self, eta: np.ndarray, order: float):
-        """Conditional E|F - EF|^order and E|M - EM|^order over an environment array."""
-        if self.kind == "deterministic":
-            z = np.zeros(eta.shape)
-            return z, z.copy()
-        lf = np.asarray(self.mean_f(eta), dtype=float)
-        lm = np.asarray(self.mean_m(eta), dtype=float)
-        return (
-            _poisson_centered_abs_moment_array(lf, order),
-            _poisson_centered_abs_moment_array(lm, order),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +435,16 @@ def _log_g_at_means(rule: MatingRule, model: OffspringModel, eta) -> np.ndarray:
 
 
 def walk_increments(rule: MatingRule, model: OffspringModel, eta) -> np.ndarray:
-    """Walk increments ``xi(eta)`` over an environment array; a non-finite one is an error."""
+    """Walk increments ``xi(eta)`` over an environment array; a non-finite one is an error.
+
+    A NaN increment is a configuration error (a negative or NaN mean, or a
+    NaN approximant); an infinite one, a degenerate model.
+    """
     xi = _log_g_at_means(rule, model, eta)
     if not np.all(np.isfinite(xi)):
+        if np.isnan(xi).any():
+            raise ConfigurationError("walk increment is NaN for some sampled environment values "
+                                     "(a negative or NaN conditional mean, or a NaN approximant)")
         raise DegenerateModelError("walk increment is non-finite for some sampled environment values")
     return xi
 
@@ -463,13 +454,19 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
 
     ``zeta = ln+ (omega1 + omega2 + omega3)`` elementwise over an
     environment array; see the module docstring for the components.
+    Each mean map is evaluated once; a negative or NaN mean is refused.
     """
     p = 1.0 + rule.delta
     lip = np.asarray(rule.lipschitz(eta), dtype=float)
     rho = np.asarray(rule.rho(eta), dtype=float)
     w1 = np.broadcast_to(lip**p + rho**p, eta.shape)
-    w2 = np.asarray(model.mean_f(eta), dtype=float) + np.asarray(model.mean_m(eta), dtype=float)
-    cf, cm = model.centered_abs_moments(eta, p)
+    mf = np.asarray(model.mean_f(eta), dtype=float)
+    mm = np.asarray(model.mean_m(eta), dtype=float)
+    means = np.stack(np.broadcast_arrays(mf, mm))
+    if not np.all(means >= 0.0):
+        raise ConfigurationError("negative or NaN conditional mean in the noise scale")
+    w2 = mf + mm
+    cf, cm = np.zeros(means.shape) if model.kind == "deterministic" else _poisson_centered_abs_moments(means, p)
     zeta = np.maximum(0.0, np.log(w1 + w2 + cf + cm))
     return zeta, w1, w2, cf + cm
 
@@ -500,6 +497,8 @@ def analytic_sigma_xi(rule: MatingRule, env: EnvironmentModel, model: OffspringM
 # ---------------------------------------------------------------------------
 
 _MAX_WITNESSES = 10
+# C1 draws its counts from 0 to _SUPERADDITIVITY_COUNT_RANGE.
+_SUPERADDITIVITY_COUNT_RANGE = 50
 # C2 and C3 draw the approximant's arguments uniformly from [0, _BOX).
 _BOX = 100.0
 # C4 draws its counts from 0 to _RESIDUAL_COUNT_RANGE.
@@ -560,14 +559,13 @@ def _py(v):
 def check_superadditivity(
     rule: MatingRule,
     trials: int,
-    count_range: int,
     stream: np.random.Generator,
     env_model: EnvironmentModel,
 ) -> ConditionCheck:
     """Sampled superadditivity check L(x+u, y+v, z) >= L(x,y,z) + L(u,v,z)."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    pts = stream.integers(0, count_range + 1, size=(trials, 4))
+    pts = stream.integers(0, _SUPERADDITIVITY_COUNT_RANGE + 1, size=(trials, 4))
     z = env_model.sample(stream, trials)
     x, y, u, v = (pts[:, i].astype(np.int64) for i in range(4))
     lhs = rule.L(x + u, y + v, z)
@@ -581,7 +579,7 @@ def check_superadditivity(
         condition="C1",
         verdict="fail" if bad.size else "pass",
         witnesses=witnesses,
-        detail={"trials": trials, "count_range": count_range, "violations": int(bad.size)},
+        detail={"trials": trials, "count_range": _SUPERADDITIVITY_COUNT_RANGE, "violations": int(bad.size)},
     )
 
 
@@ -706,7 +704,7 @@ def audit_conditions(
         raise ConfigurationError(f"audit needs samples >= 100, got {samples}")
     sampled = min(samples, 100_000)
     checks = {
-        "C1": check_superadditivity(rule, sampled, 50, stream, env_model),
+        "C1": check_superadditivity(rule, sampled, stream, env_model),
         "C2": check_lipschitz(rule, sampled, stream, env_model),
         "C3": check_homogeneity(rule, sampled, stream, env_model),
         "C4": check_approximation(rule, sampled, stream, env_model),

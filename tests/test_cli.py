@@ -277,15 +277,28 @@ def test_zero_scale_mean_past_the_double_range_is_zero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, rule",
     [
-        ["simulate", "--n0", "100", "--replicates", "5"],
-        ["lemma-sweep", "--n0", "100", "--paths", "2", "--replicates", "20", "--max-steps", "5"],
+        # a NaN male mean under the polygamous rule leaves the walk increments finite
+        pytest.param(["simulate", "--n0", "100", "--replicates", "5"], polygamous(), id="argv0"),
+        pytest.param(
+            ["lemma-sweep", "--n0", "100", "--paths", "2", "--replicates", "20", "--max-steps", "5"],
+            polygamous(),
+            id="argv1",
+        ),
+        # under the monogamous rule it makes them NaN, before any mean is checked
+        pytest.param(
+            ["lemma-sweep", "--n0", "100", "--paths", "2", "--replicates", "20", "--max-steps", "5"],
+            monogamous(1),
+            id="lemma-sweep-monogamous",
+        ),
+        pytest.param(["coupled", "--n0", "100", "--replicates", "5"], monogamous(1), id="coupled-monogamous"),
+        # the audit's walk stays finite too, and its noise scale refuses the mean
+        pytest.param(["audit", "--replicates", "200"], polygamous(), id="audit-polygamous"),
     ],
 )
-def test_nan_mean_is_a_configuration_error(monkeypatch, capsys, argv):
-    # a NaN male mean under the polygamous rule leaves the walk increments finite
-    env, rule = EnvironmentModel(std=0.5), polygamous()
+def test_nan_mean_is_a_configuration_error(monkeypatch, capsys, argv, rule):
+    env = EnvironmentModel(std=0.5)
     off = OffspringModel(mean_f=ExpMeanMap(), mean_m=ConstantMap(float("nan")))
     monkeypatch.setattr(cli, "_models_from_args", lambda args: (env, off, rule))
     code, stdout, stderr = run_cli(capsys, *argv)

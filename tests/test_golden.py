@@ -37,6 +37,16 @@ RUNS = {
         "--out", "{out}/sweep.csv",
     ],
     "audit": ["audit", "--alpha", "0.4", "--replicates", "3000", "--seed", "6", "--out", "{out}/audit.json"],
+    # moment order 2.5 on 3,000 draws with means up to 4.7e3: series of up to 9,400 terms, summed in many passes
+    "audit-sigma-env-2": [
+        "audit", "--sigma-env", "2", "--alpha", "0.4", "--replicates", "3000", "--seed", "6",
+        "--out", "{out}/audit.json",
+    ],
+    # means up to 3.9e5, a series of 7.8e5 terms in a pass of its own
+    "audit-sigma-env-4.5": [
+        "audit", "--sigma-env", "4.5", "--alpha", "0.4", "--replicates", "300", "--seed", "6",
+        "--out", "{out}/audit.json",
+    ],
     # erfc arguments 1/(sigma sqrt(2t)) from 31.9 down to 0.12: the x < 1, 1 <= x < 8 and x >= 8 branches
     "limit-law-table": ["limit-law", "--sigma", "0.7", "--table", "0.001:60:5000", "--out", "{out}/table.csv"],
     # erfcinv levels in each ndtri branch: central, sqrt(-2 ln y) < 8 and >= 8
@@ -73,6 +83,12 @@ DIGESTS = {
     },
     "audit": {
         "audit.json": "6a472fa223fb97a932b5924f5541f488dd3483f0d4f5e7409d4906b2a57df7ee",
+    },
+    "audit-sigma-env-2": {
+        "audit.json": "e221c59a8b1c99c2a4207809d4ed06cb8abe07241f2530ea4afc74084909ef32",
+    },
+    "audit-sigma-env-4.5": {
+        "audit.json": "4e8d32781a73bcbc3dc840f6a16053450647fcc9f93d0779ba1b33464bd51af5",
     },
     "limit-law-table": {
         "table.csv": "d031dd07b878eb5856d3a454f14107a9cd954e8e7040bb26fdcdd347f9dbda6c",

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,9 @@ from bbpre import (
     run_extinction_records,
     walk_increments,
 )
-from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moment, _poisson_totals
+from bbpre import model as model_module
+from bbpre._special import log_factorial
+from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moments, _poisson_totals
 
 ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
 # the condition checks' environment: standard normal draws
@@ -148,8 +151,7 @@ def test_deterministic_family():
     steps = run.steps
     assert np.all(run.tau == -1) and np.all(run.overflow_step == 0) and steps.size == 30
     assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
-    cf, cm = model.centered_abs_moments(np.array([0.0, 1.3]), 2.0)
-    assert not cf.any() and not cm.any()
+    assert not noise_scales(asexual(alpha=0.4), model, np.array([0.0, 1.3]))[3].any()
     bad = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.5), mean_m=ConstantMap(1.0))
     with pytest.raises(ConfigurationError):
         run_extinction_records(env, bad, asexual(), 3, 3, 10, 4)
@@ -160,17 +162,31 @@ def test_deterministic_family():
 # ---------------------------------------------------------------------------
 
 
+def scalar_centered_abs_moment(lam: float, order: float) -> float:
+    """E|X - lam|^order for one Poisson mean: its own series, doubled until the tail is below 1e-12."""
+    if lam == 0.0:
+        return 0.0
+    k_max = int(max(lam + 12.0 * math.sqrt(lam) + 20.0, 2.0 * lam + 10.0 * order + 20.0))
+    while True:
+        k = np.arange(0, k_max + 1, dtype=float)
+        terms = np.abs(k - lam) ** order * np.exp(k * math.log(lam) - lam - log_factorial(np.arange(k_max + 1)))
+        total = float(terms.sum())
+        if 1.3 * float(terms[-1]) <= 1e-12 * max(total, 1e-300):
+            return total
+        k_max *= 2
+
+
 def test_poisson_second_central_moment_is_the_mean():
-    for lam in (0.0, 0.3, 1.0, 17.2):
-        assert _poisson_centered_abs_moment(lam, 2.0) == lam
+    lams = np.array([0.0, 0.3, 1.0, 17.2])
+    assert np.array_equal(_poisson_centered_abs_moments(lams, 2.0), lams)
 
 
 def test_poisson_fractional_moment_against_direct_sum():
     # independent oracle: direct summation with scipy pmf over a wide range
-    for lam, order in ((1.7, 1.5), (0.4, 1.25), (9.0, 2.5)):
-        k = np.arange(0, 500)
-        exact = float(np.sum(np.abs(k - lam) ** order * poisson.pmf(k, lam)))
-        assert _poisson_centered_abs_moment(lam, order) == pytest.approx(exact, rel=1e-10)
+    k = np.arange(0, 500)
+    for lams, order in (([1.7, 0.2], 1.5), ([0.4, 3.0, 0.0], 1.25), ([9.0, 60.0], 2.5)):
+        exact = [float(np.sum(np.abs(k - lam) ** order * poisson.pmf(k, lam))) for lam in lams]
+        assert _poisson_centered_abs_moments(np.array(lams), order) == pytest.approx(exact, rel=1e-10)
 
 
 def test_poisson_fractional_moment_against_monte_carlo():
@@ -178,17 +194,35 @@ def test_poisson_fractional_moment_against_monte_carlo():
     draws = np.random.default_rng(9).poisson(lam, size=2_000_000).astype(float)
     vals = np.abs(draws - lam) ** order
     se = vals.std() / math.sqrt(vals.size)
-    assert abs(_poisson_centered_abs_moment(lam, order) - vals.mean()) <= 5 * se
+    assert abs(_poisson_centered_abs_moments(np.array([lam]), order)[0] - vals.mean()) <= 5 * se
 
 
-def test_moment_array_path_matches_scalar():
-    lams = np.array([0.0, 0.2, 1.0, 3.7, 40.0])
-    order = 1.5
-    from bbpre.model import _poisson_centered_abs_moment_array
+def test_moment_array_path_matches_scalar(monkeypatch):
+    # means on both sides of 1e4, in no order; 5,000 cells hold one series alone above a mean of about 1,200
+    lams = np.array([[40.0, 0.0, 2.3e4, 0.2], [9_999.0, 1.0, 1.2e4, 3.7], [6e4, 250.0, 0.0, 1.05e4]])
+    for order in (1.25, 2.5, 4.0):
+        expected = np.array([[scalar_centered_abs_moment(float(lam), order) for lam in row] for row in lams])
+        for cells in (model_module.MOMENT_PASS_CELLS, 5_000):
+            monkeypatch.setattr(model_module, "MOMENT_PASS_CELLS", cells)
+            got = _poisson_centered_abs_moments(lams, order)
+            assert got.shape == lams.shape
+            assert got == pytest.approx(expected, rel=1e-12)
 
-    batch = _poisson_centered_abs_moment_array(lams, order)
-    single = [_poisson_centered_abs_moment(float(l), order) for l in lams]
-    assert batch == pytest.approx(single, rel=1e-12)
+
+def test_noise_scales_sum_the_series_in_bounded_passes():
+    # 2,000 means up to 788: one matrix of all their series peaks at 74 MiB, bounded passes at 18 MiB
+    eta = EnvironmentModel(std=2.0).sample(np.random.default_rng(4), 2_000)
+    rule = monogamous(1, alpha=0.4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        w3 = noise_scales(rule, OffspringModel(), eta)[3]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak / 2**20
+    assert np.all(w3 > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +385,17 @@ def test_walk_increment_degenerate_model():
         walk_increments(monogamous(1), dead, np.zeros(3))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_constant_map_log_is_np_log_and_a_nan_increment_is_a_configuration_error(value):
+    eta = np.zeros(3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(ConstantMap(value).log(eta), np.log(np.full(3, value)))
+    model = OffspringModel(mean_f=ExpMeanMap(), mean_m=ConstantMap(value))
+    # 0 gives ln g = -inf, a degenerate model; a negative or NaN mean gives NaN, a configuration error
+    with pytest.raises(DegenerateModelError if value == 0.0 else ConfigurationError):
+        walk_increments(monogamous(1), model, eta)
+
+
 def test_analytic_sigma_detection():
     env = EnvironmentModel(std=0.4)
     assert analytic_sigma_xi(monogamous(1), env, OffspringModel()) == 0.4
@@ -373,7 +418,7 @@ def test_superadditivity_direct_example():
 
 def test_superadditivity_sampled_passes_for_builtins(rng):
     for rule in ALL_RULES:
-        check = check_superadditivity(rule, trials=100_000, count_range=50, stream=rng, env_model=UNIT_ENV)
+        check = check_superadditivity(rule, trials=100_000, stream=rng, env_model=UNIT_ENV)
         assert check.verdict == "pass", check.witnesses
         assert check.detail["violations"] == 0
 
@@ -387,7 +432,7 @@ def test_superadditivity_finds_broken_rule(rng):
         rho=lambda z: 1.0,
         alpha=0.5,
     )
-    check = check_superadditivity(broken, trials=5_000, count_range=5, stream=rng, env_model=UNIT_ENV)
+    check = check_superadditivity(broken, trials=5_000, stream=rng, env_model=UNIT_ENV)
     assert check.verdict == "fail"
     assert check.witnesses
 
