@@ -51,12 +51,6 @@ from .stats import (
     run_extinction_records,
     run_replicates,
 )
-from .walk import (
-    HittingResult,
-    HittingSpec,
-    default_max_steps,
-    hitting_time,
-    window_steps,
-)
+from .walk import HittingSpec, default_max_steps, window_steps
 
 __version__ = "0.1.0"

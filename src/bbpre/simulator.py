@@ -9,12 +9,11 @@ the conditional mean, by additivity) and mates them.  Zero couples is
 absorbing; an offspring mean beyond the sampling guard tags the
 replicate as overflowed.
 
-A replicate's environment path is the first child of its own stream.
-A coupled run first scans it for the walk's hitting step and rewinds
-it; the process then reads it only while it is alive.  The block's
-offspring draws come from one shared stream, so a replicate's walk and
-hitting step do not depend on how much offspring randomness the block
-consumes.
+A replicate's environment path is the first child of its own stream,
+read once, in windows: the process and, in a coupled run, the walk
+take their values from the same window.  The block's offspring draws
+come from one shared stream, so a replicate's walk and hitting step do
+not depend on how much offspring randomness the block consumes.
 
 A coupled block also records the hitting step, the couple counts at
 the hitting step and ``k`` steps later with
@@ -81,11 +80,8 @@ def _record_stride(n0: int, recording: str) -> Optional[int]:
 
 
 # Environment values a block holds at a time: a window spans this many
-# divided by the live replicates (16 generations for a full block).
+# divided by the replicates that read it (16 generations for a full block).
 ENV_WINDOW_CELLS = 2**14
-# Walk values a coupled block's hitting-step scan draws per round, shared
-# by the replicates that have not hit yet.
-SCAN_CELLS = 2**16
 
 # One recorded step of a block run; the names are the trajectory CSV columns.
 STEP_DTYPE = np.dtype(
@@ -169,43 +165,6 @@ def _offspring_totals(offspring_model: OffspringModel, cur: np.ndarray, means: n
     return cur * np.round(means)
 
 
-def _hitting_steps(
-    rule: MatingRule,
-    env_model: EnvironmentModel,
-    offspring_model: OffspringModel,
-    spec: HittingSpec,
-    env_streams: list,
-) -> np.ndarray:
-    """Each stream's hitting step, -1 if censored, as ``hitting_time`` finds it; the streams end where they began.
-
-    The walks of the replicates that have not hit yet are drawn in rounds
-    of ``SCAN_CELLS`` values, each round continuing every walk from its
-    running sum, so a walk is drawn only up to the round that holds its
-    hitting step (to the cap if censored).  ``cumsum`` adds left to
-    right, so the sums are bit for bit those of the whole-path
-    ``cumsum``; a non-finite increment is an error only within the
-    values drawn.
-    """
-    states = [s.bit_generator.state for s in env_streams]
-    theta = np.full(len(env_streams), -1, dtype=np.int64)
-    rows = np.arange(len(env_streams))  # block positions still scanning
-    carry = np.zeros(len(env_streams))  # their walk sums so far
-    done = 0
-    while rows.size and done < spec.max_steps:
-        width = min(max(1, SCAN_CELLS // rows.size), spec.max_steps - done)
-        eta = env_model.sample_rows([env_streams[i] for i in rows.tolist()], width)
-        xi = walk_increments(rule, offspring_model, eta)
-        sums = np.cumsum(np.concatenate([carry[:, None], xi], axis=1), axis=1)[:, 1:]
-        hit = sums <= spec.threshold
-        got = hit.any(axis=1)
-        theta[rows[got]] = done + 1 + hit[got].argmax(axis=1)
-        rows, carry = rows[~got], sums[~got, -1]
-        done += width
-    for s, state in zip(env_streams, states):
-        s.bit_generator.state = state
-    return theta
-
-
 def run_block(
     rule: MatingRule,
     env_model: EnvironmentModel,
@@ -221,9 +180,10 @@ def run_block(
 
     Replicate ``i`` reads its environment path from ``env_streams[i]``
     (consumed), in windows of ``ENV_WINDOW_CELLS`` values shared by the
-    live replicates and only while its process is alive, so no array
-    of shape (block, max_steps) is held.  All offspring draws of the
-    block come from ``stream``.  Counts are float64, exact below 2^53,
+    replicates that read it, so no array of shape (block, max_steps) is
+    held; it reads to the end of the window that holds its
+    ``steps_run``.  All offspring draws of the block come from
+    ``stream``.  Counts are float64, exact below 2^53,
     and follow the sampling rules element by element: one Poisson draw
     per sex with mean count times conditional mean, the normal
     approximation above ``POISSON_EXACT_MAX``, an overflow tag for the
@@ -231,17 +191,19 @@ def run_block(
     negative, NaN or non-integer deterministic means, and absorption
     at 0.
 
-    With ``epsilon`` the block is a coupled run: the replicates' walks
-    are first scanned for their hitting steps (``_hitting_steps``, the
-    steps ``walk.hitting_time`` finds on the whole-cap walk), then the
-    streams are rewound for the process.  ``theta`` is dropped (-1) at
-    or after an overflow step.  The count at ``theta`` or ``theta + k``
-    is 0 after ``tau`` by absorption and NaN past the cap while the
-    process is alive or at or after an overflow step.  A coupled
-    replicate's ``steps_run`` is ``max(tau, theta)`` once the process
-    is extinct and the walk has hit, else the cap; without ``epsilon``
-    the run is extinction only and ``steps_run`` is ``tau``, else the
-    cap.  An overflow step overrides both.
+    With ``epsilon`` the block is a coupled run: each window is drawn
+    for the replicates whose process is alive or whose walk has not hit
+    yet, and the live processes take their rows of it.  The window's
+    ``walk_increments`` (a non-finite one is an error) continue each
+    walk from its running sum, so ``theta`` is the hitting step of the
+    whole-cap walk.  ``theta`` is dropped (-1) at or after an overflow
+    step.  The count at ``theta`` or ``theta + k`` is 0 after ``tau``
+    by absorption and NaN past the cap while the process is alive or at
+    or after an overflow step.  A coupled replicate's ``steps_run`` is
+    ``max(tau, theta)`` once the process is extinct and the walk has
+    hit, else the cap; without ``epsilon`` the run is extinction only
+    and ``steps_run`` is ``tau``, else the cap.  An overflow step
+    overrides both.
     """
     if n0 < 1:
         raise ConfigurationError(f"n0 must be >= 1, got {n0}")
@@ -257,22 +219,20 @@ def run_block(
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         k = window_steps(n0, epsilon)
-        spec = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps)
-        theta = _hitting_steps(rule, env_model, offspring_model, spec, env_streams)
-    # the steps whose counts a coupled run reports; -1 never matches
-    tgt = np.where(theta[:, None] >= 0, theta[:, None] + np.array([0, k]), -1)
+        threshold = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps).threshold
     observed = np.full((size, 2), np.nan)
     tau = np.full(size, -1, dtype=np.int64)
     overflow_step = np.zeros(size, dtype=np.int64)
     recorded = bytearray()  # the recorded STEP_DTYPE rows, generation-major
 
-    # These arrays and the window arrays hold one row per live replicate
-    # (means_w: female/male first, then replicate), so a generation reads
-    # column j of the window as a plain view; a replicate's row is dropped
-    # when it dies or overflows.
-    rows = np.arange(size)  # block positions
-    cur = np.full(size, float(n0))
+    # The walk rows (block positions) read the window, continuing their
+    # walks from walk_sum.  The process rows are a subset; their arrays and
+    # window arrays hold one row per live replicate (means_w: female/male
+    # first, then replicate), so a generation reads column j of the window
+    # as a plain view; a replicate's row is dropped when it dies or overflows.
+    walk_rows = rows = np.arange(size)
     walk_sum = np.zeros(size)
+    cur = np.full(size, float(n0))
 
     def compact(keep: np.ndarray) -> None:
         nonlocal rows, cur, tgt, eta, means_w, d_w, xi_w, s_w
@@ -283,62 +243,81 @@ def run_block(
             xi_w, s_w = xi_w[keep], s_w[keep]
 
     first = 0
-    while first < max_steps and rows.size:
-        width = min(max(1, ENV_WINDOW_CELLS // rows.size), max_steps - first)
-        eta = env_model.sample_rows([env_streams[i] for i in rows.tolist()], width)
-        means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
-        d_w = _capacity(rule, eta)
-        # without a negative mean in the window every lam is >= 0 or NaN, and
-        # a NaN fails the guard test below
-        nonneg = means_w.min() >= 0.0
-        if stride is not None:
-            xi_w = _log_g_at_means(rule, offspring_model, eta)
+    while first < max_steps and walk_rows.size:
+        width = min(max(1, ENV_WINDOW_CELLS // walk_rows.size), max_steps - first)
+        eta = env_model.sample_rows([env_streams[i] for i in walk_rows.tolist()], width)
+        if epsilon is not None or stride is not None:
+            xi_w = (_log_g_at_means if epsilon is None else walk_increments)(rule, offspring_model, eta)
             s_w = np.cumsum(np.concatenate([walk_sum[:, None], xi_w], axis=1), axis=1)[:, 1:]
-        pending = set(tgt[(tgt > first) & (tgt <= first + width)].tolist())
-        for j in range(width):
-            n = first + j + 1
-            means = means_w[:, :, j]
-            lam = cur * means
-            top = lam.max()
-            if not (top <= MEAN_GUARD and (nonneg or lam.min() >= 0.0)):
-                _checked_means(offspring_model, means, eta[:, j])
-                ok = ~(lam > MEAN_GUARD).any(axis=0)
-                overflow_step[rows[~ok]] = n
-                compact(ok)
-                if rows.size == 0:
-                    break
-                means, lam = means_w[:, :, j], lam[:, ok]
-                top = lam.max()
-            e = eta[:, j]
-            f, m = _offspring_totals(offspring_model, cur, means, lam, top, e, stream)
-            nxt = np.asarray(mate_array(rule, f, m, e, None if d_w is None else d_w[:, j]), dtype=float)
-            died = np.count_nonzero(nxt) < nxt.size
-            dead = nxt == 0 if died else None
-            if stride is not None and (n % stride == 0 or n == max_steps or died):
-                keep = slice(None) if n % stride == 0 or n == max_steps else dead
-                rec = np.empty(nxt[keep].size, dtype=STEP_DTYPE)
-                x = xi_w[keep, j]
-                rec["replicate_id"] = rows[keep]
-                rec["n"] = n
-                rec["eta"] = e[keep]
-                rec["F_total"] = f[keep]
-                rec["M_total"] = m[keep]
-                rec["N"] = nxt[keep]
-                rec["xi"] = x
-                rec["S"] = s_w[keep, j]
-                rec["R"] = nxt[keep] - cur[keep] * np.exp(x)
-                recorded += rec.data
-            if n in pending:
-                at, which = np.nonzero(tgt == n)
-                observed[rows[at], which] = nxt[at]
-            cur = nxt
-            if died:
-                tau[rows[dead]] = n
-                compact(~dead)
-                if rows.size == 0:
-                    break
-        if stride is not None:
             walk_sum = s_w[:, -1]
+        if epsilon is not None:
+            hit = s_w <= threshold
+            got = hit.any(axis=1) & (theta[walk_rows] < 0)
+            theta[walk_rows[got]] = first + 1 + hit[got].argmax(axis=1)
+        if rows.size:
+            if rows.size < walk_rows.size:
+                at = np.searchsorted(walk_rows, rows)
+                eta = eta[at]
+                if stride is not None:
+                    xi_w, s_w = xi_w[at], s_w[at]
+            # the steps whose counts a coupled run reports; -1 never matches
+            tgt = np.where(theta[rows, None] >= 0, theta[rows, None] + np.array([0, k]), -1)
+            means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+            d_w = _capacity(rule, eta)
+            # without a negative mean in the window every lam is >= 0 or NaN, and
+            # a NaN fails the guard test below
+            nonneg = means_w.min() >= 0.0
+            pending = set(tgt[(tgt > first) & (tgt <= first + width)].tolist())
+            for j in range(width):
+                n = first + j + 1
+                means = means_w[:, :, j]
+                lam = cur * means
+                top = lam.max()
+                if not (top <= MEAN_GUARD and (nonneg or lam.min() >= 0.0)):
+                    _checked_means(offspring_model, means, eta[:, j])
+                    ok = ~(lam > MEAN_GUARD).any(axis=0)
+                    overflow_step[rows[~ok]] = n
+                    compact(ok)
+                    if rows.size == 0:
+                        break
+                    means, lam = means_w[:, :, j], lam[:, ok]
+                    top = lam.max()
+                e = eta[:, j]
+                f, m = _offspring_totals(offspring_model, cur, means, lam, top, e, stream)
+                nxt = np.asarray(mate_array(rule, f, m, e, None if d_w is None else d_w[:, j]), dtype=float)
+                died = np.count_nonzero(nxt) < nxt.size
+                dead = nxt == 0 if died else None
+                if stride is not None and (n % stride == 0 or n == max_steps or died):
+                    keep = slice(None) if n % stride == 0 or n == max_steps else dead
+                    rec = np.empty(nxt[keep].size, dtype=STEP_DTYPE)
+                    x = xi_w[keep, j]
+                    rec["replicate_id"] = rows[keep]
+                    rec["n"] = n
+                    rec["eta"] = e[keep]
+                    rec["F_total"] = f[keep]
+                    rec["M_total"] = m[keep]
+                    rec["N"] = nxt[keep]
+                    rec["xi"] = x
+                    rec["S"] = s_w[keep, j]
+                    rec["R"] = nxt[keep] - cur[keep] * np.exp(x)
+                    recorded += rec.data
+                if n in pending:
+                    at, which = np.nonzero(tgt == n)
+                    observed[rows[at], which] = nxt[at]
+                cur = nxt
+                if died:
+                    tau[rows[dead]] = n
+                    compact(~dead)
+                    if rows.size == 0:
+                        break
+        # a walk row leaves once its process is gone and, in a coupled run,
+        # its walk has hit or it is overflow-tagged (a later theta is dropped)
+        stay = np.zeros(size, dtype=bool)
+        stay[rows] = True
+        if epsilon is not None:
+            stay |= (theta < 0) & (overflow_step == 0)
+        stay = stay[walk_rows]
+        walk_rows, walk_sum = walk_rows[stay], walk_sum[stay]
         first += width
 
     if epsilon is None:

@@ -420,25 +420,27 @@ def summarize_records(
 ) -> SummaryRow:
     """The summary row of one grid point's ``BlockRun``.
 
-    Overflow-tagged replicates are counted in ``replicates`` and
-    ``overflow_count`` and left out of every statistic; the others are
-    the KS denominator, censored ones included.  Raises
-    ``ExcessCensoringError`` when the censored fraction exceeds the
+    Every replicate is in the KS denominator and the censored median's.
+    An overflow-tagged one counts there as censored, in ``replicates``
+    and in ``overflow_count``, and in no other statistic: not in
+    ``censored_count``, the replicates censored at the cap, nor in the
+    window frequencies or the mean.  Raises ``ExcessCensoringError``
+    when the censored fraction of the untagged replicates exceeds the
     law's tail beyond ``max_steps`` plus ``CENSORING_SLACK``.
     """
     scale = math.log(n0) ** 2
     usable = run.overflow_step == 0
-    n_total = int(np.count_nonzero(usable))
-    overflow_count = run.overflow_step.size - n_total
+    n_total = run.overflow_step.size
+    n_usable = int(np.count_nonzero(usable))
     taus = run.tau[usable & (run.tau >= 0)]
     thetas = run.theta[usable & (run.theta >= 0)]
-    censored = n_total - taus.size
-    theta_censored = n_total - thetas.size
+    censored = n_usable - taus.size
+    theta_censored = n_usable - thetas.size
 
     expected_tail = 1.0 - law.cdf(max_steps / scale)
-    if n_total and censored / n_total > expected_tail + CENSORING_SLACK:
+    if n_usable and censored / n_usable > expected_tail + CENSORING_SLACK:
         raise ExcessCensoringError(
-            f"N={n0}: censored fraction {censored / n_total:.3f} exceeds the law-implied "
+            f"N={n0}: censored fraction {censored / n_usable:.3f} exceeds the law-implied "
             f"tail {expected_tail:.3f} plus slack {CENSORING_SLACK}"
         )
 
@@ -454,16 +456,16 @@ def summarize_records(
     # censored replicates contribute the cap: a documented lower bound on
     # the uncensorable mean (the limit law itself has no mean)
     mean_tau = (
-        float((int(taus.sum()) + censored * max_steps) / n_total / scale) if n_total else None
+        float((int(taus.sum()) + censored * max_steps) / n_usable / scale) if n_usable else None
     )
     median_tau = _censored_median(tau_scaled, n_total) if n_total else None
 
     return SummaryRow(
         n0=n0,
-        replicates=run.overflow_step.size,
+        replicates=n_total,
         censored_count=censored,
         theta_censored_count=theta_censored,
-        overflow_count=overflow_count,
+        overflow_count=n_total - n_usable,
         k=k,
         max_steps=max_steps,
         ks_tau=ks_tau,
@@ -519,13 +521,12 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         out_prefix.parent.mkdir(parents=True, exist_ok=True)
         write_replicates_csv(Path(f"{out_prefix}_replicates.csv"), runs)
         for n0, run in runs.items():
-            usable = run.overflow_step == 0
-            taus = run.tau[usable & (run.tau >= 0)]
+            taus = run.tau[(run.overflow_step == 0) & (run.tau >= 0)]
             if taus.size:
                 write_ecdf_csv(
                     Path(f"{out_prefix}_ecdf_tau_N{n0}.csv"),
                     _scaled_sorted(taus, math.log(n0) ** 2),
-                    int(np.count_nonzero(usable)),
+                    run.tau.size,
                     law,
                 )
         Path(f"{out_prefix}_summary.json").write_text(report.to_json() + "\n")

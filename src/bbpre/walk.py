@@ -10,7 +10,8 @@ with ``ln^gamma(N)`` computed as ``exp(gamma * ln ln N)`` (so ``N >= 3``
 is required to keep ``ln ln N`` well defined).  The hitting step is the
 least ``n >= 1`` with the walk at or below the threshold; runs that do
 not hit within ``max_steps`` are censored, which is a reported value
-rather than an error.
+rather than an error.  Coupled blocks find it as they read each
+environment window (``simulator.run_block``).
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConfigurationError
 
 __all__ = [
     "default_max_steps",
     "window_steps",
     "HittingSpec",
-    "HittingResult",
-    "hitting_time",
 ]
 
 
@@ -74,34 +71,3 @@ class HittingSpec:
     def threshold(self) -> float:
         ln = math.log(self.n0)
         return math.exp(self.gamma * math.log(ln)) - ln
-
-
-@dataclass(frozen=True)
-class HittingResult:
-    """Hitting step (None when censored), the walk value and final increment there."""
-
-    theta: Optional[int]
-    S_theta: float
-    xi_theta: float
-    steps_run: int
-
-    @property
-    def censored(self) -> bool:
-        return self.theta is None
-
-
-def hitting_time(spec: HittingSpec, increments: np.ndarray) -> HittingResult:
-    """First step at or below the threshold of the walk with these increments.
-
-    The walk is the cumulative sum of the first ``spec.max_steps``
-    increments, summed from 0 in order.
-    """
-    xs = np.asarray(increments, dtype=float)
-    if xs.size < spec.max_steps:
-        raise ValueError(f"hitting_time needs {spec.max_steps} increments, got {xs.size}")
-    sums = np.cumsum(xs[: spec.max_steps])
-    hit = sums <= spec.threshold
-    if not hit.any():
-        return HittingResult(theta=None, S_theta=float(sums[-1]), xi_theta=math.nan, steps_run=spec.max_steps)
-    j = int(hit.argmax())
-    return HittingResult(theta=j + 1, S_theta=float(sums[j]), xi_theta=float(xs[j]), steps_run=j + 1)

@@ -30,7 +30,8 @@ from bbpre import (
 from bbpre import model
 from bbpre.model import POISSON_EXACT_MAX
 from bbpre.simulator import run_block
-from bbpre.walk import HittingSpec, hitting_time, window_steps
+from bbpre.walk import HittingSpec, window_steps
+from walk_oracle import hitting_time
 
 
 def canonical():
@@ -554,8 +555,9 @@ def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
 
 def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
     # windows of 7 cells end mid-path for every replicate; each replicate's
-    # environment is read in order either way, S continues across windows, and
-    # replicates that leave the window arrays (death, overflow) take only their own rows
+    # environment is read in order either way, S and the walk continue across
+    # windows, and replicates that leave the window arrays (death, overflow)
+    # take only their own rows
     env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), monogamous(1)
     # the female mean jumps past the guard only where eta >= 1.25
     overflowing = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0))
@@ -575,6 +577,7 @@ def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
     for name, run in runs.items():
         assert _same_runs(run(), wide[name]), name
     assert _outcomes(wide["coupled_d3"]) != _outcomes(wide["coupled"])
+    assert np.any(wide["coupled"].theta < 0) and np.any(wide["coupled"].theta >= 0)
     first = _rows(wide["full"].steps, 0)
     assert np.array_equal(first["S"], np.cumsum(first["xi"]))
     large = wide["full_large"].steps
@@ -690,64 +693,125 @@ def test_extinction_records_do_not_depend_on_the_recording(monkeypatch, setup):
 
 
 # ---------------------------------------------------------------------------
-# the coupled blocks' hitting-step scan
+# the coupled blocks' hitting steps, found in the windows each replicate reads
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cells", [7, 2**16])
+def _coupled_block_against_the_oracle(monkeypatch, rule, env, off, n0, cap, size, seed):
+    """A coupled block's run, checked against the whole-cap oracle, and the oracle's hitting steps (-1 if censored).
+
+    The oracle's ``theta`` is ``hitting_time`` on each replicate's whole-cap
+    walk.  Its counts are those recorded by the extinction-only run of the
+    same streams, whose offspring draws are the coupled run's (they follow
+    the live processes only), with the overflow-tagged replicates' steps kept.
+    """
+
+    def streams():
+        return [derive_stream(seed, n0, i).spawn(2)[0] for i in range(size)]
+
+    run = run_block(rule, env, off, n0, cap, streams(), derive_stream(seed), epsilon=1.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "_place_steps",
+                        lambda recorded, overflow_step: np.frombuffer(bytes(recorded), dtype=simulator.STEP_DTYPE))
+        ref = run_block(rule, env, off, n0, cap, streams(), derive_stream(seed), recording="full")
+    assert np.array_equal(run.tau, ref.tau) and np.array_equal(run.overflow_step, ref.overflow_step)
+    spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
+    k = window_steps(n0, 1.0)
+    whole = []
+    for i, stream in enumerate(streams()):
+        hit = hitting_time(spec, model.walk_increments(rule, off, env.sample(stream, size=cap))).theta
+        whole.append(-1 if hit is None else hit)
+        tau, over = int(run.tau[i]), int(run.overflow_step[i])
+        theta = -1 if over and whole[i] >= over else whole[i]  # a theta at or after an overflow step is dropped
+        assert run.theta[i] == theta
+        want = [math.nan, math.nan]
+        if theta > 0:
+            want = [math.nan if over and n >= over else _count_at(ref.steps, i, n, tau) for n in (theta, theta + k)]
+        assert _same(run.n_theta[i], want[0]) and _same(run.n_theta_plus_k[i], want[1])
+    return run, np.array(whole)
+
+
+@pytest.mark.parametrize("cells", [7, 2**14, 2**16])
 @pytest.mark.parametrize(
     "env, n0, cap, size",
     [
-        (EnvironmentModel(std=0.5), 1000, 2386, 64),  # the default cap: hits spread over many rounds, some censored
+        (EnvironmentModel(std=0.5), 1000, 2386, 64),  # the default cap: hits before and after tau, some censored
         (EnvironmentModel(std=0.5), 3, 40, 50),  # threshold -0.05: about half hit at step 1
-        (EnvironmentModel(std=0.5), 10**8, 30, 20),  # every walk censored at a cap smaller than one round
+        (EnvironmentModel(std=0.5), 10**8, 30, 20),  # every walk censored at a cap smaller than one window
         (EnvironmentModel(std=0.5), 1000, 500, 1),  # a block of one
         (EnvironmentModel(std=0.0), 100, 300, 5),  # a flat walk never hits
         (EnvironmentModel(mean=-1.0, std=0.0), 1000, 4, 3),  # the walk would hit at step 5, one past the cap
     ],
 )
 def test_hitting_scan_finds_the_whole_cap_hitting_time(monkeypatch, cells, env, n0, cap, size):
-    monkeypatch.setattr(simulator, "SCAN_CELLS", cells)
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", cells)
     _, off, rule = canonical()
-    spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
-    streams = [derive_stream(14, n0, i).spawn(2)[0] for i in range(size)]
-    before = [s.bit_generator.state for s in streams]
-    theta = simulator._hitting_steps(rule, env, off, spec, streams)
-    assert [s.bit_generator.state for s in streams] == before
-    whole = [hitting_time(spec, model.walk_increments(rule, off, env.sample(s, size=cap))).theta for s in streams]
-    assert theta.tolist() == [-1 if t is None else t for t in whole]
+    run, _ = _coupled_block_against_the_oracle(monkeypatch, rule, env, off, n0, cap, size, 14)
+    theta, tau = run.theta, run.tau
     if env.std > 0 and n0 == 3:
         assert 0 < theta.tolist().count(1) < size
     if env.std == 0 or n0 == 10**8:
         assert np.all(theta == -1)
+    if size == 64:
+        assert np.any(theta < 0) and np.any((tau > 0) & (theta > tau)) and np.any((theta > 0) & (theta <= tau))
 
 
-def test_coupled_records_do_not_depend_on_the_scan_round(monkeypatch):
-    env, off, rule = canonical()
-    config = ExperimentConfig(env=env, offspring=off, rule=rule, n_grid=(300,), replicates=30, master_seed=12)
-    d3 = ExperimentConfig(**{**config.__dict__, "rule": monogamous(3)})
-    wide = [run_replicates(config)[0], run_replicates(d3)[0]]
-    assert np.any(wide[0].theta < 0) and np.any(wide[0].theta >= 0)
-    monkeypatch.setattr(simulator, "SCAN_CELLS", 7)
-    assert [_outcomes(run_replicates(config)[0]), _outcomes(run_replicates(d3)[0])] == [_outcomes(r) for r in wide]
+@pytest.mark.parametrize("cells", [7, 2**14])
+def test_coupled_block_drops_theta_at_or_after_an_overflow_step(monkeypatch, cells):
+    # the female mean jumps past the guard only where eta >= 1.25; the male mean follows eta, so the walk moves
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", cells)
+    env, rule = EnvironmentModel(std=0.5), monogamous(1)
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
+    run, whole = _coupled_block_against_the_oracle(monkeypatch, rule, env, off, 1000, 200, 40, 5)
+    over = run.overflow_step
+    assert np.any((over > 0) & (whole > 0) & (whole < over))  # hit before its overflow: kept
+    assert np.any((over > 0) & (whole >= over))  # would hit at or after it: dropped
 
 
 def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
     # the female mean halves below eta = -0.25 (xi = ln 0.5, a hit at n0 = 3)
     # and vanishes from eta = 1.5 on (xi = -inf); stream 1 starts below -0.25
-    # and first reaches 1.5 at step 156
+    # and first reaches 1.5 at step 156; its process dies at step 2
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     off = OffspringModel(mean_f=TableMap((-0.25, 1.5), (0.5, 1.0, 0.0)), mean_m=ConstantMap(1.0))
     spec = HittingSpec(n0=3, beta=off.beta, max_steps=2000)
     eta = env.sample(derive_stream(1).spawn(2)[0], size=2000)
     assert eta[0] < -0.25 and np.argmax(eta >= 1.5) == 155
-    monkeypatch.setattr(simulator, "SCAN_CELLS", 200)
-    with pytest.raises(DegenerateModelError):  # within the 200 values the scan draws
-        simulator._hitting_steps(rule, env, off, spec, [derive_stream(1).spawn(2)[0]])
+
+    def run():
+        return run_block(rule, env, off, 3, 2000, [derive_stream(1).spawn(2)[0]], derive_stream(1, 1), epsilon=1.0)
+
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 200)
+    with pytest.raises(DegenerateModelError):  # within the one window the replicate reads
+        run()
     with pytest.raises(DegenerateModelError):  # the whole-cap walk, as hitting_time reads it
         hitting_time(spec, model.walk_increments(rule, off, eta))
-    monkeypatch.setattr(simulator, "SCAN_CELLS", 100)
-    assert simulator._hitting_steps(rule, env, off, spec, [derive_stream(1).spawn(2)[0]]).tolist() == [1]
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 100)
+    done = run()  # its last window ends at step 100
+    assert done.theta.tolist() == [1] and done.steps_run.tolist() == [2]
+
+
+def test_each_replicate_reads_its_stream_once(monkeypatch):
+    # a replicate reads its environment to the end of the window that holds its
+    # steps_run, never past it and never twice
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 7)
+    read = {}
+    sample_rows = EnvironmentModel.sample_rows
+
+    def counting(self, streams, width):
+        for s in streams:
+            read[id(s)] = read.get(id(s), 0) + width
+        return sample_rows(self, streams, width)
+
+    monkeypatch.setattr(EnvironmentModel, "sample_rows", counting)
+    env, off, rule = canonical()
+    overflowing = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
+    for offspring, cap, epsilon in ((off, 2386, 1.0), (overflowing, 200, 1.0), (off, 2386, None)):
+        streams = [derive_stream(17, i).spawn(2)[0] for i in range(64)]
+        read.clear()
+        run = run_block(rule, env, offspring, 1000, cap, streams, derive_stream(17), epsilon=epsilon)
+        counts = np.array([read[id(s)] for s in streams])
+        assert np.all(counts >= run.steps_run) and np.all(counts < run.steps_run + 7)
 
 
 def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):

@@ -17,6 +17,7 @@ from bbpre import (
     LemmaSweepConfig,
     OffspringModel,
     ExperimentConfig,
+    TableMap,
     ks_statistic,
     lemma_bound_sweep,
     loglog_slope,
@@ -292,6 +293,25 @@ def test_summarize_records_empty_overflow_only():
     assert row.censored_count == 0
     assert row.ks_tau is not None
     assert row.total_steps == 15
+
+
+def test_overflow_tagged_replicates_are_censored_in_the_ks_denominator(tmp_path):
+    # the female mean jumps past the guard only where eta >= 1.25; the male mean follows eta
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
+    config = ExperimentConfig(env=EnvironmentModel(std=0.5), offspring=off, rule=monogamous(1), n_grid=(1000,),
+                              replicates=40, master_seed=5, max_steps=200)
+    report = run_experiment(config, out_prefix=tmp_path / "exp")
+    run, row, law = run_replicates(config)[0], report.rows[0], FirstPassageLaw(report.sigma)
+    usable, scale = run.overflow_step == 0, math.log(1000) ** 2
+    assert 0 < row.overflow_count == 40 - np.count_nonzero(usable)
+    assert row.censored_count == np.count_nonzero(usable & (run.tau < 0))  # censored at the cap only
+    taus = np.sort(run.tau[run.tau >= 0]) / scale
+    thetas = np.sort(run.theta[usable & (run.theta >= 0)]) / scale
+    assert row.ks_tau == ks_statistic(taus, law, n_total=40)
+    assert row.ks_theta == ks_statistic(thetas, law, n_total=40)
+    assert row.median_tau_scaled == taus[19]
+    ecdf = (tmp_path / "exp_ecdf_tau_N1000.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in ecdf] == [repr(i / 40) for i in range(1, taus.size + 1)]
 
 
 def test_replicates_csv_cells(tmp_path):

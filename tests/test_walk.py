@@ -11,10 +11,10 @@ from bbpre import (
     OffspringModel,
     default_max_steps,
     derive_stream,
-    hitting_time,
     monogamous,
     simulator,
 )
+from walk_oracle import hitting_time
 
 
 def test_gamma_from_beta():
@@ -91,10 +91,12 @@ def test_hitting_minimality_and_sandwich():
     assert hits > 20
 
 
-def _hitting_steps(env, spec, replicates, seed):
-    # the coupled blocks' scan over the replicates' own child streams
-    streams = derive_stream(seed).spawn(replicates)
-    return simulator._hitting_steps(monogamous(1), env, OffspringModel(), spec, streams)
+def _hitting_steps(env, spec, replicates, seed, order=slice(None)):
+    # a coupled block's theta over the replicates' own streams, taken in the given order
+    streams = derive_stream(seed).spawn(replicates)[order]
+    run = simulator.run_block(monogamous(1), env, OffspringModel(), spec.n0, spec.max_steps, streams,
+                              derive_stream(seed, 1), epsilon=1.0)
+    return run.theta
 
 
 def test_hitting_steps_censor_everything_in_a_degenerate_environment():
@@ -107,9 +109,8 @@ def test_hitting_steps_are_order_canonical():
     # a replicate's hitting step does not depend on its position among the streams
     env = EnvironmentModel(std=0.5)
     spec = HittingSpec(n0=1000, beta=3.0)
-    streams = derive_stream(8).spawn(200)
-    theta = simulator._hitting_steps(monogamous(1), env, OffspringModel(), spec, streams)
-    backwards = simulator._hitting_steps(monogamous(1), env, OffspringModel(), spec, streams[::-1])
+    theta = _hitting_steps(env, spec, 200, 8)
+    backwards = _hitting_steps(env, spec, 200, 8, slice(None, None, -1))
     assert np.array_equal(backwards[::-1], theta)
     assert 0 < np.count_nonzero(theta > 0) < 200
 
