@@ -81,8 +81,7 @@ MEAN_GUARD = 1e300
 # numpy's rejection sampler is exact here; above, the normal approximation
 # has relative error below 1e-6 per draw and cannot produce negatives.
 POISSON_EXACT_MAX = 1e12
-# The centered-moment series are summed in passes of at most this many
-# (mean x term) cells, so their memory does not grow with the sample count.
+# Cells (mean x term) and ln k! values of one pass of the centered-moment sums.
 MOMENT_PASS_CELLS = 2**20
 
 
@@ -211,44 +210,45 @@ def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) ->
 def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
     """E|X - lam|^order for X ~ Poisson(lam), elementwise over an array of means.
 
-    ``order == 2`` returns the means (the variance).  Otherwise a mean's
-    series runs to ``max(lam + 12 sqrt(lam) + 20, 2 lam + 10 order + 20)``
-    and doubles until its last term is below 1e-12 of its sum (past
-    ``2 lam + 10 order + 20`` the term ratio is < 0.56, so the remaining
-    tail is < 1.3 * last term).  The positive means are summed largest
-    first, in passes of at most ``MOMENT_PASS_CELLS`` (mean x term) cells
-    as long as the series of the pass's largest mean; ``ln k!`` is
-    tabulated once, for the longest series.  Other means give 0.
+    ``order == 2`` returns the means (the variance); means <= 0 give 0.  The
+    others are summed largest first, in passes of at most ``MOMENT_PASS_CELLS``
+    (mean x term) cells and ``ln k!`` values (one mean may exceed both alone).
+    With ``h = 12 sqrt(top) + 10 order + 20`` for the pass's largest mean
+    ``top``, each mean sums from ``max(0, floor(lam) - h)`` as many terms as
+    ``top`` up to ``min(floor(top) + h, max(top + 12 sqrt(top) + 20, 2 top + 10
+    order + 20))``.  The term ratio falls away from the mean, so at each end it
+    bounds the tail by a geometric series; until both tails are below 1e-16 of
+    every sum, the pass is redone with ``h`` and the end doubled.
     """
     if order == 2.0:
         return lams
     out = np.zeros(lams.shape)
     pos = np.flatnonzero(lams > 0.0)
     pos = pos[np.argsort(lams.flat[pos])[::-1]]
-    desc = lams.flat[pos]
-    log_fact = np.empty(0)
-    start, k_min = 0, 0
+    desc, start, grow = lams.flat[pos], 0, 1
     while start < pos.size:
         top = float(desc[start])
-        k_max = max(int(max(top + 12.0 * math.sqrt(top) + 20.0, 2.0 * top + 10.0 * order + 20.0)), k_min)
-        lam = desc[start : start + max(1, MOMENT_PASS_CELLS // (k_max + 1)), None]
-        if log_fact.size <= k_max:
-            log_fact = log_factorial(np.arange(k_max + 1))
-        k = np.arange(k_max + 1, dtype=float)
-        terms = k * np.log(lam)
-        terms -= lam
-        terms -= log_fact[: k_max + 1]
-        np.exp(terms, out=terms)
-        dev = k - lam
-        np.abs(dev, out=dev)
-        dev **= order
-        terms *= dev
-        sums = terms.sum(axis=1)
-        if not np.all(1.3 * terms[:, -1] <= 1e-12 * np.maximum(sums, 1e-300)):
-            k_min = 2 * k_max
+        h = grow * int(12.0 * math.sqrt(top) + 10.0 * order + 20.0)
+        right = grow * int(max(top + 12.0 * math.sqrt(top) + 20.0, 2.0 * top + 10.0 * order + 20.0))
+        width = min(int(top) + h, right) - max(0, int(top) - h) + 1
+        k0 = np.maximum(np.floor(desc[start : start + max(1, MOMENT_PASS_CELLS // width)]) - h, 0.0)
+        n = max(1, np.count_nonzero(k0 >= k0[0] + width - MOMENT_PASS_CELLS))
+        k0, lam, j = k0[:n, None], desc[start : start + n, None], np.arange(width)
+        terms = log_factorial(np.arange(k0[-1, 0], k0[0, 0] + width))[(k0 - k0[-1]).astype(np.intp) + j]
+        k = k0 + j
+        np.subtract(np.multiply(k, np.log(lam), out=k), lam, out=k)
+        np.exp(np.subtract(k, terms, out=terms), out=terms)
+        np.subtract(np.add(k0, j, out=k), lam, out=k)
+        terms *= np.power(np.abs(k, out=k), order, out=k)
+        ratio = np.hstack((k0 / lam * (1.0 + 1.0 / np.maximum(lam - k0, h)) ** order,  # 0, not NaN, at k0 = 0
+                           lam / (k0 + width) * (1.0 + 1.0 / (k0 + (width - 1) - lam)) ** order))
+        sums, tails = terms.sum(axis=1, keepdims=True), terms[:, [0, -1]] * ratio
+        del terms, k  # before the next pass allocates its cells
+        if not np.all(tails <= 1e-16 * sums * (1.0 - ratio)):
+            grow *= 2
             continue
-        out.flat[pos[start : start + lam.shape[0]]] = sums
-        start, k_min = start + lam.shape[0], 0
+        out.flat[pos[start : start + n]] = sums[:, 0]
+        start, grow = start + n, 1
     return out
 
 

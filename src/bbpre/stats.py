@@ -420,9 +420,10 @@ def summarize_records(
 ) -> SummaryRow:
     """The summary row of one grid point's ``BlockRun``.
 
-    Every replicate is in the KS denominator and the censored median's.
-    An overflow-tagged one counts there as censored, in ``replicates``
-    and in ``overflow_count``, and in no other statistic: not in
+    Every replicate is in the KS denominators and the censored median's;
+    ``ks_theta`` takes every observed ``theta``, a tagged one's too.  An
+    overflow-tagged replicate counts as censored, in ``replicates`` and
+    ``overflow_count``, and in no other statistic: not in
     ``censored_count``, the replicates censored at the cap, nor in the
     window frequencies or the mean.  Raises ``ExcessCensoringError``
     when the censored fraction of the untagged replicates exceeds the
@@ -433,9 +434,8 @@ def summarize_records(
     n_total = run.overflow_step.size
     n_usable = int(np.count_nonzero(usable))
     taus = run.tau[usable & (run.tau >= 0)]
-    thetas = run.theta[usable & (run.theta >= 0)]
+    thetas = run.theta[run.theta >= 0]
     censored = n_usable - taus.size
-    theta_censored = n_usable - thetas.size
 
     expected_tail = 1.0 - law.cdf(max_steps / scale)
     if n_usable and censored / n_usable > expected_tail + CENSORING_SLACK:
@@ -464,7 +464,7 @@ def summarize_records(
         n0=n0,
         replicates=n_total,
         censored_count=censored,
-        theta_censored_count=theta_censored,
+        theta_censored_count=n_total - thetas.size,
         overflow_count=n_total - n_usable,
         k=k,
         max_steps=max_steps,

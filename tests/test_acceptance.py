@@ -146,10 +146,9 @@ def test_criterion_3_hitting_time_limit(grid_report, grid_prefix):
     ln_n = math.log(row.n0)
     depth = ln_n - ln_n ** (2.0 / (1.0 + grid_report.beta))
     thetas = _observed_thetas(Path(f"{grid_prefix}_replicates.csv"), row.n0)
-    n_total = row.replicates - row.overflow_count
-    assert len(thetas) == n_total - row.theta_censored_count
+    assert len(thetas) == row.replicates - row.theta_censored_count
     scaled = np.asarray(thetas, dtype=float) / depth**2
-    d = ks_statistic(scaled, FirstPassageLaw(grid_report.sigma), n_total=n_total)
+    d = ks_statistic(scaled, FirstPassageLaw(grid_report.sigma), n_total=row.replicates)
     ks = [r.ks_theta for r in grid_report.rows]
     report(
         3,

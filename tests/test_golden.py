@@ -42,11 +42,13 @@ RUNS = {
         "audit", "--sigma-env", "2", "--alpha", "0.4", "--replicates", "3000", "--seed", "6",
         "--out", "{out}/audit.json",
     ],
-    # means up to 3.9e5, a series of 7.8e5 terms in a pass of its own
+    # means up to 3.9e5, a window of 1.5e4 terms around each of the largest
     "audit-sigma-env-4.5": [
         "audit", "--sigma-env", "4.5", "--alpha", "0.4", "--replicates", "300", "--seed", "6",
         "--out", "{out}/audit.json",
     ],
+    # means up to 5.56e8: a series from k = 0 would need about 9 GB for its ln k! values alone
+    "audit-sigma-env-4": ["audit", "--sigma-env", "4", "--alpha", "0.4", "--seed", "42", "--out", "{out}/audit.json"],
     # erfc arguments 1/(sigma sqrt(2t)) from 31.9 down to 0.12: the x < 1, 1 <= x < 8 and x >= 8 branches
     "limit-law-table": ["limit-law", "--sigma", "0.7", "--table", "0.001:60:5000", "--out", "{out}/table.csv"],
     # erfcinv levels in each ndtri branch: central, sqrt(-2 ln y) < 8 and >= 8
@@ -88,7 +90,10 @@ DIGESTS = {
         "audit.json": "e221c59a8b1c99c2a4207809d4ed06cb8abe07241f2530ea4afc74084909ef32",
     },
     "audit-sigma-env-4.5": {
-        "audit.json": "4e8d32781a73bcbc3dc840f6a16053450647fcc9f93d0779ba1b33464bd51af5",
+        "audit.json": "3ef47de90ab513a970f68fe660e820a3b8dfd7c2ab27b861a0f6338f4a3d5d1d",
+    },
+    "audit-sigma-env-4": {
+        "audit.json": "2be57766a311ff59f077c0ff91b6a1cbb1c19096ff835fb4f5933a57f86befdd",
     },
     "limit-law-table": {
         "table.csv": "d031dd07b878eb5856d3a454f14107a9cd954e8e7040bb26fdcdd347f9dbda6c",

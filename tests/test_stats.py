@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -306,12 +307,27 @@ def test_overflow_tagged_replicates_are_censored_in_the_ks_denominator(tmp_path)
     assert 0 < row.overflow_count == 40 - np.count_nonzero(usable)
     assert row.censored_count == np.count_nonzero(usable & (run.tau < 0))  # censored at the cap only
     taus = np.sort(run.tau[run.tau >= 0]) / scale
-    thetas = np.sort(run.theta[usable & (run.theta >= 0)]) / scale
+    thetas = np.sort(run.theta[run.theta >= 0]) / scale
     assert row.ks_tau == ks_statistic(taus, law, n_total=40)
     assert row.ks_theta == ks_statistic(thetas, law, n_total=40)
     assert row.median_tau_scaled == taus[19]
     ecdf = (tmp_path / "exp_ecdf_tau_N1000.csv").read_text().splitlines()[1:]
     assert [line.split(",")[1] for line in ecdf] == [repr(i / 40) for i in range(1, taus.size + 1)]
+
+
+def test_ks_theta_keeps_the_observed_theta_of_tagged_replicates(tmp_path):
+    # as above; at seed 0 two tagged replicates hit before their overflow step, and the replicate CSV prints both
+    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ExpMeanMap())
+    config = ExperimentConfig(env=EnvironmentModel(std=0.5), offspring=off, rule=monogamous(1), n_grid=(1000,),
+                              replicates=40, master_seed=0, max_steps=200)
+    report = run_experiment(config, out_prefix=tmp_path / "exp")
+    run, row = run_replicates(config)[0], report.rows[0]
+    assert np.count_nonzero((run.overflow_step > 0) & (run.theta >= 0)) == 2
+    with open(tmp_path / "exp_replicates.csv", newline="") as fh:
+        printed = [int(r["theta"]) for r in csv.DictReader(fh) if r["theta"]]
+    assert len(printed) == row.replicates - row.theta_censored_count == 39
+    thetas = np.sort(np.array(printed)) / math.log(1000) ** 2
+    assert row.ks_theta == ks_statistic(thetas, FirstPassageLaw(report.sigma), n_total=40)
 
 
 def test_replicates_csv_cells(tmp_path):
