@@ -218,7 +218,10 @@ def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
     ``top`` up to ``min(floor(top) + h, max(top + 12 sqrt(top) + 20, 2 top + 10
     order + 20))``.  The term ratio falls away from the mean, so at each end it
     bounds the tail by a geometric series; until both tails are below 1e-16 of
-    every sum, the pass is redone with ``h`` and the end doubled.
+    every sum, the pass is redone with ``h`` and the end doubled.  A term
+    whose Poisson factor underflows to 0 is 0 even where its power
+    overflows, so a sum is never NaN; it is inf where a term's power
+    overflows and its Poisson factor does not underflow.
     """
     if order == 2.0:
         return lams
@@ -239,7 +242,8 @@ def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
         np.subtract(np.multiply(k, np.log(lam), out=k), lam, out=k)
         np.exp(np.subtract(k, terms, out=terms), out=terms)
         np.subtract(np.add(k0, j, out=k), lam, out=k)
-        terms *= np.power(np.abs(k, out=k), order, out=k)
+        with np.errstate(over="ignore"):  # |k - lam|^order may overflow where its term underflowed to 0: it stays 0
+            np.multiply(terms, np.power(np.abs(k, out=k), order, out=k), out=terms, where=terms > 0)
         ratio = np.hstack((k0 / lam * (1.0 + 1.0 / np.maximum(lam - k0, h)) ** order,  # 0, not NaN, at k0 = 0
                            lam / (k0 + width) * (1.0 + 1.0 / (k0 + (width - 1) - lam)) ** order))
         sums, tails = terms.sum(axis=1, keepdims=True), terms[:, [0, -1]] * ratio
@@ -454,7 +458,8 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
 
     ``zeta = ln+ (omega1 + omega2 + omega3)`` elementwise over an
     environment array; see the module docstring for the components.
-    Each mean map is evaluated once; a negative or NaN mean is refused.
+    Each mean map is evaluated once; a negative, infinite or NaN mean,
+    and a centered-moment sum that overflows float64, are refused.
     """
     p = 1.0 + rule.delta
     lip = np.asarray(rule.lipschitz(eta), dtype=float)
@@ -463,10 +468,13 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
     mf = np.asarray(model.mean_f(eta), dtype=float)
     mm = np.asarray(model.mean_m(eta), dtype=float)
     means = np.stack(np.broadcast_arrays(mf, mm))
-    if not np.all(means >= 0.0):
-        raise ConfigurationError("negative or NaN conditional mean in the noise scale")
+    if not np.all((means >= 0.0) & (means < np.inf)):
+        raise ConfigurationError("negative, infinite or NaN conditional mean in the noise scale")
     w2 = mf + mm
-    cf, cm = np.zeros(means.shape) if model.kind == "deterministic" else _poisson_centered_abs_moments(means, p)
+    moments = np.zeros(means.shape) if model.kind == "deterministic" else _poisson_centered_abs_moments(means, p)
+    if not np.all(np.isfinite(moments)):
+        raise ConfigurationError(f"the sum of a Poisson centered moment of order {p:g} overflows float64")
+    cf, cm = moments
     zeta = np.maximum(0.0, np.log(w1 + w2 + cf + cm))
     return zeta, w1, w2, cf + cm
 

@@ -106,13 +106,14 @@ class BlockRun:
     ``tau`` and ``theta`` are -1 where absent; ``overflow_step`` is the
     step that tripped the overflow guard, 0 if none; ``n_theta`` and
     ``n_theta_plus_k`` are NaN where unobserved (see ``run_block``).
-    ``steps`` holds the recorded steps (``STEP_DTYPE``, with
-    ``replicate_id`` the block position), replicate-major and in step
-    order within a replicate, with none of an overflow-tagged
-    replicate's.  The steps are held once: ``run_block`` appends each
-    recorded generation to one byte buffer and ``_place_steps`` puts
-    the rows in replicate order in place, so ``steps`` is a view of
-    that buffer.
+    ``steps`` holds the recorded steps as ``STEP_DTYPE`` arrays, one per
+    block in block order (``run_block`` returns one, with
+    ``replicate_id`` the block position); together they are
+    replicate-major and in step order within a replicate, with none of
+    an overflow-tagged replicate's.  The steps are held once:
+    ``run_block`` appends each recorded generation to one byte buffer
+    and ``_place_steps`` puts the rows in replicate order in place, so a
+    block's array is a view of that buffer.
     """
 
     tau: np.ndarray
@@ -121,7 +122,7 @@ class BlockRun:
     theta: np.ndarray
     n_theta: np.ndarray
     n_theta_plus_k: np.ndarray
-    steps: np.ndarray
+    steps: tuple
 
 
 def _capacity(rule: MatingRule, eta: np.ndarray) -> Optional[np.ndarray]:
@@ -337,7 +338,7 @@ def run_block(
         theta=theta,
         n_theta=observed[:, 0],
         n_theta_plus_k=observed[:, 1],
-        steps=_place_steps(recorded, overflow_step),
+        steps=(_place_steps(recorded, overflow_step),),
     )
 
 

@@ -9,9 +9,11 @@ aggregates the frozen-bundle ratio diagnostics.
 Every replicate sweep (``run_replicates``, behind ``coupled`` and
 ``experiment``, and ``run_extinction_records``, behind ``simulate``)
 runs through one function, ``_sweep``.  Its result is the block engine's
-own: one ``simulator.BlockRun`` per grid point, its blocks' arrays
-joined in replicate order, so an array position is the replicate
-index.  The summaries and the CSV writers read those arrays directly.
+own: one ``simulator.BlockRun`` per grid point, its blocks' per-replicate
+arrays joined in replicate order, so an array position is the replicate
+index, and its blocks' recorded steps kept as they are, one array per
+block in block order.  The summaries and the CSV writers read those
+arrays directly.
 
 Censoring: runs that hit the step cap are right-censored.  They are
 counted, never dropped: the empirical distribution function uses the
@@ -39,7 +41,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -193,7 +195,7 @@ def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
 
     With several workers the tasks start in decreasing ``cost(args)``
     (stable), so the longest ones do not start last; ``cost`` must read
-    only the task's arguments.
+    only the task's arguments.  No more workers start than there are tasks.
     """
     if threads <= 1 or len(task_args) <= 1:
         return [worker(a) for a in task_args]
@@ -201,7 +203,7 @@ def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
     if cost is not None:
         order.sort(key=lambda i: -cost(task_args[i]))
     results = [None] * len(task_args)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(task_args))) as pool:
         for i, result in zip(order, pool.map(worker, [task_args[i] for i in order])):
             results[i] = result
     return results
@@ -218,29 +220,15 @@ def _block_task(args) -> BlockRun:
     ]
     off_rng = derive_stream(master_seed, grid_index, OFFSPRING_BLOCK_KEY, block)
     run = run_block(rule, env, offspring, n0, max_steps, env_streams, off_rng, epsilon, recording)
-    run.steps["replicate_id"] += start
+    run.steps[0]["replicate_id"] += start
     return run
 
 
 def _joined(runs: list) -> BlockRun:
-    """The ``BlockRun`` of a sweep's blocks, in block order; the blocks' runs are released from ``runs``.
-
-    A single block's run is returned as it is, so its steps stay a view
-    of the one buffer its run recorded into.  Several are copied into
-    one preallocated steps array, each block released once it is copied.
-    """
-    if len(runs) == 1:
-        return runs[0]
+    """The ``BlockRun`` of a sweep's blocks, in block order; the blocks' recorded steps are not copied."""
     names = [f.name for f in fields(BlockRun) if f.name != "steps"]
     joined = {name: np.concatenate([getattr(r, name) for r in runs]) for name in names}
-    steps = np.empty(sum(r.steps.size for r in runs), dtype=STEP_DTYPE)
-    at = 0
-    for i in range(len(runs)):
-        block_steps = runs[i].steps
-        runs[i] = None
-        steps[at : at + block_steps.size] = block_steps
-        at += block_steps.size
-    return BlockRun(steps=steps, **joined)
+    return BlockRun(steps=tuple(chain.from_iterable(r.steps for r in runs)), **joined)
 
 
 def _sweep(env, offspring, rule, points, replicates, master_seed, threads, epsilon=None,
@@ -250,7 +238,8 @@ def _sweep(env, offspring, rule, points, replicates, master_seed, threads, epsil
     Every point's replicates are split into ``BLOCK``-sized blocks, all
     handed to the workers at once (the partition does not depend on
     ``threads``); a point's blocks are then joined in order, so array
-    position ``i`` is replicate ``i``.  ``epsilon=None`` runs the
+    position ``i`` is replicate ``i``, and its ``steps`` are its blocks'
+    recorded steps, one array per block.  ``epsilon=None`` runs the
     extinction-only engine.  Raises ``OverflowGuardError`` when every
     replicate of some point is overflow-tagged: such a point has no
     usable replicate, so no statistic would be computed from it.
@@ -265,10 +254,8 @@ def _sweep(env, offspring, rule, points, replicates, master_seed, threads, epsil
     # a block's work bound, its step cap times its replicates, starts the largest blocks first
     blocks = _run_chunked(tasks, _block_task, threads, lambda t: t[4] * (t[9] - t[8]))
     runs = []
-    for n0, _ in points:
-        # _joined releases each block from the list it is given, so that list must be the blocks' only holder
-        point, blocks = blocks[: len(starts)], blocks[len(starts) :]
-        run = _joined(point)
+    for gi, (n0, _) in enumerate(points):
+        run = _joined(blocks[gi * len(starts) : (gi + 1) * len(starts)])
         if run.overflow_step.all():
             raise OverflowGuardError(
                 f"N={n0}: all {replicates} replicates crossed the offspring-mean guard (overflow-tagged)"
@@ -304,11 +291,11 @@ def run_extinction_records(
 
     Returns one ``BlockRun``; position ``i`` is replicate ``i``, and
     ``theta``, ``n_theta`` and ``n_theta_plus_k`` are unobserved.
-    ``steps`` holds every recorded step, replicate-major, and is empty
-    under terminal recording.  A single block's steps are returned as
-    they are, a view of the one buffer its run recorded into, so they
-    are held once; several blocks' steps are copied into one array.
-    Raises ``OverflowGuardError`` when every replicate is overflow-tagged.
+    ``steps`` holds every recorded step, one array per block in block
+    order, together replicate-major, and its arrays are empty under
+    terminal recording.  Each block's array is a view of the one buffer
+    its run recorded into, so a recording is held once.  Raises
+    ``OverflowGuardError`` when every replicate is overflow-tagged.
     """
     n0, replicates = read_int(n0, "n0", 1), read_int(replicates, "replicates", 1)
     master_seed, threads = read_int(master_seed, "master_seed", 0), read_int(threads, "threads", 1)
@@ -602,10 +589,9 @@ def write_ecdf_csv(path: Path, sorted_scaled: np.ndarray, n_total: int, law: Fir
 TRAJECTORY_COLUMNS = STEP_DTYPE.names
 
 
-def _trajectory_rows(steps: np.ndarray):
-    """The CSV rows of ``steps``, formatted a ``CSV_CHUNK_ROWS`` chunk and one column at a time."""
-    for first in range(0, steps.size, CSV_CHUNK_ROWS):
-        chunk = steps[first : first + CSV_CHUNK_ROWS]
+def _trajectory_rows(steps: tuple):
+    """The CSV rows of each array of ``steps`` in turn, a ``CSV_CHUNK_ROWS`` chunk and one column at a time."""
+    for chunk in (b[i : i + CSV_CHUNK_ROWS] for b in steps for i in range(0, b.size, CSV_CHUNK_ROWS)):
         eta = list(map(repr, chunk["eta"].tolist()))
         # xi is eta itself under the canonical mean maps: compare bits, so -0.0 and 0.0 stay apart
         same = np.array_equal(chunk["xi"].view(np.int64), chunk["eta"].view(np.int64))
@@ -625,16 +611,17 @@ def _trajectory_rows(steps: np.ndarray):
         )
 
 
-def write_trajectories_csv(path: Path, steps: np.ndarray) -> None:
-    """One row per recorded step of a ``simulator.STEP_DTYPE`` array, counts as exact integers.
+def write_trajectories_csv(path: Path, steps: tuple) -> None:
+    """One row per recorded step, counts as exact integers.
 
-    Each ``CSV_CHUNK_ROWS`` chunk is formatted column by column: one
-    ``tolist()`` per field, ``repr`` over the float columns and ``int``
-    over the counts, so a count past 2**63 keeps its exact integer text.
-    Where a chunk's ``xi`` has the same bits as its ``eta`` (every row
-    under the canonical mean maps) the ``eta`` text is written for both,
-    so each recorded float is formatted once.  Only one chunk's text is
-    held at a time.
+    ``steps`` is a ``BlockRun``'s: ``simulator.STEP_DTYPE`` arrays, one
+    per block, written in turn.  Each ``CSV_CHUNK_ROWS`` chunk of a block
+    is formatted column by column: one ``tolist()`` per field, ``repr``
+    over the float columns and ``int`` over the counts, so a count past
+    2**63 keeps its exact integer text.  Where a chunk's ``xi`` has the
+    same bits as its ``eta`` (every row under the canonical mean maps)
+    the ``eta`` text is written for both, so each recorded float is
+    formatted once.  Only one chunk's text is held at a time.
     """
     _write_lines(path, ",".join(TRAJECTORY_COLUMNS), _trajectory_rows(steps))
 

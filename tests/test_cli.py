@@ -138,6 +138,14 @@ def test_audit_canonical_passes_criticality(capsys):
     assert "C7: pass" in stdout
 
 
+def test_audit_refuses_a_noise_moment_sum_that_overflows(capsys):
+    code, stdout, stderr = run_cli(capsys, "audit", "--alpha", "0.01", "--beta", "101", "--sigma-env", "3",
+                                   "--replicates", "100")
+    assert code == 1 and stdout == ""
+    payload = json.loads(stderr.strip().splitlines()[-1])
+    assert payload["error"] == "configuration" and "order 100" in payload["message"]
+
+
 def test_unknown_flag_is_a_configuration_error(capsys):
     code, _, stderr = run_cli(capsys, "simulate", "--n0", "100", "--frobnicate", "9")
     assert code == 1

@@ -28,6 +28,11 @@ RUNS = {
         "simulate", "--model", "shifted", "--rule", "polygamous", "--n0", "200", "--replicates", "5",
         "--max-steps", "60", "--recording", "full", "--seed", "9", "--out", "{out}/shifted.csv",
     ],
+    # 1,100 replicates are two blocks (1,024 + 76): the blocks' recorded steps are written in block order
+    "simulate-blocks": [
+        "simulate", "--rule", "polygamous", "--n0", "10", "--replicates", "1100", "--max-steps", "40",
+        "--recording", "full", "--seed", "9", "--out", "{out}/blocks.csv",
+    ],
     "simulate-sparse": [
         "simulate", "--n0", "500", "--replicates", "20", "--recording", "sparse", "--seed", "4",
         "--out", "{out}/sparse.csv",
@@ -76,6 +81,10 @@ DIGESTS = {
         "shifted.csv": "f54846acc6748a19946cb922adfea7dcd9aab5ca837120a74d47f098ede2e518",
         "shifted_trajectories.csv": "26060671987ff207e519f4924c425523e3a0b02e43caf2cfdf0f9032d07bfcc7",
     },
+    "simulate-blocks": {
+        "blocks.csv": "44a0955b746335c2414cfe72da24323a5dbb96874c7f1eed75b8c97a8796c69d",
+        "blocks_trajectories.csv": "b3889d87ae0c03e3d74f62967041b98e5592873bcad8761bb02cc4f1b75eae75",
+    },
     "simulate-sparse": {
         "sparse.csv": "2cc2d1afc6f6735af9eb521dbb2418a39f113d05e4996fabe86888fe8f327cac",
         "sparse_trajectories.csv": "748b36cbce5227b2a86a6f0b4c36e6dcdb71fc6e07696c87766c6a16eead8a6b",
@@ -105,7 +114,9 @@ DIGESTS = {
 
 
 # The runs that take --threads; each is pinned at one and at two worker processes.
-THREADED = ("coupled", "experiment", "lemma-sweep", "simulate-full", "simulate-shifted", "simulate-sparse")
+THREADED = (
+    "coupled", "experiment", "lemma-sweep", "simulate-blocks", "simulate-full", "simulate-shifted", "simulate-sparse",
+)
 CASES = [pytest.param(name, ["--threads", "1"] if name in THREADED else [], id=name) for name in sorted(RUNS)] + [
     pytest.param(name, ["--threads", "2"], id=f"{name}-threads2") for name in THREADED
 ]

@@ -35,6 +35,7 @@ from bbpre import (
 from bbpre import model as model_module
 from bbpre._special import log_factorial
 from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moments, _poisson_totals
+from recorded import all_steps
 
 ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
 # the condition checks' environment: standard normal draws
@@ -148,7 +149,7 @@ def test_deterministic_family():
     env = EnvironmentModel(std=0.5)
     model = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.0), mean_m=ConstantMap(2.0))
     run = run_extinction_records(env, model, asexual(), 7, 3, 10, 4, recording="full")
-    steps = run.steps
+    steps = all_steps(run)
     assert np.all(run.tau == -1) and np.all(run.overflow_step == 0) and steps.size == 30
     assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
     assert not noise_scales(asexual(alpha=0.4), model, np.array([0.0, 1.3]))[3].any()
@@ -256,6 +257,29 @@ def test_windowed_moments_match_the_full_series(monkeypatch):
         for cells in (model_module.MOMENT_PASS_CELLS, 5_000):
             monkeypatch.setattr(model_module, "MOMENT_PASS_CELLS", cells)
             np.testing.assert_allclose(_poisson_centered_abs_moments(lams, order), expected, rtol=1e-15, atol=0)
+
+
+def test_high_order_moment_is_finite_where_the_power_overflows():
+    # at order 100 and lambda = 300, |k - lambda|^100 overflows to inf where
+    # the Poisson factor has underflowed to 0: those terms are 0, never NaN
+    lam, order = 300.0, 100.0
+    logs = [k * math.log(lam) - lam - math.lgamma(k + 1) + order * math.log(abs(k - lam))
+            for k in range(3000) if k != lam]
+    top = max(logs)
+    oracle = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    assert oracle == pytest.approx(7.3159367648573e205, rel=1e-12)
+    assert _poisson_centered_abs_moments(np.array([lam]), order)[0] == pytest.approx(oracle, rel=1e-12)
+
+
+def test_noise_scale_refuses_a_moment_sum_that_overflows():
+    # alpha = 0.01 makes the moment order 100.  At a mean of e^7.5 the moment
+    # is 4.3e242, but |k - mean|^100 overflows where P(k) has not underflowed
+    with pytest.raises(ConfigurationError, match="order 100"):
+        noise_scales(monogamous(1, alpha=0.01), OffspringModel(beta=101.0), np.array([7.5]))
+    # a mean past the double range (eta > 709.78) is refused at any order, before any sum
+    for alpha in (0.5, 0.4):
+        with pytest.raises(ConfigurationError, match="infinite"):
+            noise_scales(monogamous(1, alpha=alpha), OffspringModel(), np.array([0.0, 800.0]))
 
 
 def test_one_large_mean_is_summed_over_a_window_around_it():

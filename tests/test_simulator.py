@@ -31,6 +31,7 @@ from bbpre import model
 from bbpre.model import POISSON_EXACT_MAX
 from bbpre.simulator import run_block
 from bbpre.walk import HittingSpec, window_steps
+from recorded import all_steps
 from walk_oracle import hitting_time
 
 
@@ -62,7 +63,7 @@ def _outcomes(run):
 
 
 def _same_runs(a, b):
-    return _outcomes(a) == _outcomes(b) and a.steps.tobytes() == b.steps.tobytes()
+    return _outcomes(a) == _outcomes(b) and all_steps(a).tobytes() == all_steps(b).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +82,18 @@ def test_zero_couples_absorb_without_sampling():
     run = run_block(monogamous(1), env, off, 1000, 100, streams, stream, recording="full")
     assert stream.bit_generator.state == state_before
     assert np.all(run.tau == 1) and np.all(run.steps_run == 1)
-    assert run.steps.size == 8 and np.all(run.steps["N"] == 0)
+    assert len(run.steps) == 1 and run.steps[0].size == 8 and np.all(run.steps[0]["N"] == 0)
 
 
 def test_asexual_step_returns_female_total():
     env, off = EnvironmentModel(std=0.5), OffspringModel()
-    steps = run_extinction_records(env, off, asexual(), 1000, 20, 200, 2, recording="full").steps
+    steps = all_steps(run_extinction_records(env, off, asexual(), 1000, 20, 200, 2, recording="full"))
     assert steps.size > 0 and np.array_equal(steps["N"], steps["F_total"])
 
 
 def test_monogamous_step_bounded_by_both_totals():
     env, off, rule = canonical()
-    steps = run_extinction_records(env, off, rule, 500, 20, 200, 3, recording="full").steps
+    steps = all_steps(run_extinction_records(env, off, rule, 500, 20, 200, 3, recording="full"))
     assert steps.size > 0 and np.array_equal(steps["N"], np.minimum(steps["F_total"], steps["M_total"]))
 
 
@@ -113,7 +114,7 @@ def test_extinction_is_absorbing_and_tau_is_first_zero():
     run = run_extinction_records(env, off, rule, 50, 20, 10_000, 4, recording="full")
     assert np.all(run.tau > 0)
     for i, tau in enumerate(run.tau.tolist()):
-        rows = _rows(run.steps, i)
+        rows = _rows(all_steps(run), i)
         assert rows["n"].tolist() == list(range(1, tau + 1))
         assert rows["N"][-1] == 0
         assert np.all(rows["N"][:-1] > 0)
@@ -124,7 +125,7 @@ def test_trajectory_step_invariants_full_recording():
     run = run_extinction_records(env, off, rule, 200, 20, 10_000, 5, recording="full")
     for i in range(20):
         prev, s = 200.0, 0.0
-        for rec in _rows(run.steps, i):
+        for rec in _rows(all_steps(run), i):
             assert rec["N"] == rule.L(int(rec["F_total"]), int(rec["M_total"]), float(rec["eta"]))
             # R cancels two terms of size N_prev e^xi: allow a few ulps of that size
             growth = prev * math.exp(rec["xi"])
@@ -138,7 +139,7 @@ def test_representation_identity():
     # N_n = N0 e^{S_n} + sum_i R_i e^{S_n - S_i}, exact up to float accumulation
     env, off, rule = canonical()
     n0 = 10_000
-    steps = run_extinction_records(env, off, rule, n0, 5, 5_000, 6, recording="full").steps
+    steps = all_steps(run_extinction_records(env, off, rule, n0, 5, 5_000, 6, recording="full"))
     for i in range(5):
         rows = _rows(steps, i)
         S, R, N = rows["S"], rows["R"], rows["N"]
@@ -155,12 +156,12 @@ def test_recording_modes():
 
     full, sparse, terminal = map(sweep, ("full", "sparse", "terminal"))
     assert np.array_equal(full.tau, sparse.tau) and np.array_equal(full.tau, terminal.tau)
-    assert terminal.steps.size == 0
-    assert 0 < sparse.steps.size < full.steps.size
+    assert all_steps(terminal).size == 0
+    assert 0 < all_steps(sparse).size < all_steps(full).size
     stride = math.ceil(math.log(100))
     for i, steps_run in enumerate(full.steps_run.tolist()):
-        assert _rows(full.steps, i).size == steps_run
-        n = _rows(sparse.steps, i)["n"]
+        assert _rows(all_steps(full), i).size == steps_run
+        n = _rows(all_steps(sparse), i)["n"]
         assert n[-1] == steps_run and np.all((n[:-1] % stride) == 0)
     with pytest.raises(ConfigurationError):
         sweep("everything")
@@ -179,7 +180,7 @@ def test_overflow_aborts_with_tagged_record():
     streams = [derive_stream(8, i).spawn(2)[0] for i in range(4)]
     run = run_block(monogamous(1), env, off, 10, 100, streams, derive_stream(8), recording="full")
     assert np.all(run.overflow_step == 1) and np.all(run.steps_run == 1)
-    assert np.all(run.tau == -1) and run.steps.size == 0
+    assert np.all(run.tau == -1) and all_steps(run).size == 0
 
 
 def test_subcritical_toy_matches_markov_chain_absorption():
@@ -248,9 +249,9 @@ def test_coupled_window_size_is_exact():
         live = [i for i in range(64) if run.theta[i] > 0 and not math.isnan(run.n_theta_plus_k[i])]
         assert len(live) >= 10
         for i in live:
-            assert run.n_theta_plus_k[i] == _count_at(run.steps, i, run.theta[i] + k, run.tau[i])
+            assert run.n_theta_plus_k[i] == _count_at(all_steps(run), i, run.theta[i] + k, run.tau[i])
         for wrong in (k - 1, k + 1):
-            assert any(run.n_theta_plus_k[i] != _count_at(run.steps, i, run.theta[i] + wrong, run.tau[i])
+            assert any(run.n_theta_plus_k[i] != _count_at(all_steps(run), i, run.theta[i] + wrong, run.tau[i])
                        for i in live)
 
 
@@ -276,15 +277,15 @@ def test_coupled_bookkeeping_matches_full_recording():
     hits = 0
     for i in range(size):
         tau, theta = int(run.tau[i]), int(run.theta[i])
-        assert _rows(run.steps, i).size == (tau if tau >= 0 else cap)
+        assert _rows(all_steps(run), i).size == (tau if tau >= 0 else cap)
         walk = np.cumsum(env.sample(derive_stream(11, i).spawn(2)[0], size=cap))
         if theta < 0:
             assert np.all(walk > spec_thr)
             assert math.isnan(run.n_theta[i]) and math.isnan(run.n_theta_plus_k[i])
             continue
         hits += 1
-        assert _same(run.n_theta[i], _count_at(run.steps, i, theta, tau))
-        assert _same(run.n_theta_plus_k[i], _count_at(run.steps, i, theta + k, tau))
+        assert _same(run.n_theta[i], _count_at(all_steps(run), i, theta, tau))
+        assert _same(run.n_theta_plus_k[i], _count_at(all_steps(run), i, theta + k, tau))
         assert walk[theta - 1] <= spec_thr
         assert np.all(walk[: theta - 1] > spec_thr)
     assert hits >= 20
@@ -526,7 +527,7 @@ def test_block_sweep_theta_is_the_whole_cap_walks_and_counts_follow_the_rules(mo
         env_streams = [derive_stream(seed, 0, rep).spawn(2)[0] for rep in range(start, min(start + 16, 72))]
         off_rng = derive_stream(seed, 0, stats.OFFSPRING_BLOCK_KEY, block)
         run = run_block(rule, env, off, n0, cap, env_streams, off_rng, epsilon=2.0, recording="full")
-        counts = {(int(s["replicate_id"]), int(s["n"])): float(s["N"]) for s in run.steps}
+        counts = {(int(s["replicate_id"]), int(s["n"])): float(s["N"]) for s in all_steps(run)}
         for i in range(len(env_streams)):
             tau, theta = int(sweep.tau[start + i]), int(sweep.theta[start + i])
             if theta < 0:
@@ -549,8 +550,8 @@ def test_blocks_are_thread_independent_across_a_ragged_last_block(monkeypatch):
     b = run_extinction_records(env, off, rule, 500, 40, None, 8, threads=2, recording="sparse")
     assert _same_runs(a, b) and a.tau.size == 40
     # every replicate records its last step, under the replicate id of its position
-    assert np.array_equal(np.unique(a.steps["replicate_id"]), np.arange(40))
-    assert np.all(np.diff(a.steps["replicate_id"]) >= 0)
+    assert np.array_equal(np.unique(all_steps(a)["replicate_id"]), np.arange(40))
+    assert np.all(np.diff(all_steps(a)["replicate_id"]) >= 0)
 
 
 def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
@@ -578,9 +579,9 @@ def test_block_results_do_not_depend_on_the_environment_window(monkeypatch):
         assert _same_runs(run(), wide[name]), name
     assert _outcomes(wide["coupled_d3"]) != _outcomes(wide["coupled"])
     assert np.any(wide["coupled"].theta < 0) and np.any(wide["coupled"].theta >= 0)
-    first = _rows(wide["full"].steps, 0)
+    first = _rows(all_steps(wide["full"]), 0)
     assert np.array_equal(first["S"], np.cumsum(first["xi"]))
-    large = wide["full_large"].steps
+    large = all_steps(wide["full_large"])
     above = [large["F_total"][large["n"] == n] > POISSON_EXACT_MAX for n in range(1, 61)]
     assert sum(a.any() and not a.all() for a in above) >= 10
     overflow = wide["overflow"]
@@ -595,10 +596,10 @@ def test_block_environment_streams_are_each_replicates_first_child():
     run = stats._block_task(args)
     assert run.tau.size == 6
     # the block's arrays are indexed by block position, its steps by replicate
-    assert np.array_equal(np.unique(run.steps["replicate_id"]), np.arange(start, start + 6))
+    assert np.array_equal(np.unique(all_steps(run)["replicate_id"]), np.arange(start, start + 6))
     for i, steps_run in enumerate(run.steps_run.tolist()):
         rep = start + i
-        eta = _rows(run.steps, rep)["eta"]
+        eta = _rows(all_steps(run), rep)["eta"]
         assert eta.size == steps_run
         assert np.array_equal(eta, env.sample(derive_stream(seed, grid_index, rep).spawn(2)[0], size=eta.size))
 
@@ -621,7 +622,7 @@ def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatc
     off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0))
     cap, seed, reps = 200, 5, 40
     run = run_extinction_records(env, off, rule, 1000, reps, cap, seed, recording="full")
-    rows = np.bincount(run.steps["replicate_id"], minlength=reps)
+    rows = np.bincount(all_steps(run)["replicate_id"], minlength=reps)
     tagged = 0
     for i in range(reps):
         tau, over, steps_run = int(run.tau[i]), int(run.overflow_step[i]), int(run.steps_run[i])
@@ -677,7 +678,9 @@ def test_placed_steps_equal_the_concatenated_filtered_sorted_chunks(monkeypatch,
     for threads in (1, 2):
         placed = sweep(threads)
         assert _outcomes(placed) == outcomes
-        assert placed.steps.dtype == reference.dtype and placed.steps.tobytes() == reference.tobytes()
+        steps = all_steps(placed)
+        assert len(placed.steps) == 3
+        assert steps.dtype == reference.dtype and steps.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("setup", sorted(BLOCK_SETUPS))
@@ -726,7 +729,7 @@ def _coupled_block_against_the_oracle(monkeypatch, rule, env, off, n0, cap, size
         assert run.theta[i] == theta
         want = [math.nan, math.nan]
         if theta > 0:
-            want = [math.nan if over and n >= over else _count_at(ref.steps, i, n, tau) for n in (theta, theta + k)]
+            want = [math.nan if over and n >= over else _count_at(all_steps(ref), i, n, tau) for n in (theta, theta + k)]
         assert _same(run.n_theta[i], want[0]) and _same(run.n_theta_plus_k[i], want[1])
     return run, np.array(whole)
 
@@ -828,6 +831,6 @@ def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):
     monkeypatch.setattr(simulator, "_capacity", lambda rule, eta: None)  # rule.L at every generation
     slow = run()
     assert np.any(fast.tau > 0) and np.any(fast.tau < 0)
-    assert np.array_equal(fast.steps, slow.steps) and fast.steps.size > 0
+    assert np.array_equal(all_steps(fast), all_steps(slow)) and fast.steps[0].size > 0
     for name in ("tau", "overflow_step", "steps_run", "theta", "n_theta", "n_theta_plus_k"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name), equal_nan=True), name

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from bbpre import (
 from bbpre.simulator import STEP_DTYPE, BlockRun
 from bbpre.stats import summarize_records, write_replicates_csv, write_sweep_csv, write_trajectories_csv
 from bbpre.walk import default_max_steps
+from recorded import all_steps
 
 
 def small_config(**kw):
@@ -53,7 +53,7 @@ def block_run(tau, overflow_step, steps_run, theta, n_theta, n_theta_plus_k):
     """A ``BlockRun`` of the given per-replicate values, with no recorded steps."""
     ints = [np.array(v, dtype=np.int64) for v in (tau, overflow_step, steps_run, theta)]
     counts = [np.array(v, dtype=float) for v in (n_theta, n_theta_plus_k)]
-    return BlockRun(*ints, *counts, steps=np.empty(0, dtype=STEP_DTYPE))
+    return BlockRun(*ints, *counts, steps=(np.empty(0, dtype=STEP_DTYPE),))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_run_extinction_records_contract():
     run = run_extinction_records(
         EnvironmentModel(std=0.5), OffspringModel(), monogamous(1), 1000, 25, None, 42, threads=1
     )
-    assert run.tau.size == 25 and run.steps.size == 0
+    assert run.tau.size == 25 and all_steps(run).size == 0
     assert np.all(run.theta == -1) and np.all(np.isnan(run.n_theta)) and np.all(np.isnan(run.n_theta_plus_k))
     assert np.all(run.overflow_step == 0)
     assert np.all(run.steps_run == np.where(run.tau < 0, default_max_steps(1000), run.tau))
@@ -160,8 +160,9 @@ def test_replicates_independent_of_thread_count():
     cfg2 = small_config(threads=2)
     a = run_replicates(cfg1)[1]
     b = run_replicates(cfg2)[1]
-    names = [f.name for f in dataclasses.fields(BlockRun)]
+    names = [f.name for f in dataclasses.fields(BlockRun) if f.name != "steps"]
     assert [getattr(a, n).tobytes() for n in names] == [getattr(b, n).tobytes() for n in names]
+    assert all_steps(a).tobytes() == all_steps(b).tobytes()
 
 
 def test_summary_reconciles_and_serializes(tmp_path):
@@ -353,9 +354,9 @@ def test_trajectory_writer_matches_the_plain_row_format(tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 7)  # many chunks and a ragged last one
     off = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
     run = run_extinction_records(EnvironmentModel(std=0.5), off, monogamous(1), 200, 12, None, 9, recording="full")
-    steps = run.steps
+    steps = all_steps(run)
     assert steps.size > 7 * 3
-    write_trajectories_csv(tmp_path / "t.csv", steps)
+    write_trajectories_csv(tmp_path / "t.csv", run.steps)
     want = ["replicate_id,n,eta,F_total,M_total,N,xi,S,R"] + [
         f"{rep_id},{n},{eta!r},{int(f)},{int(m)},{int(c)},{xi!r},{s!r},{r!r}"
         for rep_id, n, eta, f, m, c, xi, s, r in steps.tolist()
@@ -389,7 +390,7 @@ def test_trajectory_writer_edge_cases(tmp_path, monkeypatch):
         (3, 1, 1.0, 1e17, 2.0, 1.0, 2.0, 2.0, 0.7),
     ]
     steps = np.array(rows, dtype=STEP_DTYPE)
-    write_trajectories_csv(tmp_path / "t.csv", steps)
+    write_trajectories_csv(tmp_path / "t.csv", (steps,))
     text = (tmp_path / "t.csv").read_text()
     assert text == plain_trajectory_csv(steps)
     lines = text.splitlines()
@@ -397,8 +398,11 @@ def test_trajectory_writer_edge_cases(tmp_path, monkeypatch):
     # 1e300 is written as the exact integer value of its float, all 301 digits
     assert lines[2] == f"0,2,0.25,9007199254740994,1180591620717411303424,{int(1e300)},0.25,0.25,1.5"
     assert lines[10] == "3,1,1.0,100000000000000000,2,1,2.0,2.0,0.7"
+    # the same rows as blocks of 4, 0 and 6 rows: each block is chunked on its own, and the text is the same
+    write_trajectories_csv(tmp_path / "blocks.csv", (steps[:4], steps[:0], steps[4:]))
+    assert (tmp_path / "blocks.csv").read_text() == text
 
-    write_trajectories_csv(tmp_path / "empty.csv", np.empty(0, dtype=STEP_DTYPE))
+    write_trajectories_csv(tmp_path / "empty.csv", (np.empty(0, dtype=STEP_DTYPE),))
     assert (tmp_path / "empty.csv").read_text() == "replicate_id,n,eta,F_total,M_total,N,xi,S,R\n"
 
 
@@ -406,11 +410,11 @@ def test_trajectory_writer_canonical_recording(tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "CSV_CHUNK_ROWS", 7)
     run = run_extinction_records(EnvironmentModel(std=0.5), OffspringModel(), polygamous(), 200, 12, None, 9,
                                  recording="full")
-    steps = run.steps
+    steps = all_steps(run)
     assert steps.size > 7 * 3
     # the canonical mean maps make xi eta itself, so every chunk writes eta's text for both
     assert steps["xi"].tobytes() == steps["eta"].tobytes()
-    write_trajectories_csv(tmp_path / "t.csv", steps)
+    write_trajectories_csv(tmp_path / "t.csv", run.steps)
     assert (tmp_path / "t.csv").read_text() == plain_trajectory_csv(steps)
 
 
@@ -434,7 +438,7 @@ def test_trajectory_writer_streams_one_chunk_at_a_time(tmp_path, monkeypatch):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        write_trajectories_csv(tmp_path / "t.csv", steps)
+        write_trajectories_csv(tmp_path / "t.csv", (steps,))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -464,10 +468,14 @@ def test_sweep_writer_streams_one_chunk_at_a_time(tmp_path, monkeypatch):
     assert lines[-1] == "10000,499,50," + ",".join(repr(v) for v in ratios[1, 499, :, 49].tolist())
 
 
-def test_recorded_steps_are_held_once():
-    # One byte buffer put in replicate order in place peaks at about
-    # 1.36 x steps.nbytes (the buffer's spare capacity, the row order and
-    # one field's copy); a second copy of the steps would pass 2 x.
+@pytest.mark.parametrize("block", [1024, 16], ids=["one-block", "three-blocks"])
+def test_recorded_steps_are_held_once(monkeypatch, block):
+    # Each block's byte buffer is put in replicate order in place and
+    # kept: the traced peak is about 1.35 x the steps' bytes for one block
+    # (the buffer's spare capacity, the row order and one field's copy)
+    # and 1.18 x for three.  Copying the blocks into one joined array
+    # peaked at 2.10 x for three.
+    monkeypatch.setattr(stats, "BLOCK", block)
     env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), polygamous()
     tracemalloc.start()
     try:
@@ -477,33 +485,32 @@ def test_recorded_steps_are_held_once():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert steps.nbytes > 4 * 2**20
-    assert peak < 1.5 * steps.nbytes + 2**20
+    nbytes = sum(s.nbytes for s in steps)
+    assert nbytes > 4 * 2**20
+    assert peak < 1.5 * nbytes + 2**20
 
 
-def test_joined_blocks_are_released_once_copied(monkeypatch):
-    # 40 replicates in blocks of 16 under full recording: three blocks, whose
-    # runs must not outlive their copy into the joined steps array
-    monkeypatch.setattr(stats, "BLOCK", 16)
-    block_task, joined = stats._block_task, stats._joined
-    refs, dead_after_join = [], []
+def test_workers_are_no_more_than_the_tasks(monkeypatch):
+    # three grid points of one block each: three tasks, whatever --threads asks for
+    workers = []
 
-    def tracked_block(args):
-        run = block_task(args)
-        refs.append(weakref.ref(run))
-        return run
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
 
-    def checked_join(runs):
-        run = joined(runs)
-        dead_after_join.append([ref() is None for ref in refs])
-        return run
+        def __enter__(self):
+            return self
 
-    monkeypatch.setattr(stats, "_block_task", tracked_block)
-    monkeypatch.setattr(stats, "_joined", checked_join)
-    env, off, rule = EnvironmentModel(std=0.5), OffspringModel(), polygamous()
-    run = run_extinction_records(env, off, rule, 1000, 40, None, 1, recording="full")
-    assert run.tau.size == 40 and run.steps.size > 0
-    assert dead_after_join == [[True, True, True]]
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", InlinePool)
+    runs = run_replicates(small_config(n_grid=(100, 300, 1000), replicates=20, threads=64))
+    assert workers == [3]
+    assert [run.tau.size for run in runs] == [20, 20, 20]
 
 
 # ---------------------------------------------------------------------------
