@@ -37,7 +37,7 @@ from .model import (
     walk_increments,
 )
 from .rng import derive_stream
-from .simulator import DiagnosticTable, run_frozen_bundle
+from .simulator import run_frozen_bundle
 from .stats import (
     ExperimentConfig,
     LemmaSweep,
@@ -51,6 +51,6 @@ from .stats import (
     run_extinction_records,
     run_replicates,
 )
-from .walk import HittingSpec, default_max_steps, window_steps
+from .walk import default_max_steps, hitting_threshold, window_steps
 
 __version__ = "0.1.0"

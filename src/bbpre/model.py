@@ -83,6 +83,9 @@ MEAN_GUARD = 1e300
 POISSON_EXACT_MAX = 1e12
 # Cells (mean x term) and ln k! values of one pass of the centered-moment sums.
 MOMENT_PASS_CELLS = 2**20
+# Terms one mean's centered-moment window may hold (a pass this wide peaks
+# near 0.7 GB, at a mean of 1.2e11); a wider window is refused.
+MOMENT_WINDOW_MAX = 2**23
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,8 @@ def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
     ``top`` up to ``min(floor(top) + h, max(top + 12 sqrt(top) + 20, 2 top + 10
     order + 20))``.  The term ratio falls away from the mean, so at each end it
     bounds the tail by a geometric series; until both tails are below 1e-16 of
-    every sum, the pass is redone with ``h`` and the end doubled.  A term
+    every sum, the pass is redone with ``h`` and the end doubled.  A window
+    wider than ``MOMENT_WINDOW_MAX`` terms is a configuration error.  A term
     whose Poisson factor underflows to 0 is 0 even where its power
     overflows, so a sum is never NaN; it is inf where a term's power
     overflows and its Poisson factor does not underflow.
@@ -234,6 +238,9 @@ def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
         h = grow * int(12.0 * math.sqrt(top) + 10.0 * order + 20.0)
         right = grow * int(max(top + 12.0 * math.sqrt(top) + 20.0, 2.0 * top + 10.0 * order + 20.0))
         width = min(int(top) + h, right) - max(0, int(top) - h) + 1
+        if width > MOMENT_WINDOW_MAX:
+            raise ConfigurationError(f"the Poisson centered moment of order {order:g} at mean {top:g} needs a "
+                                     f"window of more than {MOMENT_WINDOW_MAX} terms")
         k0 = np.maximum(np.floor(desc[start : start + max(1, MOMENT_PASS_CELLS // width)]) - h, 0.0)
         n = max(1, np.count_nonzero(k0 >= k0[0] + width - MOMENT_PASS_CELLS))
         k0, lam, j = k0[:n, None], desc[start : start + n, None], np.arange(width)
@@ -564,6 +571,18 @@ def _py(v):
     return v
 
 
+def _verdict(condition: str, bad: np.ndarray, columns: tuple, casts: tuple, detail: dict, **last) -> ConditionCheck:
+    """A sampled check's verdict from the indices ``bad`` of its violating samples.
+
+    The first ``_MAX_WITNESSES`` are the witnesses: one entry of each
+    column, cast by the matching entry of ``casts`` (``int`` or
+    ``float``).  ``detail`` gains the violation count, then ``last``.
+    """
+    witnesses = [tuple(cast(col[i]) for cast, col in zip(casts, columns)) for i in bad[:_MAX_WITNESSES]]
+    return ConditionCheck(condition, "fail" if bad.size else "pass", witnesses,
+                          {**detail, "violations": int(bad.size), **last})
+
+
 def check_superadditivity(
     rule: MatingRule,
     trials: int,
@@ -578,17 +597,8 @@ def check_superadditivity(
     x, y, u, v = (pts[:, i].astype(np.int64) for i in range(4))
     lhs = rule.L(x + u, y + v, z)
     rhs = rule.L(x, y, z) + rule.L(u, v, z)
-    bad = np.where(lhs < rhs)[0]
-    witnesses = [
-        (int(x[i]), int(y[i]), int(u[i]), int(v[i]), float(z[i]), int(lhs[i]), int(rhs[i]))
-        for i in bad[:_MAX_WITNESSES]
-    ]
-    return ConditionCheck(
-        condition="C1",
-        verdict="fail" if bad.size else "pass",
-        witnesses=witnesses,
-        detail={"trials": trials, "count_range": _SUPERADDITIVITY_COUNT_RANGE, "violations": int(bad.size)},
-    )
+    return _verdict("C1", np.where(lhs < rhs)[0], (x, y, u, v, z, lhs, rhs), (int,) * 4 + (float, int, int),
+                    {"trials": trials, "count_range": _SUPERADDITIVITY_COUNT_RANGE})
 
 
 def check_lipschitz(
@@ -606,17 +616,8 @@ def check_lipschitz(
     lhs = np.abs(rule.g(x, y, z) - rule.g(u, v, z))
     lam = np.broadcast_to(np.asarray(rule.lipschitz(z), dtype=float), lhs.shape)
     rhs = lam * (np.abs(x - u) + np.abs(y - v))
-    bad = np.where(lhs > rhs + 1e-12 * (1.0 + rhs))[0]
-    witnesses = [
-        (float(x[i]), float(y[i]), float(u[i]), float(v[i]), float(z[i]), float(lhs[i]), float(rhs[i]))
-        for i in bad[:_MAX_WITNESSES]
-    ]
-    return ConditionCheck(
-        condition="C2",
-        verdict="fail" if bad.size else "pass",
-        witnesses=witnesses,
-        detail={"trials": trials, "box": _BOX, "violations": int(bad.size)},
-    )
+    return _verdict("C2", np.where(lhs > rhs + 1e-12 * (1.0 + rhs))[0], (x, y, u, v, z, lhs, rhs), (float,) * 7,
+                    {"trials": trials, "box": _BOX})
 
 
 def check_homogeneity(
@@ -634,17 +635,8 @@ def check_homogeneity(
     z = env_model.sample(stream, trials)
     tg = t * rule.g(x, y, z)
     lhs = np.abs(rule.g(t * x, t * y, z) - tg)
-    bad = np.where(lhs > 1e-12 * (1.0 + np.abs(tg)))[0]
-    witnesses = [
-        (float(x[i]), float(y[i]), float(t[i]), float(z[i]), float(lhs[i]))
-        for i in bad[:_MAX_WITNESSES]
-    ]
-    return ConditionCheck(
-        condition="C3",
-        verdict="fail" if bad.size else "pass",
-        witnesses=witnesses,
-        detail={"trials": trials, "box": _BOX, "violations": int(bad.size)},
-    )
+    return _verdict("C3", np.where(lhs > 1e-12 * (1.0 + np.abs(tg)))[0], (x, y, t, z, lhs), (float,) * 5,
+                    {"trials": trials, "box": _BOX})
 
 
 def check_approximation(
@@ -668,22 +660,9 @@ def check_approximation(
     scale = (x + y).astype(float) ** rule.alpha
     ratio = resid / scale
     bound = np.broadcast_to(np.asarray(rule.rho(z), dtype=float), ratio.shape)
-    bad = np.where(ratio > bound * (1.0 + 1e-12))[0]
-    witnesses = [
-        (int(x[i]), int(y[i]), float(z[i]), float(resid[i]), float(bound[i] * scale[i]))
-        for i in bad[:_MAX_WITNESSES]
-    ]
-    return ConditionCheck(
-        condition="C4",
-        verdict="fail" if bad.size else "pass",
-        witnesses=witnesses,
-        detail={
-            "grid": grid,
-            "count_range": _RESIDUAL_COUNT_RANGE,
-            "violations": int(bad.size),
-            "max_ratio": float(ratio.max()) if grid else 0.0,
-        },
-    )
+    return _verdict("C4", np.where(ratio > bound * (1.0 + 1e-12))[0], (x, y, z, resid, bound * scale),
+                    (int, int, float, float, float), {"grid": grid, "count_range": _RESIDUAL_COUNT_RANGE},
+                    max_ratio=float(ratio.max()))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

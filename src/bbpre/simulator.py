@@ -15,14 +15,17 @@ take their values from the same window.  The block's offspring draws
 come from one shared stream, so a replicate's walk and hitting step do
 not depend on how much offspring randomness the block consumes.
 
-A coupled block also records the hitting step, the couple counts at
-the hitting step and ``k`` steps later with
-``k = floor(epsilon * ln^2 N)``, and the extinction step.
+A coupled block also records the hitting step (the walk's first step
+at or below ``walk.hitting_threshold``), the couple counts at the
+hitting step and ``k = floor(epsilon * ln^2 N)`` steps later, and the
+extinction step.
 
 ``run_frozen_bundle`` runs many offspring randomizations over a single
 frozen environment path, drawn by the block's sampling rules, and
 estimates as it steps the environment-conditional ratios behind the
-step-residual, conditional-mean, and accumulated-error bounds,
+step-residual, conditional-mean, and accumulated-error bounds, which
+it returns as the rows of one float64 array (r2, r3, r3's standard
+error, r4),
 
     r2_n = E|R_n|^(1+delta) / (e^zeta_n  E N_{n-1}),
     r3_n = E N_n / (e^xi_n  E N_{n-1}),
@@ -53,13 +56,12 @@ from .model import (
     noise_scales,
     walk_increments,
 )
-from .walk import HittingSpec, window_steps
+from .walk import hitting_threshold, window_steps
 
 __all__ = [
     "BlockRun",
     "run_block",
     "run_frozen_bundle",
-    "DiagnosticTable",
 ]
 
 # ---------------------------------------------------------------------------
@@ -220,7 +222,7 @@ def run_block(
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         k = window_steps(n0, epsilon)
-        threshold = HittingSpec(n0=n0, beta=offspring_model.beta, max_steps=max_steps).threshold
+        threshold = hitting_threshold(n0, offspring_model.beta)
     observed = np.full((size, 2), np.nan)
     tau = np.full(size, -1, dtype=np.int64)
     overflow_step = np.zeros(size, dtype=np.int64)
@@ -366,19 +368,6 @@ def _place_steps(recorded: bytearray, overflow_step: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagnosticTable:
-    """Per-step diagnostic ratios over one frozen-environment bundle."""
-
-    n0: int
-    n: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    r3_se: np.ndarray
-    r4: np.ndarray
-    replicates: int
-
-
 def run_frozen_bundle(
     rule: MatingRule,
     env_model: EnvironmentModel,
@@ -387,8 +376,11 @@ def run_frozen_bundle(
     steps: int,
     replicates: int,
     stream: np.random.Generator,
-) -> DiagnosticTable:
+) -> np.ndarray:
     """Draw one environment path, evolve ``replicates`` processes on it, and estimate the ratios as they step.
+
+    Returns the float64 ``(4, steps)`` array of r2, r3, r3_se and r4,
+    column ``n - 1`` holding step ``n``.
 
     The bundle holds one float64 row of counts, one entry per replicate,
     and draws each generation by ``run_block``'s rules
@@ -416,7 +408,8 @@ def run_frozen_bundle(
     p = 1.0 + delta
     means_path = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
     d_path = _capacity(rule, eta)
-    r2, r3, r3_se, r4 = (np.full(steps, np.nan) for _ in range(4))
+    ratios = np.full((4, steps), np.nan)
+    r2, r3, r3_se, r4 = ratios
     prev = np.full(replicates, float(n0))
     for j in range(1, steps + 1):
         mean_prev = prev.mean()
@@ -443,4 +436,4 @@ def run_frozen_bundle(
         denom = (j**delta) * n0 * math.exp(float(S[j - 1])) * acc
         r4[j - 1] = float(np.mean(np.abs(err) ** p)) / denom
         prev = cur
-    return DiagnosticTable(n0=n0, n=np.arange(1, steps + 1), r2=r2, r3=r3, r3_se=r3_se, r4=r4, replicates=replicates)
+    return ratios

@@ -59,7 +59,7 @@ from .model import (
     walk_increments,
 )
 from .rng import derive_stream
-from .simulator import STEP_DTYPE, BlockRun, DiagnosticTable, run_block, run_frozen_bundle
+from .simulator import STEP_DTYPE, BlockRun, run_block, run_frozen_bundle
 from .walk import default_max_steps, window_steps
 
 __all__ = [
@@ -664,7 +664,8 @@ class LemmaSweep:
 
     ``ratios[g, p, r, n - 1]`` is ratio ``r`` (r2, r3, r3_se, r4, in that
     order) at step ``n`` of path ``p`` of grid point ``n0_grid[g]``, NaN
-    once nothing is left alive; ``write_sweep_csv`` writes one row per
+    once nothing is left alive: ``ratios[g, p]`` is that path's
+    ``run_frozen_bundle`` array; ``write_sweep_csv`` writes one row per
     (grid point, path, step).  ``r3_hard_violations`` counts steps with
     r3 above 1 + 4 SE.  Slopes are OLS fits of log mean ratio against log
     step (per grid point) and against log n0 (across the grid); a
@@ -677,7 +678,7 @@ class LemmaSweep:
     slopes: dict
 
 
-def _bundle_task(args) -> DiagnosticTable:
+def _bundle_task(args) -> np.ndarray:
     env, offspring, rule, n0, steps, replicates, master_seed, grid_index, path_index = args
     stream = derive_stream(master_seed, grid_index, path_index)
     return run_frozen_bundle(rule, env, offspring, n0, steps, replicates, stream)
@@ -691,11 +692,11 @@ def _nanmean(x: np.ndarray) -> float:
 def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
     """Aggregate bundle diagnostics over paths and grid points.
 
-    Each path's table is one (ratio, step) slab of the stacked
-    (grid point, path, ratio, step) array, ratios in the order r2, r3,
-    r3_se, r4.  Every mean is taken over a 1-D slice of it: numpy sums
-    a vector pairwise but an axis of a 2-D array in order, so an axis
-    mean would move the last bits of the slopes.
+    Each path's ``run_frozen_bundle`` array is one (ratio, step) slab of
+    the stacked (grid point, path, ratio, step) array, ratios in the
+    order r2, r3, r3_se, r4.  Every mean is taken over a 1-D slice of
+    it: numpy sums a vector pairwise but an axis of a 2-D array in
+    order, so an axis mean would move the last bits of the slopes.
     """
     grid, paths, steps = config.n0_grid, config.paths, config.steps
     tasks = [
@@ -703,8 +704,7 @@ def lemma_bound_sweep(config: LemmaSweepConfig) -> LemmaSweep:
         for gi, n0 in enumerate(grid)
         for p in range(paths)
     ]
-    tables = _run_chunked(tasks, _bundle_task, config.threads)
-    ratios = np.array([(t.r2, t.r3, t.r3_se, t.r4) for t in tables]).reshape(len(grid), paths, 4, steps)
+    ratios = np.array(_run_chunked(tasks, _bundle_task, config.threads)).reshape(len(grid), paths, 4, steps)
     # a NaN r3 (nothing left alive) compares false
     hard = int(np.count_nonzero(ratios[:, :, 1] > 1.0 + 4.0 * ratios[:, :, 2]))
 

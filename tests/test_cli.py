@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,32 @@ def test_audit_refuses_a_noise_moment_sum_that_overflows(capsys):
     assert code == 1 and stdout == ""
     payload = json.loads(stderr.strip().splitlines()[-1])
     assert payload["error"] == "configuration" and "order 100" in payload["message"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--sigma-env", "20", "--alpha", "0.4", "--replicates", "200"],
+        ["audit", "--sigma-env", "100", "--alpha", "0.4", "--replicates", "200"],
+        ["lemma-sweep", "--alpha", "0.4", "--sigma-env", "20", "--paths", "1", "--replicates", "10", "--seed", "1"],
+    ],
+    ids=["audit-sigma-env-20", "audit-sigma-env-100", "lemma-sweep-sigma-env-20"],
+)
+def test_a_noise_moment_window_too_wide_to_sum_is_refused(argv, tmp_path):
+    # means up to e^(4 sigma): one mean's moment window would need terabytes; run under a 1.5 GB address-space cap
+    src = str(Path(bbpre.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "bbpre", *argv, "--out", str(tmp_path / "out")], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "configuration" and "order 2.5" in payload["message"]
 
 
 def test_unknown_flag_is_a_configuration_error(capsys):

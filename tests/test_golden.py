@@ -42,6 +42,10 @@ RUNS = {
         "--out", "{out}/sweep.csv",
     ],
     "audit": ["audit", "--alpha", "0.4", "--replicates", "3000", "--seed", "6", "--out", "{out}/audit.json"],
+    # C4 fails with three witnesses: the one built-in audit whose report holds witness tuples
+    "audit-polygamous": [
+        "audit", "--rule", "polygamous", "--replicates", "3000", "--seed", "6", "--out", "{out}/audit.json",
+    ],
     # moment order 2.5 on 3,000 draws with means up to 4.7e3: series of up to 9,400 terms, summed in many passes
     "audit-sigma-env-2": [
         "audit", "--sigma-env", "2", "--alpha", "0.4", "--replicates", "3000", "--seed", "6",
@@ -94,6 +98,9 @@ DIGESTS = {
     },
     "audit": {
         "audit.json": "6a472fa223fb97a932b5924f5541f488dd3483f0d4f5e7409d4906b2a57df7ee",
+    },
+    "audit-polygamous": {
+        "audit.json": "a8dc0e94db5c4f58180898956c2614f85a693b48017522e8cb604ba7ac84b0c6",
     },
     "audit-sigma-env-2": {
         "audit.json": "e221c59a8b1c99c2a4207809d4ed06cb8abe07241f2530ea4afc74084909ef32",

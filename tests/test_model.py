@@ -297,6 +297,17 @@ def test_one_large_mean_is_summed_over_a_window_around_it():
     assert value == pytest.approx(2**1.25 * math.gamma(1.75) / math.sqrt(math.pi) * 1e6**1.25, rel=1e-5)
 
 
+def test_a_moment_window_wider_than_the_bound_is_refused(monkeypatch):
+    # lambda = 1e4 at order 2.5: h = 1245, a window of 2h + 1 = 2491 terms
+    lam = np.array([1e4, 3.0])
+    want = _poisson_centered_abs_moments(lam, 2.5)
+    monkeypatch.setattr(model_module, "MOMENT_WINDOW_MAX", 2491)
+    assert np.array_equal(_poisson_centered_abs_moments(lam, 2.5), want)
+    monkeypatch.setattr(model_module, "MOMENT_WINDOW_MAX", 2490)
+    with pytest.raises(ConfigurationError, match="order 2.5 at mean 10000 needs a window of more than 2490 terms"):
+        _poisson_centered_abs_moments(lam, 2.5)
+
+
 def test_noise_scales_sum_the_series_in_bounded_passes():
     # 2,000 means up to 788: one matrix of all their series from k = 0 peaks at 74 MiB, bounded passes at 16 MiB
     eta = EnvironmentModel(std=2.0).sample(np.random.default_rng(4), 2_000)
@@ -523,6 +534,59 @@ def test_superadditivity_finds_broken_rule(rng):
     check = check_superadditivity(broken, trials=5_000, stream=rng, env_model=UNIT_ENV)
     assert check.verdict == "fail"
     assert check.witnesses
+
+
+def _ceil_half(x, y, z):
+    return np.ceil(x / 2)
+
+
+def _tenth_square(x, y, z):
+    return x * x / 10.0
+
+
+# fails C1 (ceil(x/2) is not superadditive), C2 and C3 (x^2/10 is neither 1-Lipschitz nor homogeneous)
+BROKEN = MatingRule(kind="custom", L=_ceil_half, g=_tenth_square, lipschitz=ConstantMap(1.0), rho=ConstantMap(1.0))
+
+
+@pytest.mark.parametrize(
+    "check, seed, trials, witnesses, detail",
+    [
+        (check_superadditivity, 31, 8, [
+            (27, 46, 25, 3, 0.5952162456256633, 26, 27),
+            (15, 30, 41, 50, 0.07173470176248886, 28, 29),
+            (3, 35, 5, 10, 0.09671912405619901, 4, 5),
+            (13, 21, 33, 5, -1.5591518413922796, 23, 24),
+        ], [("trials", 8), ("count_range", 50), ("violations", 4)]),
+        (check_lipschitz, 32, 2, [
+            (16.024283037476806, 57.22294954720839, 37.713555396147, 32.29351798731423, -2.066348086209916,
+             116.55346137530816, 46.61870391856435),
+            (68.66138881663232, 97.223203334854, 96.68302461017885, 67.12984223160534, -1.0589355858128093,
+             463.3220933543686, 58.11499689679519),
+        ], [("trials", 2), ("box", 100.0), ("violations", 2)]),
+        # 11 violations, of which the first 10 are witnesses
+        (check_homogeneity, 33, 11, [
+            (44.36422369626671, 4.957157501651144, 9.40111966487205, 0.6052823566039809, 15544.706426558498),
+            (56.849119192455646, 11.291842094080318, 2.9677757425767117, -0.6741008980551186, 1887.3574673779985),
+            (90.81037749608197, 34.278811417962, 9.322303599288777, 1.5447455552606693, 63979.04592147905),
+            (25.424955349880197, 1.5436335029296422, 4.03531943834889, 1.720163790215574, 791.7767054704567),
+            (58.87812705548484, 77.26223186926501, 2.0956186370584673, -0.8800106812664471, 795.9387270533017),
+            (35.91233206103133, 80.3641956335516, 2.511168633248656, -0.21365388182735084, 489.4135900626052),
+            (75.63736170826567, 2.059809225038467, 2.4754284677469984, 0.13188319385781538, 2089.4947466896556),
+            (54.305886194443296, 52.617483635552276, 8.048359821996709, -0.6253683073007082, 16729.742696959427),
+            (20.20844578225787, 43.19759303942943, 8.292578473887628, 0.35270090519586267, 2469.6563632563566),
+            (51.61052853038871, 40.11394081519617, 8.083779107930294, -1.0375881917404224, 15253.02777728069),
+        ], [("trials", 11), ("box", 100.0), ("violations", 11)]),
+    ],
+    ids=["C1", "C2", "C3"],
+)
+def test_broken_rule_witnesses_are_pinned(check, seed, trials, witnesses, detail):
+    result = check(BROKEN, trials, derive_stream(seed), UNIT_ENV)
+    assert result.verdict == "fail"
+    assert result.witnesses == witnesses
+    # the tuples hold plain Python ints and floats, typed as the expected ones
+    assert [tuple(map(type, w)) for w in result.witnesses] == [tuple(map(type, w)) for w in witnesses]
+    assert list(result.detail.items()) == detail
+    assert [type(v) for v in result.detail.values()] == [type(v) for _, v in detail]
 
 
 def test_exhaustive_superadditivity_small_grid():

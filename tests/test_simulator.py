@@ -30,7 +30,7 @@ from bbpre import (
 from bbpre import model
 from bbpre.model import POISSON_EXACT_MAX
 from bbpre.simulator import run_block
-from bbpre.walk import HittingSpec, window_steps
+from bbpre.walk import hitting_threshold, window_steps
 from recorded import all_steps
 from walk_oracle import hitting_time
 
@@ -313,23 +313,19 @@ def test_coupled_requires_n0_at_least_three():
 # ---------------------------------------------------------------------------
 
 
-RATIOS = ("r2", "r3", "r3_se", "r4")
-
-
 def test_frozen_bundle_shapes_and_absorption():
     # the bundle dies out before its horizon: from then on every ratio is NaN
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(mean_f=ExpMeanMap(shift=-1.0), mean_m=ExpMeanMap(shift=-1.0))
-    table = run_frozen_bundle(monogamous(1), env, off, 3, 40, 500, derive_stream(14))
-    assert table.n0 == 3 and table.replicates == 500
-    assert np.array_equal(table.n, np.arange(1, 41))
-    dead = np.isnan(table.r3)
+    ratios = run_frozen_bundle(monogamous(1), env, off, 3, 40, 500, derive_stream(14))
+    assert ratios.shape == (4, 40) and ratios.dtype == np.float64
+    r2, r3, r3_se, r4 = ratios
+    dead = np.isnan(r3)
     assert not dead[0] and dead[-1]
     assert np.all(dead[:-1] <= dead[1:])  # once extinct, always extinct
-    for name in RATIOS:
-        assert getattr(table, name).shape == (40,)
-        assert np.array_equal(np.isnan(getattr(table, name)), dead)
-    assert table.r3[np.argmax(dead) - 1] == 0.0  # the step where the last replicate died
+    for ratio in (r2, r3, r3_se, r4):
+        assert np.array_equal(np.isnan(ratio), dead)
+    assert r3[np.argmax(dead) - 1] == 0.0  # the step where the last replicate died
 
 
 def test_bundle_deterministic_given_seed():
@@ -337,9 +333,8 @@ def test_bundle_deterministic_given_seed():
     a = run_frozen_bundle(rule, env, off, 100, 20, 50, derive_stream(15))
     b = run_frozen_bundle(rule, env, off, 100, 20, 50, derive_stream(15))
     other = run_frozen_bundle(rule, env, off, 100, 20, 50, derive_stream(16))
-    for name in RATIOS:
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert not np.array_equal(a.r3, other.r3)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[1], other[1])
 
 
 def test_noiseless_asexual_bundle_has_zero_residual_ratios():
@@ -347,26 +342,26 @@ def test_noiseless_asexual_bundle_has_zero_residual_ratios():
     env = EnvironmentModel(std=0.5)
     off = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.0), mean_m=ConstantMap(1.0))
     rule = asexual()
-    table = run_frozen_bundle(rule, env, off, 50, 30, 100, derive_stream(16))
-    assert np.all(table.r2 == 0.0)
-    assert np.all(table.r3 == 1.0)
-    assert np.all(table.r3_se == 0.0)
-    assert np.all(table.r4 == 0.0)
+    r2, r3, r3_se, r4 = run_frozen_bundle(rule, env, off, 50, 30, 100, derive_stream(16))
+    assert np.all(r2 == 0.0)
+    assert np.all(r3 == 1.0)
+    assert np.all(r3_se == 0.0)
+    assert np.all(r4 == 0.0)
 
 
 def test_bundle_r3_inequality_canonical():
     env, off, rule = canonical()
-    table = run_frozen_bundle(rule, env, off, 1000, 20, 3000, derive_stream(17))
-    ok = ~np.isnan(table.r3)
+    r2, r3, r3_se, r4 = run_frozen_bundle(rule, env, off, 1000, 20, 3000, derive_stream(17))
+    ok = ~np.isnan(r3)
     assert ok.all()
-    assert np.all(table.r3[ok] <= 1.0 + 4.0 * table.r3_se[ok])
+    assert np.all(r3[ok] <= 1.0 + 4.0 * r3_se[ok])
 
 
 def test_bundle_totals_past_the_exact_poisson_range_take_the_normal_approximation():
     # requested totals of 2e15 and 4e16, far above POISSON_EXACT_MAX, as in a block
     off = OffspringModel(mean_f=ConstantMap(20.0), mean_m=ConstantMap(20.0))
-    table = run_frozen_bundle(asexual(), EnvironmentModel(std=0.5), off, 10**14, 2, 200, derive_stream(19))
-    assert np.all(np.isfinite(table.r3)) and np.all(np.abs(table.r3 - 1.0) <= 4.0 * table.r3_se)
+    r2, r3, r3_se, r4 = run_frozen_bundle(asexual(), EnvironmentModel(std=0.5), off, 10**14, 2, 200, derive_stream(19))
+    assert np.all(np.isfinite(r3)) and np.all(np.abs(r3 - 1.0) <= 4.0 * r3_se)
 
 
 def test_poisson_totals_are_drawn_in_one_place():
@@ -459,17 +454,17 @@ def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps
         "monogamous3": (OffspringModel(), monogamous(3)),
         "custom": (dying, revives),
     }[case]
-    table = run_frozen_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
+    ratios = run_frozen_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
     eta, xi, S, counts = _reference_bundle(rule, env, off, n0, steps, reps, derive_stream(23))
-    assert table.n0 == n0 and table.replicates == reps and np.array_equal(table.n, np.arange(1, steps + 1))
+    assert ratios.shape == (4, steps)
     want = _reference_diagnostics(n0, eta, xi, S, counts, rule, off)
-    for name, ref in zip(RATIOS, want):
-        assert np.array_equal(getattr(table, name), ref, equal_nan=True)
+    for ratio, ref in zip(ratios, want):
+        assert np.array_equal(ratio, ref, equal_nan=True)
     if case in ("dying", "custom"):
         # deaths mid-run, then nothing alive before the horizon (the loop stops early)
         alive = (counts > 0).sum(axis=0)
         assert np.any((alive > 0) & (alive < reps)) and alive[-2] == 0
-        assert np.isnan(table.r3[-1])
+        assert np.isnan(ratios[1, -1])
 
 
 def test_bundle_guard_trips_on_a_row_that_holds_extinct_replicates():
@@ -500,13 +495,13 @@ def test_block_sweep_theta_is_the_whole_cap_walks_and_counts_follow_the_rules(mo
     )
     sweep = run_replicates(config)[0]
     k = math.floor(2.0 * math.log(n0) ** 2)
-    spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
+    threshold = hitting_threshold(n0, off.beta)
     cases = {"after_tau": 0, "past_cap": 0}
     for i in range(72):
         tau, theta, steps_run = int(sweep.tau[i]), int(sweep.theta[i]), int(sweep.steps_run[i])
         at, at_k = sweep.n_theta[i], sweep.n_theta_plus_k[i]
         eta = env.sample(derive_stream(seed, 0, i).spawn(2)[0], size=cap)
-        hit = hitting_time(spec, model.walk_increments(rule, off, eta)).theta
+        hit = hitting_time(threshold, cap, model.walk_increments(rule, off, eta)).theta
         assert theta == (-1 if hit is None else hit)
         if theta < 0:
             assert math.isnan(at) and math.isnan(at_k)
@@ -718,11 +713,11 @@ def _coupled_block_against_the_oracle(monkeypatch, rule, env, off, n0, cap, size
                         lambda recorded, overflow_step: np.frombuffer(bytes(recorded), dtype=simulator.STEP_DTYPE))
         ref = run_block(rule, env, off, n0, cap, streams(), derive_stream(seed), recording="full")
     assert np.array_equal(run.tau, ref.tau) and np.array_equal(run.overflow_step, ref.overflow_step)
-    spec = HittingSpec(n0=n0, beta=off.beta, max_steps=cap)
+    threshold = hitting_threshold(n0, off.beta)
     k = window_steps(n0, 1.0)
     whole = []
     for i, stream in enumerate(streams()):
-        hit = hitting_time(spec, model.walk_increments(rule, off, env.sample(stream, size=cap))).theta
+        hit = hitting_time(threshold, cap, model.walk_increments(rule, off, env.sample(stream, size=cap))).theta
         whole.append(-1 if hit is None else hit)
         tau, over = int(run.tau[i]), int(run.overflow_step[i])
         theta = -1 if over and whole[i] >= over else whole[i]  # a theta at or after an overflow step is dropped
@@ -777,7 +772,6 @@ def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
     # and first reaches 1.5 at step 156; its process dies at step 2
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
     off = OffspringModel(mean_f=TableMap((-0.25, 1.5), (0.5, 1.0, 0.0)), mean_m=ConstantMap(1.0))
-    spec = HittingSpec(n0=3, beta=off.beta, max_steps=2000)
     eta = env.sample(derive_stream(1).spawn(2)[0], size=2000)
     assert eta[0] < -0.25 and np.argmax(eta >= 1.5) == 155
 
@@ -788,7 +782,7 @@ def test_hitting_scan_checks_only_the_increments_it_draws(monkeypatch):
     with pytest.raises(DegenerateModelError):  # within the one window the replicate reads
         run()
     with pytest.raises(DegenerateModelError):  # the whole-cap walk, as hitting_time reads it
-        hitting_time(spec, model.walk_increments(rule, off, eta))
+        hitting_time(hitting_threshold(3, off.beta), 2000, model.walk_increments(rule, off, eta))
     monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", 100)
     done = run()  # its last window ends at step 100
     assert done.theta.tolist() == [1] and done.steps_run.tolist() == [2]

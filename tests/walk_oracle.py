@@ -6,8 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from bbpre import HittingSpec
-
 
 @dataclass(frozen=True)
 class HittingResult:
@@ -23,18 +21,18 @@ class HittingResult:
         return self.theta is None
 
 
-def hitting_time(spec: HittingSpec, increments: np.ndarray) -> HittingResult:
-    """First step at or below the threshold of the walk with these increments.
+def hitting_time(threshold: float, max_steps: int, increments: np.ndarray) -> HittingResult:
+    """First step at or below ``threshold`` of the walk with these increments.
 
-    The walk is the cumulative sum of the first ``spec.max_steps``
+    The walk is the cumulative sum of the first ``max_steps``
     increments, summed from 0 in order.
     """
     xs = np.asarray(increments, dtype=float)
-    if xs.size < spec.max_steps:
-        raise ValueError(f"hitting_time needs {spec.max_steps} increments, got {xs.size}")
-    sums = np.cumsum(xs[: spec.max_steps])
-    hit = sums <= spec.threshold
+    if xs.size < max_steps:
+        raise ValueError(f"hitting_time needs {max_steps} increments, got {xs.size}")
+    sums = np.cumsum(xs[:max_steps])
+    hit = sums <= threshold
     if not hit.any():
-        return HittingResult(theta=None, S_theta=float(sums[-1]), xi_theta=math.nan, steps_run=spec.max_steps)
+        return HittingResult(theta=None, S_theta=float(sums[-1]), xi_theta=math.nan, steps_run=max_steps)
     j = int(hit.argmax())
     return HittingResult(theta=j + 1, S_theta=float(sums[j]), xi_theta=float(xs[j]), steps_run=j + 1)
