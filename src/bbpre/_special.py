@@ -1,7 +1,6 @@
-"""Bit-exact ports of the three Cephes special functions the package uses.
+"""Bit-exact ports of the two Cephes special functions the package uses.
 
-``erfc``, ``erfcinv`` and ``log_factorial`` (``ln k!``, Cephes ``lgam``
-at ``k + 1``) reproduce Stephen L. Moshier's Cephes rational
+``erfc`` and ``erfcinv`` reproduce Stephen L. Moshier's Cephes rational
 approximations as ``scipy.special`` compiles them, value for value, so
 the package needs no scipy at run time.
 
@@ -21,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["erfc", "erfcinv", "log_factorial"]
+__all__ = ["erfc", "erfcinv"]
 
 # erfc for 1 <= |x| < 8 (P/Q), |x| >= 8 (R/S); erf for |x| < 1 (T/U)
 _ERFC_P = (
@@ -85,16 +84,6 @@ _NDTRI_Q2 = (
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _SQRT1_2 = 0.70710678118654752440
-
-# lgam's Stirling correction for 13 <= x < 1000
-_LGAM_A = (
-    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
-)
-_LS2PI = 0.91893853320467274178  # ln sqrt(2 pi)
-# ln k! for k < 12, where lgam returns the log of its exact product k!
-_LOG_SMALL_FACTORIALS = np.array([math.log(float(math.factorial(k))) for k in range(12)])
-
 
 def _polevl(x, coef):
     ans = np.full_like(x, coef[0])
@@ -180,27 +169,4 @@ def erfcinv(y):
     out[inside] = -_ndtri(0.5 * y[inside]) * _SQRT1_2
     out[y == 0.0] = np.inf
     out[y == 2.0] = -np.inf
-    return out
-
-
-def log_factorial(k):
-    """``ln k!`` (Cephes ``lgam(k + 1)``) for an array of integers k >= 0; returns a float array."""
-    k = np.asarray(k, dtype=float)
-    if not np.all((k >= 0.0) & (k == np.floor(k))):
-        raise ValueError("log_factorial needs integers k >= 0")
-    out = np.empty_like(k)
-    small = k < 12.0
-    out[small] = _LOG_SMALL_FACTORIALS[k[small].astype(np.intp)]
-    x = k[~small] + 1.0
-    q = (x - 0.5) * _libm(math.log, x) - x + _LS2PI
-    # Stirling's correction; lgam leaves it out past 1e8, where it is below half an ulp
-    s = x <= 1.0e8
-    xs = x[s]
-    p = 1.0 / (xs * xs)
-    q[s] += np.where(
-        xs >= 1000.0,
-        ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / xs,
-        _polevl(p, _LGAM_A) / xs,
-    )
-    out[~small] = q
     return out

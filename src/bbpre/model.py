@@ -49,7 +49,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._special import log_factorial
 from .errors import ConfigurationError, DegenerateModelError
 
 __all__ = [
@@ -81,11 +80,17 @@ MEAN_GUARD = 1e300
 # numpy's rejection sampler is exact here; above, the normal approximation
 # has relative error below 1e-6 per draw and cannot produce negatives.
 POISSON_EXACT_MAX = 1e12
-# Cells (mean x term) and ln k! values of one pass of the centered-moment sums.
+# Cells (mean x term) and values of k of one pass of the centered-moment sums.
 MOMENT_PASS_CELLS = 2**20
-# Terms one mean's centered-moment window may hold (a pass this wide peaks
-# near 0.7 GB, at a mean of 1.2e11); a wider window is refused.
-MOMENT_WINDOW_MAX = 2**23
+# Above this mean, centered moments are the normal expansion (within 4e-12 of the sum).
+MOMENT_SERIES_MAX = 1e9
+# Above this order, P(2) 2^order alone overflows float64 at every positive mean.
+MOMENT_ORDER_MAX = 3200.0
+# Loader's stirlerr(k) = ln k! - (k ln k - k + ln sqrt(2 pi k)) for k = 1..15
+_STIRLERR = np.array([0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+                      0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+                      0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+                      0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +215,39 @@ def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) ->
     return out
 
 
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Loader's ``stirlerr(k)`` for an array of integers k >= 1: the table, and its Stirling series from 16."""
+    k2 = k * k
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / k2) / k2) / k2) / k2) / k
+    out[k < 16.0] = _STIRLERR[k[k < 16.0].astype(np.intp) - 1]
+    return out
+
+
 def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
     """E|X - lam|^order for X ~ Poisson(lam), elementwise over an array of means.
 
-    ``order == 2`` returns the means (the variance); means <= 0 give 0.  The
-    others are summed largest first, in passes of at most ``MOMENT_PASS_CELLS``
-    (mean x term) cells and ``ln k!`` values (one mean may exceed both alone).
-    With ``h = 12 sqrt(top) + 10 order + 20`` for the pass's largest mean
-    ``top``, each mean sums from ``max(0, floor(lam) - h)`` as many terms as
-    ``top`` up to ``min(floor(top) + h, max(top + 12 sqrt(top) + 20, 2 top + 10
-    order + 20))``.  The term ratio falls away from the mean, so at each end it
-    bounds the tail by a geometric series; until both tails are below 1e-16 of
-    every sum, the pass is redone with ``h`` and the end doubled.  A window
-    wider than ``MOMENT_WINDOW_MAX`` terms is a configuration error.  A term
-    whose Poisson factor underflows to 0 is 0 even where its power
-    overflows, so a sum is never NaN; it is inf where a term's power
-    overflows and its Poisson factor does not underflow.
+    ``order == 2`` returns the means (the variance); means <= 0 give 0, and every positive
+    mean gives inf above ``MOMENT_ORDER_MAX``.  Means above ``MOMENT_SERIES_MAX`` give the
+    normal expansion ``lam^(p/2) E|Z|^p (1 + p (p - 1) (p - 2) / (72 lam))``.  The others sum
+    C. Loader's (2000) saddle-point terms ``exp(p ln|k - lam| - stirlerr(k) - bd0(k, lam) -
+    ln sqrt(2 pi k))``, ``bd0 = k ln(k / lam) + lam - k``: no ``ln k!`` cancels against
+    ``k ln lam``, and a sum is inf only where the moment overflows.  Largest first, in passes
+    of at most ``MOMENT_PASS_CELLS`` (mean x term) cells and values of k, each mean sums from
+    ``max(0, floor(lam) - h)`` as many terms as the pass's largest mean ``top``, up to
+    ``min(floor(top) + h, max(top + 12 sqrt(top) + 20, 2 top + 10 order + 20))``, with
+    ``h = 12 sqrt(top) + 10 order + 20``.  Until the term ratios at both ends bound the tails
+    below 1e-16 of every sum, the pass is redone with ``h`` and the end doubled.
     """
     if order == 2.0:
         return lams
-    out = np.zeros(lams.shape)
-    pos = np.flatnonzero(lams > 0.0)
+    if order > MOMENT_ORDER_MAX:
+        return np.where(lams > 0.0, np.inf, 0.0)
+    out, normal = np.zeros(lams.shape), lams > MOMENT_SERIES_MAX
+    lam = lams[normal]
+    with np.errstate(over="ignore"):  # E|Z|^p = 2^(p/2) Gamma((p + 1) / 2) / sqrt(pi); inf where the moment overflows
+        out[normal] = (lam ** (0.5 * order) * np.exp(0.5 * order * math.log(2.0) + math.lgamma(0.5 * order + 0.5)
+                       - 0.5 * math.log(math.pi)) * (1.0 + order * (order - 1.0) * (order - 2.0) / 72.0 / lam))
+    pos = np.flatnonzero((lams > 0.0) & ~normal)
     pos = pos[np.argsort(lams.flat[pos])[::-1]]
     desc, start, grow = lams.flat[pos], 0, 1
     while start < pos.size:
@@ -238,24 +255,46 @@ def _poisson_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
         h = grow * int(12.0 * math.sqrt(top) + 10.0 * order + 20.0)
         right = grow * int(max(top + 12.0 * math.sqrt(top) + 20.0, 2.0 * top + 10.0 * order + 20.0))
         width = min(int(top) + h, right) - max(0, int(top) - h) + 1
-        if width > MOMENT_WINDOW_MAX:
-            raise ConfigurationError(f"the Poisson centered moment of order {order:g} at mean {top:g} needs a "
-                                     f"window of more than {MOMENT_WINDOW_MAX} terms")
         k0 = np.maximum(np.floor(desc[start : start + max(1, MOMENT_PASS_CELLS // width)]) - h, 0.0)
         n = max(1, np.count_nonzero(k0 >= k0[0] + width - MOMENT_PASS_CELLS))
         k0, lam, j = k0[:n, None], desc[start : start + n, None], np.arange(width)
-        terms = log_factorial(np.arange(k0[-1, 0], k0[0, 0] + width))[(k0 - k0[-1]).astype(np.intp) + j]
         k = k0 + j
-        np.subtract(np.multiply(k, np.log(lam), out=k), lam, out=k)
-        np.exp(np.subtract(k, terms, out=terms), out=terms)
-        np.subtract(np.add(k0, j, out=k), lam, out=k)
-        with np.errstate(over="ignore"):  # |k - lam|^order may overflow where its term underflowed to 0: it stays 0
-            np.multiply(terms, np.power(np.abs(k, out=k), order, out=k), out=terms, where=terms > 0)
+        v = k + lam
+        # bd0 = k ln(k / lam) + lam - k, with k ln(k / lam) 0 at k = 0 and taken as k (ln k - ln lam) below
+        # lam = 1, where k / lam may overflow and the two logs do not cancel
+        bd0 = np.log(k / np.maximum(lam, 1.0), out=np.zeros(k.shape), where=k > 0.0)
+        bd0 -= np.log(np.minimum(lam, 1.0))
+        bd0 *= k
+        d = np.subtract(k, lam, out=k)
+        bd0 -= d
+        # that cancels near the mean: where v = d / (k + lam) lies in (-0.1, 0.1), bd0 is the series
+        # d v (1 + v/3 + v^2/3 + v^3/5 + v^4/5 + ...), whose terms past v^16 are below 1e-17 of the sum
+        np.divide(d, v, out=v)
+        w = np.full(v.shape, 1.0 / 17.0)
+        for i in range(15, -1, -1):  # Horner, from the coefficient 1/17 of v^16 down
+            w *= v
+            w += 1.0 / (2 * ((i + 1) // 2) + 1)
+        w *= v
+        w *= d
+        np.copyto(bd0, w, where=np.abs(v, out=v) < 0.1)
+        del v, w
+        # plus stirlerr(k) + ln sqrt(2 pi k) = ln k! - (k ln k - k), 0 at k = 0, over the pass's values of k
+        ks = np.arange(k0[-1, 0], k0[0, 0] + width)
+        rest = np.zeros(ks.size)
+        rest[ks > 0.0] = _stirlerr(ks[ks > 0.0]) + 0.5 * np.log(2.0 * math.pi * ks[ks > 0.0])
+        bd0 += rest[(k0 - k0[-1]).astype(np.intp) + j]
         ratio = np.hstack((k0 / lam * (1.0 + 1.0 / np.maximum(lam - k0, h)) ** order,  # 0, not NaN, at k0 = 0
                            lam / (k0 + width) * (1.0 + 1.0 / (k0 + (width - 1) - lam)) ** order))
-        sums, tails = terms.sum(axis=1, keepdims=True), terms[:, [0, -1]] * ratio
-        del terms, k  # before the next pass allocates its cells
-        if not np.all(tails <= 1e-16 * sums * (1.0 - ratio)):
+        # ln 0 at k = lam gives a 0 term; a term, a sum or a tail may overflow, and an inf sum is final
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms = np.log(np.abs(d, out=d), out=d)
+            terms *= order
+            terms -= bd0
+            np.exp(terms, out=terms)
+            sums, tails = terms.sum(axis=1, keepdims=True), terms[:, [0, -1]] * ratio
+            done = (tails <= 1e-16 * sums * (1.0 - ratio)) | (sums == np.inf)
+        del terms, d, k, bd0  # before the next pass allocates its cells
+        if not np.all(done):
             grow *= 2
             continue
         out.flat[pos[start : start + n]] = sums[:, 0]
@@ -466,7 +505,7 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
     ``zeta = ln+ (omega1 + omega2 + omega3)`` elementwise over an
     environment array; see the module docstring for the components.
     Each mean map is evaluated once; a negative, infinite or NaN mean,
-    and a centered-moment sum that overflows float64, are refused.
+    and a centered moment that overflows float64, are refused.
     """
     p = 1.0 + rule.delta
     lip = np.asarray(rule.lipschitz(eta), dtype=float)
@@ -480,7 +519,7 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
     w2 = mf + mm
     moments = np.zeros(means.shape) if model.kind == "deterministic" else _poisson_centered_abs_moments(means, p)
     if not np.all(np.isfinite(moments)):
-        raise ConfigurationError(f"the sum of a Poisson centered moment of order {p:g} overflows float64")
+        raise ConfigurationError(f"the Poisson centered moment of order {p:g} overflows float64")
     cf, cm = moments
     zeta = np.maximum(0.0, np.log(w1 + w2 + cf + cm))
     return zeta, w1, w2, cf + cm
@@ -709,30 +748,39 @@ def audit_conditions(
     eta = np.asarray(env_model.sample(stream, size=samples), dtype=float)
     xi = walk_increments(rule, offspring_model, eta)
     p_beta = 1.0 + offspring_model.beta
-    mean_xi, se_mean = _mean_se(xi)
-    centered2 = (xi - mean_xi) ** 2
-    var_xi = float(centered2.mean())
-    se_var = float(np.sqrt(max(float((centered2**2).mean()) - var_xi**2, 0.0) / samples))
-    abs_xi, se_abs_xi = _mean_se(np.abs(xi) ** p_beta)
-
     # zeta needs per-eta centered moments; cap the subsample when the
     # moment order forces the series evaluation
     zeta_n = samples if 1.0 + rule.delta == 2.0 else min(samples, 20_000)
     zeta, w1, w2, w3 = noise_scales(rule, offspring_model, eta[:zeta_n])
-    abs_zeta, se_abs_zeta = _mean_se(np.abs(zeta) ** p_beta)
-
-    checks["C6"] = ConditionCheck(
-        condition="C6",
-        verdict="estimated",
-        detail={
-            "samples": samples,
-            "zeta_samples": zeta_n,
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean_xi, se_mean = _mean_se(xi)
+        centered2 = (xi - mean_xi) ** 2
+        var_xi = float(centered2.mean())
+        se_var = float(np.sqrt(max(float((centered2**2).mean()) - var_xi**2, 0.0) / samples))
+        abs_xi, se_abs_xi = _mean_se(np.abs(xi) ** p_beta)
+        abs_zeta, se_abs_zeta = _mean_se(np.abs(zeta) ** p_beta)
+        moments = {
+            "mean_xi": mean_xi,
+            "mean_xi_se": se_mean,
+            "var_xi": var_xi,
+            "var_xi_se": se_var,
             "abs_xi_moment": abs_xi,
             "abs_xi_moment_se": se_abs_xi,
             "abs_zeta_moment": abs_zeta,
             "abs_zeta_moment_se": se_abs_zeta,
+            "omega1_mean": float(w1.mean()),
+            "omega2_mean": float(w2.mean()),
+            "omega3_mean": float(w3.mean()),
             "moment_order": p_beta,
-        },
+        }
+    if not np.all(np.isfinite(list(moments.values()))):
+        raise ConfigurationError(f"a moment estimate of the audit (order {p_beta:g}) overflows float64")
+
+    checks["C6"] = ConditionCheck(
+        condition="C6",
+        verdict="estimated",
+        detail={"samples": samples, "zeta_samples": zeta_n, **{key: moments[key] for key in (
+            "abs_xi_moment", "abs_xi_moment_se", "abs_zeta_moment", "abs_zeta_moment_se", "moment_order")}},
     )
 
     critical = abs(mean_xi) <= 4.0 * se_mean
@@ -743,18 +791,4 @@ def audit_conditions(
         detail={"mean_xi": mean_xi, "se": se_mean},
     )
 
-    moments = {
-        "mean_xi": mean_xi,
-        "mean_xi_se": se_mean,
-        "var_xi": var_xi,
-        "var_xi_se": se_var,
-        "abs_xi_moment": abs_xi,
-        "abs_xi_moment_se": se_abs_xi,
-        "abs_zeta_moment": abs_zeta,
-        "abs_zeta_moment_se": se_abs_zeta,
-        "omega1_mean": float(w1.mean()),
-        "omega2_mean": float(w2.mean()),
-        "omega3_mean": float(w3.mean()),
-        "moment_order": p_beta,
-    }
     return ConditionReport(checks=checks, moment_estimates=moments)

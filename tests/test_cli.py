@@ -140,11 +140,34 @@ def test_audit_canonical_passes_criticality(capsys):
 
 
 def test_audit_refuses_a_noise_moment_sum_that_overflows(capsys):
+    # order 100 at means up to e^(4 * 6): from a mean near 4e4 the moment itself is past the double range
+    code, stdout, stderr = run_cli(capsys, "audit", "--alpha", "0.01", "--beta", "101", "--sigma-env", "6",
+                                   "--replicates", "100")
+    assert code == 1 and stdout == ""
+    payload = json.loads(stderr.strip().splitlines()[-1])
+    assert payload == {"error": "configuration", "message": "the Poisson centered moment of order 100 overflows float64"}
+
+
+def test_audit_refuses_a_moment_estimate_that_overflows(capsys):
+    # the order-100 noise moments fit (up to about 1e267), but |zeta|^102 reaches 1e284 and its variance overflows
     code, stdout, stderr = run_cli(capsys, "audit", "--alpha", "0.01", "--beta", "101", "--sigma-env", "3",
                                    "--replicates", "100")
     assert code == 1 and stdout == ""
     payload = json.loads(stderr.strip().splitlines()[-1])
-    assert payload["error"] == "configuration" and "order 100" in payload["message"]
+    assert payload["error"] == "configuration" and "(order 102) overflows float64" in payload["message"]
+
+
+def test_a_noise_moment_past_the_double_range_is_refused(tmp_path, capsys):
+    # a mean of 1e308: the order-2.5 moment, about 1e385, is refused before any window is formed
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"offspring": {"mean_f": {"scale": 1e308}}}))
+    code, stdout, stderr = run_cli(capsys, "audit", "--config", str(config), "--sigma-env", "0", "--alpha", "0.4",
+                                   "--replicates", "100")
+    assert code == 1 and stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "configuration",
+                                    "message": "the Poisson centered moment of order 2.5 overflows float64"}
 
 
 def _limit_address_space():
@@ -160,17 +183,22 @@ def _limit_address_space():
     ],
     ids=["audit-sigma-env-20", "audit-sigma-env-100", "lemma-sweep-sigma-env-20"],
 )
-def test_a_noise_moment_window_too_wide_to_sum_is_refused(argv, tmp_path):
-    # means up to e^(4 sigma): one mean's moment window would need terabytes; run under a 1.5 GB address-space cap
+def test_noise_moments_of_huge_means_run_in_bounded_memory(argv, tmp_path):
+    # means up to e^(4 sigma), far past MOMENT_SERIES_MAX: their moments come from the normal expansion, with no
+    # window; each run, under a 1.5 GB address-space cap, exits 0 with finite numbers
     src = str(Path(bbpre.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-m", "bbpre", *argv, "--out", str(tmp_path / "out")], capture_output=True,
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "bbpre", *argv, "--out", str(out)], capture_output=True,
                           text=True, env=env, timeout=120, preexec_fn=_limit_address_space)
-    assert done.returncode == 1 and done.stdout == ""
-    lines = done.stderr.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "configuration" and "order 2.5" in payload["message"]
+    assert done.returncode == 0 and done.stderr == "" and done.stdout
+    if argv[0] == "audit":
+        assert json.loads(out.read_text())["moment_estimates"]["omega3_mean"] > 0.0  # the writer refuses inf and NaN
+    else:
+        # the path's bundle dies out: its rows are finite up to then and NaN after, as for any extinct bundle
+        ratios = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3:]
+        alive = ~np.isnan(ratios).all(axis=1)
+        assert alive[0] and np.isfinite(ratios[alive]).all() and np.array_equal(alive, np.arange(alive.size) < alive.sum())
 
 
 def test_unknown_flag_is_a_configuration_error(capsys):

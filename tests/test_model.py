@@ -2,10 +2,12 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 from scipy.stats import ks_2samp, poisson
 
 from bbpre import (
@@ -33,8 +35,15 @@ from bbpre import (
     walk_increments,
 )
 from bbpre import model as model_module
-from bbpre._special import log_factorial
-from bbpre.model import POISSON_EXACT_MAX, _poisson_centered_abs_moments, _poisson_totals
+from bbpre.model import (
+    MOMENT_ORDER_MAX,
+    MOMENT_SERIES_MAX,
+    POISSON_EXACT_MAX,
+    _STIRLERR,
+    _poisson_centered_abs_moments,
+    _poisson_totals,
+    _stirlerr,
+)
 from recorded import all_steps
 
 ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
@@ -163,6 +172,12 @@ def test_deterministic_family():
 # ---------------------------------------------------------------------------
 
 
+# The oracles below weigh k by exp(k ln lam - lam - ln k!), whose three terms near lam ln lam cancel:
+# against 3 lam^2 + lam their fourth moment is off by 5e-15 at lam = 40 and 1.3e-11 at 1e4.  They
+# are used up to lam = 1e4, at ORACLE_RTOL.
+ORACLE_RTOL = 5e-11
+
+
 def scalar_centered_abs_moment(lam: float, order: float) -> float:
     """E|X - lam|^order for one Poisson mean: its own series, doubled until the tail is below 1e-12."""
     if lam == 0.0:
@@ -170,7 +185,7 @@ def scalar_centered_abs_moment(lam: float, order: float) -> float:
     k_max = int(max(lam + 12.0 * math.sqrt(lam) + 20.0, 2.0 * lam + 10.0 * order + 20.0))
     while True:
         k = np.arange(0, k_max + 1, dtype=float)
-        terms = np.abs(k - lam) ** order * np.exp(k * math.log(lam) - lam - log_factorial(np.arange(k_max + 1)))
+        terms = np.abs(k - lam) ** order * np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
         total = float(terms.sum())
         if 1.3 * float(terms[-1]) <= 1e-12 * max(total, 1e-300):
             return total
@@ -178,7 +193,7 @@ def scalar_centered_abs_moment(lam: float, order: float) -> float:
 
 
 def full_series_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarray:
-    """The moment series before windowing: every mean summed from k = 0, in passes of 2^20 cells, one ln k! table."""
+    """The moment series without windows: every mean summed from k = 0, in passes of 2^20 cells, one ln k! table."""
     if order == 2.0:
         return lams
     out = np.zeros(lams.shape)
@@ -192,7 +207,7 @@ def full_series_centered_abs_moments(lams: np.ndarray, order: float) -> np.ndarr
         k_max = max(int(max(top + 12.0 * math.sqrt(top) + 20.0, 2.0 * top + 10.0 * order + 20.0)), k_min)
         lam = desc[start : start + max(1, 2**20 // (k_max + 1)), None]
         if log_fact.size <= k_max:
-            log_fact = log_factorial(np.arange(k_max + 1))
+            log_fact = gammaln(np.arange(k_max + 1) + 1.0)
         k = np.arange(k_max + 1, dtype=float)
         terms = k * np.log(lam)
         terms -= lam
@@ -233,57 +248,116 @@ def test_poisson_fractional_moment_against_monte_carlo():
 
 
 def test_moment_array_path_matches_scalar(monkeypatch):
-    # means on both sides of 1e4, in no order; 5,000 cells hold one series alone above a mean of about 1,200
-    lams = np.array([[40.0, 0.0, 2.3e4, 0.2], [9_999.0, 1.0, 1.2e4, 3.7], [6e4, 250.0, 0.0, 1.05e4]])
+    # means in no order; 5,000 cells hold one series alone above a mean of about 1,200
+    lams = np.array([[40.0, 0.0, 2.3e3, 0.2], [9_999.0, 1.0, 1.2e3, 3.7], [6e3, 250.0, 0.0, 1e4]])
     for order in (1.25, 2.5, 4.0):
         expected = np.array([[scalar_centered_abs_moment(float(lam), order) for lam in row] for row in lams])
         for cells in (model_module.MOMENT_PASS_CELLS, 5_000):
             monkeypatch.setattr(model_module, "MOMENT_PASS_CELLS", cells)
             got = _poisson_centered_abs_moments(lams, order)
             assert got.shape == lams.shape
-            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(expected, rel=ORACLE_RTOL)
 
 
 def test_windowed_moments_match_the_full_series(monkeypatch):
-    # at order 40 the first window of a mean near 1e6 leaves a tail above 1e-16 of its sum: the pass is redone
+    # at order 40 the first window of a mean near 1e6 leaves a tail above 1e-16 of its sum: the pass is
+    # redone over a wider span of k, each pass asking stirlerr for its span once
     spans = []
-    monkeypatch.setattr(model_module, "log_factorial", lambda k: spans.append(k.size) or log_factorial(k))
+    monkeypatch.setattr(model_module, "_stirlerr", lambda k: spans.append(k.size) or _stirlerr(k))
     _poisson_centered_abs_moments(np.array([1e6]), 40.0)
     assert len(spans) == 2 and spans[1] > spans[0]
     monkeypatch.undo()
-    lams = np.append(np.geomspace(1e-3, 1e6, 46), [1e-10, 1e-320])  # (1 + 1 / lam)^40 and 1 / 1e-320 overflow
+    lams = np.append(np.geomspace(1e-3, 1e4, 36), [1e-10, 1e-320])  # (1 + 1 / lam)^40 and 1 / 1e-320 overflow
     for order in (1.25, 2.5, 4.0, 40.0):
         expected = full_series_centered_abs_moments(lams, order)
         for cells in (model_module.MOMENT_PASS_CELLS, 5_000):
             monkeypatch.setattr(model_module, "MOMENT_PASS_CELLS", cells)
-            np.testing.assert_allclose(_poisson_centered_abs_moments(lams, order), expected, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(_poisson_centered_abs_moments(lams, order), expected, rtol=ORACLE_RTOL, atol=0)
+
+
+def log_domain_moment(lam: float, order: float, k_max: int) -> float:
+    """E|X - lam|^order over k < k_max, each term's log formed with math.lgamma: finite wherever the moment is."""
+    logs = [k * math.log(lam) - lam - math.lgamma(k + 1) + order * math.log(abs(k - lam))
+            for k in range(k_max) if k != lam]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
 
 
 def test_high_order_moment_is_finite_where_the_power_overflows():
     # at order 100 and lambda = 300, |k - lambda|^100 overflows to inf where
     # the Poisson factor has underflowed to 0: those terms are 0, never NaN
-    lam, order = 300.0, 100.0
-    logs = [k * math.log(lam) - lam - math.lgamma(k + 1) + order * math.log(abs(k - lam))
-            for k in range(3000) if k != lam]
-    top = max(logs)
-    oracle = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    oracle = log_domain_moment(300.0, 100.0, 3000)
     assert oracle == pytest.approx(7.3159367648573e205, rel=1e-12)
-    assert _poisson_centered_abs_moments(np.array([lam]), order)[0] == pytest.approx(oracle, rel=1e-12)
+    assert _poisson_centered_abs_moments(np.array([300.0]), 100.0)[0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_noise_scale_refuses_a_moment_sum_that_overflows():
-    # alpha = 0.01 makes the moment order 100.  At a mean of e^7.5 the moment
-    # is 4.3e242, but |k - mean|^100 overflows where P(k) has not underflowed
-    with pytest.raises(ConfigurationError, match="order 100"):
-        noise_scales(monogamous(1, alpha=0.01), OffspringModel(beta=101.0), np.array([7.5]))
+    # alpha = 0.01 makes the moment order 100.  At a mean of e^7.5 (1808) |k - mean|^100 overflows where
+    # P(k) has not underflowed, but no term is formed outside the log domain: the moment, 4.3e242, is summed
+    rule, model = monogamous(1, alpha=0.01), OffspringModel(beta=101.0)
+    lam = float(model.mean_f(np.array([7.5]))[0])
+    oracle = log_domain_moment(lam, 100.0, 8000)
+    assert oracle == pytest.approx(4.3e242, rel=0.01)
+    assert noise_scales(rule, model, np.array([7.5]))[3][0] == pytest.approx(2.0 * oracle, rel=ORACLE_RTOL)
+    # at a mean of e^11 (5.99e4) the moment itself, 2.4e317, is past the double range: it is refused
+    with pytest.raises(ConfigurationError, match="order 100 overflows float64"):
+        noise_scales(rule, model, np.array([7.5, 11.0]))
     # a mean past the double range (eta > 709.78) is refused at any order, before any sum
     for alpha in (0.5, 0.4):
         with pytest.raises(ConfigurationError, match="infinite"):
             noise_scales(monogamous(1, alpha=alpha), OffspringModel(), np.array([0.0, 800.0]))
 
 
+def test_even_moments_equal_their_closed_forms():
+    # mu4 = 3 lam^2 + lam and mu6 = 15 lam^3 + 25 lam^2 + lam, summed up to MOMENT_SERIES_MAX and from the
+    # normal expansion above it.  The largest error seen here is 1.6e-15; weights formed as
+    # exp(k ln lam - lam - ln k!) were off by 1.5e-6 at 5.56e8, the largest mean of the audit-sigma-env-4 golden
+    lams = np.append(np.geomspace(1e-3, 1e15, 145), [5.56e8, 1.9e9])
+    for order, exact in ((4.0, 3.0 * lams**2 + lams), (6.0, 15.0 * lams**3 + 25.0 * lams**2 + lams)):
+        np.testing.assert_allclose(_poisson_centered_abs_moments(lams, order), exact, rtol=1e-14, atol=0)
+
+
+def test_moments_are_continuous_at_the_series_cutoff():
+    # the normal expansion's own error at 1e9: 3.6e-12 at order 1.25, 1.3e-13 at 1.5, below 1e-15 from 2.5
+    lams = np.array([MOMENT_SERIES_MAX, np.nextafter(MOMENT_SERIES_MAX, np.inf)])
+    for order in (1.25, 1.5, 2.5, 3.0):
+        summed, expanded = _poisson_centered_abs_moments(lams, order)
+        assert expanded == pytest.approx(summed, rel=5e-12)
+
+
+def test_the_normal_expansion_is_inf_only_where_the_moment_overflows():
+    # below order 2, lam^(p/2) stays finite up to the largest double: at 1e308 and order 1.25 the moment is 2.6e192
+    p = 1.25
+    lams = np.array([1e308, 1e300])
+    m_p = 2.0 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+    expected = lams ** (p / 2) * m_p * (1.0 + p * (p - 1) * (p - 2) / 72.0 / lams)
+    np.testing.assert_allclose(_poisson_centered_abs_moments(lams, p), expected, rtol=1e-15, atol=0)
+    assert np.array_equal(_poisson_centered_abs_moments(lams, 2.5), [np.inf, np.inf])  # 1e385 and 5.6e375
+
+
+def test_an_order_past_the_bound_overflows_at_every_positive_mean():
+    # P(2) 2^order exceeds the double range at the smallest positive mean from order 3173.1; summed at the
+    # bound itself, every moment is inf as well
+    lams = np.array([0.0, 5e-324, 1e-300, 0.5, 3.0, 1e3, 1e9, 1e12])
+    want = np.array([0.0] + [np.inf] * 7)
+    for order in (MOMENT_ORDER_MAX, np.nextafter(MOMENT_ORDER_MAX, np.inf), 1e8):
+        assert np.array_equal(_poisson_centered_abs_moments(lams, order), want)
+
+
+def test_stirlerr_matches_exact_log_factorials():
+    # stirlerr(k) = ln k! - (k ln k - k + ln sqrt(2 pi k)) in 40-digit decimals; in float64, scipy's
+    # gammaln(k + 1) - k ln k loses up to 6e-15 to the rounding of its terms
+    pi = Decimal("3.141592653589793238462643383279502884197")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = [float(Decimal(math.factorial(k)).ln() - (k * Decimal(k).ln() - k + (2 * pi * k).ln() / 2))
+                 for k in range(1, 301)]
+    np.testing.assert_allclose(_STIRLERR, exact[:15], rtol=0, atol=2e-15)
+    np.testing.assert_allclose(_stirlerr(np.arange(1.0, 301.0)), exact, rtol=0, atol=2e-15)
+
+
 def test_one_large_mean_is_summed_over_a_window_around_it():
-    # from k = 0 the series of lambda = 1e6 has 2e6 terms and as many ln k! values: 158 MiB traced
+    # from k = 0 the series of lambda = 1e6 has 2e6 terms: a matrix of them traced 158 MiB
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -295,17 +369,6 @@ def test_one_large_mean_is_summed_over_a_window_around_it():
     assert peak < 16 * 2**20, peak / 2**20
     # the normal limit: E|Z|^2.5 lambda^1.25, with E|Z|^p = 2^(p/2) Gamma((p + 1)/2) / sqrt(pi)
     assert value == pytest.approx(2**1.25 * math.gamma(1.75) / math.sqrt(math.pi) * 1e6**1.25, rel=1e-5)
-
-
-def test_a_moment_window_wider_than_the_bound_is_refused(monkeypatch):
-    # lambda = 1e4 at order 2.5: h = 1245, a window of 2h + 1 = 2491 terms
-    lam = np.array([1e4, 3.0])
-    want = _poisson_centered_abs_moments(lam, 2.5)
-    monkeypatch.setattr(model_module, "MOMENT_WINDOW_MAX", 2491)
-    assert np.array_equal(_poisson_centered_abs_moments(lam, 2.5), want)
-    monkeypatch.setattr(model_module, "MOMENT_WINDOW_MAX", 2490)
-    with pytest.raises(ConfigurationError, match="order 2.5 at mean 10000 needs a window of more than 2490 terms"):
-        _poisson_centered_abs_moments(lam, 2.5)
 
 
 def test_noise_scales_sum_the_series_in_bounded_passes():

@@ -16,7 +16,7 @@ import pytest
 import scipy.special as sc
 
 import bbpre
-from bbpre._special import erfc, erfcinv, log_factorial
+from bbpre._special import erfc, erfcinv
 
 
 def assert_same_doubles(args, ours, oracle):
@@ -76,25 +76,6 @@ def test_erfcinv_is_scipys(branch):
 def test_scalar_arguments_give_zero_dimensional_arrays():
     assert erfc(0.5).shape == () and erfc(0.5) == sc.erfc(0.5)
     assert erfcinv(0.5).shape == () and erfcinv(0.5) == sc.erfcinv(0.5)
-
-
-LOG_FACTORIAL_GRIDS = {
-    "product and Stirling, k < 2e5": np.arange(200_000),
-    "around the 1e8 cut": np.arange(100_000_000 - 1000, 100_000_000 + 1000),
-    "magnitudes": np.unique(np.floor(np.geomspace(1.0, 1e300, 20_001))),
-}
-
-
-@pytest.mark.parametrize("branch", sorted(LOG_FACTORIAL_GRIDS))
-def test_log_factorial_is_scipys_gammaln(branch):
-    k = LOG_FACTORIAL_GRIDS[branch]
-    assert_same_doubles(k, log_factorial(k), sc.gammaln(k + 1.0))
-
-
-@pytest.mark.parametrize("bad", [-1.0, 2.5, np.nan])
-def test_log_factorial_refuses_non_integers(bad):
-    with pytest.raises(ValueError):
-        log_factorial(np.array([3.0, bad]))
 
 
 def test_the_package_runs_without_importing_scipy(tmp_path):
