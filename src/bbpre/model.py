@@ -202,14 +202,12 @@ def _poisson_totals(lam: np.ndarray, top: float, stream: np.random.Generator) ->
     ``top`` is ``lam.max()``.  The draws are those of ``poisson(lam[small])``
     in C order, then normals for ``lam[big]``: a zero mean consumes no
     draw, so ``poisson`` over ``lam`` with the big means zeroed gives the
-    small draws in place.
+    small draws in place, and nothing when every mean is big.
     """
     if top <= POISSON_EXACT_MAX:
         return stream.poisson(lam).astype(float)
     big = lam > POISSON_EXACT_MAX
     lb = lam[big]
-    if lb.size == lam.size:
-        return np.rint(lam + np.sqrt(lam) * stream.standard_normal(lam.shape))
     out = stream.poisson(np.where(big, 0.0, lam)).astype(float)
     out[big] = np.rint(lb + np.sqrt(lb) * stream.standard_normal(lb.size))
     return out
@@ -324,6 +322,37 @@ class OffspringModel:
             raise ConfigurationError(f"unknown offspring family {self.kind!r} (supported: poisson, deterministic)")
         if not self.beta > 1.0:
             raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
+
+    def means(self, eta) -> np.ndarray:
+        """The female and male means at ``eta``, stacked as float64 of shape ``(2,) + eta.shape``.
+
+        A negative or NaN mean is refused, and so is a non-integer mean of
+        the deterministic family; an infinite one is left to the guards.
+        """
+        means = np.array([self.mean_f(eta), self.mean_m(eta)], dtype=float)
+        flat = means.reshape(2, -1)
+        if not (flat >= 0.0).all():
+            bad, text = ~(flat >= 0.0).all(axis=0), "negative or NaN conditional mean at eta={e}: ({f}, {m})"
+        elif self.kind == "deterministic":
+            with np.errstate(invalid="ignore"):  # an infinite mean gives NaN here, and passes
+                bad = (np.abs(flat - np.round(flat)) > 1e-9).any(axis=0)
+            text = "deterministic offspring needs integer means, got ({f}, {m}) at eta={e}"
+        else:
+            return means
+        if bad.any():
+            i = int(bad.argmax())
+            raise ConfigurationError(text.format(e=np.ravel(eta)[i], f=flat[0, i], m=flat[1, i]))
+        return means
+
+    def totals(self, cur, means: np.ndarray, lam: np.ndarray, top: float, stream: np.random.Generator) -> np.ndarray:
+        """The stacked female and male totals of ``cur`` couples at ``means`` (from ``means()``).
+
+        ``_poisson_totals(lam, top, stream)``, with ``lam = cur * means`` and ``top = lam.max()``
+        at most ``MEAN_GUARD``, or ``cur`` times the deterministic means.
+        """
+        if self.kind == "poisson":
+            return _poisson_totals(lam, top, stream)
+        return cur * np.round(means)
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +533,20 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
 
     ``zeta = ln+ (omega1 + omega2 + omega3)`` elementwise over an
     environment array; see the module docstring for the components.
-    Each mean map is evaluated once; a negative, infinite or NaN mean,
-    and a centered moment that overflows float64, are refused.
+    The means are ``model.means(eta)``, refused as the step loops refuse
+    them; a non-finite ``omega1``, an infinite mean and a centered moment
+    that overflows float64 are refused too.
     """
     p = 1.0 + rule.delta
-    lip = np.asarray(rule.lipschitz(eta), dtype=float)
-    rho = np.asarray(rule.rho(eta), dtype=float)
-    w1 = np.broadcast_to(lip**p + rho**p, eta.shape)
-    mf = np.asarray(model.mean_f(eta), dtype=float)
-    mm = np.asarray(model.mean_m(eta), dtype=float)
-    means = np.stack(np.broadcast_arrays(mf, mm))
-    if not np.all((means >= 0.0) & (means < np.inf)):
-        raise ConfigurationError("negative, infinite or NaN conditional mean in the noise scale")
-    w2 = mf + mm
+    with np.errstate(over="ignore"):  # refused below
+        w1 = np.asarray(rule.lipschitz(eta), dtype=float) ** p + np.asarray(rule.rho(eta), dtype=float) ** p
+    if not np.all(np.isfinite(w1)):
+        raise ConfigurationError(f"the Lipschitz and residual scales to the order {p:g} are not finite")
+    w1 = np.broadcast_to(w1, eta.shape)
+    means = model.means(eta)
+    if not np.all(means < np.inf):
+        raise ConfigurationError("infinite conditional mean in the noise scale")
+    w2 = means[0] + means[1]
     moments = np.zeros(means.shape) if model.kind == "deterministic" else _poisson_centered_abs_moments(means, p)
     if not np.all(np.isfinite(moments)):
         raise ConfigurationError(f"the Poisson centered moment of order {p:g} overflows float64")

@@ -51,7 +51,6 @@ from .model import (
     MatingRule,
     OffspringModel,
     _log_g_at_means,
-    _poisson_totals,
     mate_array,
     noise_scales,
     walk_increments,
@@ -136,38 +135,6 @@ def _capacity(rule: MatingRule, eta: np.ndarray) -> Optional[np.ndarray]:
     return np.asarray(rule.d(eta), dtype=np.int64).astype(float) if rule.kind == "monogamous" else None
 
 
-def _checked_means(offspring_model: OffspringModel, means: np.ndarray, e: np.ndarray) -> None:
-    """Raise the sampling error for a negative, NaN or (deterministic) non-integer mean.
-
-    ``means`` stacks the female and male means of the replicates whose
-    environment values are ``e``.
-    """
-    bad = ~(means >= 0).all(axis=0)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ConfigurationError(f"negative or NaN conditional mean at eta={e[i]}: ({means[0, i]}, {means[1, i]})")
-    if offspring_model.kind == "deterministic":
-        bad = (np.abs(means - np.round(means)) > 1e-9).any(axis=0)
-        if bad.any():
-            i = int(bad.argmax())
-            raise ConfigurationError(
-                f"deterministic offspring needs integer means, got ({means[0, i]}, {means[1, i]}) at eta={e[i]}"
-            )
-
-
-def _offspring_totals(offspring_model: OffspringModel, cur: np.ndarray, means: np.ndarray, lam: np.ndarray,
-                      top: float, e: np.ndarray, stream: np.random.Generator) -> np.ndarray:
-    """The stacked female and male totals of ``cur`` couples, ``lam = cur * means`` checked against the guard.
-
-    Poisson totals (``_poisson_totals``, with ``top = lam.max()``), or
-    ``cur`` times the deterministic means, which must be integers.
-    """
-    if offspring_model.kind == "poisson":
-        return _poisson_totals(lam, top, stream)
-    _checked_means(offspring_model, means, e)
-    return cur * np.round(means)
-
-
 def run_block(
     rule: MatingRule,
     env_model: EnvironmentModel,
@@ -189,10 +156,11 @@ def run_block(
     ``stream``.  Counts are float64, exact below 2^53,
     and follow the sampling rules element by element: one Poisson draw
     per sex with mean count times conditional mean, the normal
-    approximation above ``POISSON_EXACT_MAX``, an overflow tag for the
-    replicate whose requested total exceeds ``MEAN_GUARD``, errors for
-    negative, NaN or non-integer deterministic means, and absorption
-    at 0.
+    approximation above ``POISSON_EXACT_MAX`` (``OffspringModel.totals``),
+    an overflow tag for the replicate whose requested total exceeds
+    ``MEAN_GUARD``, and absorption at 0.  ``OffspringModel.means`` builds
+    the live replicates' means once per window and refuses a bad one
+    before the window's first generation.
 
     With ``epsilon`` the block is a coupled run: each window is drawn
     for the replicates whose process is alive or whose walk has not hit
@@ -265,19 +233,15 @@ def run_block(
                     xi_w, s_w = xi_w[at], s_w[at]
             # the steps whose counts a coupled run reports; -1 never matches
             tgt = np.where(theta[rows, None] >= 0, theta[rows, None] + np.array([0, k]), -1)
-            means_w = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+            means_w = offspring_model.means(eta)
             d_w = _capacity(rule, eta)
-            # without a negative mean in the window every lam is >= 0 or NaN, and
-            # a NaN fails the guard test below
-            nonneg = means_w.min() >= 0.0
             pending = set(tgt[(tgt > first) & (tgt <= first + width)].tolist())
             for j in range(width):
                 n = first + j + 1
                 means = means_w[:, :, j]
                 lam = cur * means
                 top = lam.max()
-                if not (top <= MEAN_GUARD and (nonneg or lam.min() >= 0.0)):
-                    _checked_means(offspring_model, means, eta[:, j])
+                if not top <= MEAN_GUARD:
                     ok = ~(lam > MEAN_GUARD).any(axis=0)
                     overflow_step[rows[~ok]] = n
                     compact(ok)
@@ -286,7 +250,7 @@ def run_block(
                     means, lam = means_w[:, :, j], lam[:, ok]
                     top = lam.max()
                 e = eta[:, j]
-                f, m = _offspring_totals(offspring_model, cur, means, lam, top, e, stream)
+                f, m = offspring_model.totals(cur, means, lam, top, stream)
                 nxt = np.asarray(mate_array(rule, f, m, e, None if d_w is None else d_w[:, j]), dtype=float)
                 died = np.count_nonzero(nxt) < nxt.size
                 dead = nxt == 0 if died else None
@@ -384,10 +348,11 @@ def run_frozen_bundle(
 
     The bundle holds one float64 row of counts, one entry per replicate,
     and draws each generation by ``run_block``'s rules
-    (``_offspring_totals``); the path's offspring means and capacity are
-    evaluated once, as arrays, like a block window's.  A requested total
-    above ``MEAN_GUARD`` raises ``OverflowGuardError`` instead of tagging
-    the replicate: dropping it would bias the ratios.  Rows are drawn whole: an extinct
+    (``OffspringModel.totals``); the path's offspring means and capacity
+    are evaluated once, as arrays, like a block window's, so a bad mean is
+    refused before the first step.  A requested total above ``MEAN_GUARD``
+    raises ``OverflowGuardError`` instead of tagging the replicate:
+    dropping it would bias the ratios.  Rows are drawn whole: an extinct
     replicate has Poisson mean 0, which draws nothing from the stream,
     and stays extinct even under a rule with ``L(0, 0) > 0``.  Steps
     whose bundle-average parent count is zero yield NaN ratios (nothing
@@ -406,7 +371,7 @@ def run_frozen_bundle(
     zeta = noise_scales(rule, offspring_model, eta)[0]
     delta = rule.delta
     p = 1.0 + delta
-    means_path = np.array([offspring_model.mean_f(eta), offspring_model.mean_m(eta)], dtype=float)
+    means_path = offspring_model.means(eta)
     d_path = _capacity(rule, eta)
     ratios = np.full((4, steps), np.nan)
     r2, r3, r3_se, r4 = ratios
@@ -419,10 +384,9 @@ def run_frozen_bundle(
         means = means_path[:, j - 1 : j]
         lam = prev * means
         top = lam.max()
-        if not (top <= MEAN_GUARD and lam.min() >= 0.0):
-            _checked_means(offspring_model, means, e)
+        if not top <= MEAN_GUARD:
             raise OverflowGuardError(f"bundle scale too large: an offspring total at step {j} exceeds {MEAN_GUARD:g}")
-        f, m = _offspring_totals(offspring_model, prev, means, lam, top, e, off_rng)
+        f, m = offspring_model.totals(prev, means, lam, top, off_rng)
         cur = np.where(prev > 0, mate_array(rule, f, m, e, None if d_path is None else d_path[j - 1]), 0.0)
         growth = math.exp(float(xi[j - 1]))
         resid = cur - prev * growth

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
@@ -199,6 +198,8 @@ def _run_chunked(task_args: list, worker, threads: int, cost=None) -> list:
     """
     if threads <= 1 or len(task_args) <= 1:
         return [worker(a) for a in task_args]
+    from concurrent.futures import ProcessPoolExecutor  # here, so a one-worker run does not import it
+
     order = list(range(len(task_args)))
     if cost is not None:
         order.sort(key=lambda i: -cost(task_args[i]))

@@ -311,20 +311,40 @@ def test_lemma_sweep_cli(tmp_path, capsys):
 
 
 def test_lemma_sweep_refuses_non_integer_deterministic_means(tmp_path, capsys):
-    # bundles sample by the block engine's rules, so lemma-sweep refuses what simulate refuses
+    # every command builds its means through OffspringModel.means, so all of them refuse what simulate refuses;
+    # experiment refuses at its audit stage, before any block runs or any file is written
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"offspring": {"kind": "deterministic"}}))
     out = tmp_path / "sweep.csv"
     for argv in (
         ["lemma-sweep", "--paths", "2", "--replicates", "20", "--max-steps", "5", "--out", str(out)],
         ["simulate", "--n0", "100", "--replicates", "3", "--max-steps", "5"],
+        ["coupled", "--n0", "100", "--replicates", "3", "--max-steps", "5"],
+        ["experiment", "--n-grid", "100,1000", "--replicates", "20", "--max-steps", "5", "--out",
+         str(tmp_path / "exp")],
+        ["audit", "--replicates", "100", "--out", str(tmp_path / "audit.json")],
     ):
         code, stdout, stderr = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 1 and stdout == ""
         payload = json.loads(stderr.strip().splitlines()[-1])
         assert payload["error"] == "configuration"
         assert "deterministic offspring needs integer means" in payload["message"]
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_audit_refuses_an_omega1_that_overflows_without_a_warning(tmp_path):
+    # alpha = 0.0015 makes the noise order 1 + delta = 666.667, and 3^666.667 (capacity 3) is past the double range
+    argv = ["audit", "--d", "3", "--alpha", "0.0015", "--beta", "700", "--sigma-env", "0.5", "--replicates", "100"]
+    src = str(Path(bbpre.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "bbpre", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "configuration",
+        "message": "the Lipschitz and residual scales to the order 666.667 are not finite",
+    }
 
 
 def test_zero_scale_mean_past_the_double_range_is_zero(tmp_path, capsys):

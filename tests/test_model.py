@@ -154,6 +154,50 @@ def test_poisson_totals_equal_the_two_call_reference(lam):
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_poisson_totals_above_the_exact_range_are_normal_draws_only():
+    # every mean is big: the totals are one normal draw each, in C order, and nothing else is drawn
+    lam = np.array([[2e12, 7e13, 1e300], [5e15, POISSON_EXACT_MAX * 1.5, 3e20]])
+    got_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    got = _poisson_totals(lam, lam.max(), got_rng)
+    assert np.array_equal(got, np.rint(lam + np.sqrt(lam) * ref_rng.standard_normal(lam.shape)))
+    assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+@pytest.mark.parametrize(
+    "model",
+    [
+        OffspringModel(),
+        OffspringModel(mean_f=ExpMeanMap(scale=0.0), mean_m=TableMap((0.0,), (1.0, 2.5))),
+        OffspringModel(kind="deterministic", mean_f=ConstantMap(2.0), mean_m=TableMap((0.0,), (1.0, 3.0))),
+    ],
+)
+def test_offspring_means_stack_the_two_mean_maps(model, shape):
+    eta = np.random.default_rng(4).normal(0.0, 0.5, size=shape)
+    got = model.means(eta)
+    ref = np.array([model.mean_f(eta), model.mean_m(eta)], dtype=float)
+    assert got.dtype == float and got.shape == (2,) + shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model, text",
+    [
+        (OffspringModel(mean_m=TableMap((0.5,), (1.0, -1.0))), "negative or NaN conditional mean at eta=0.75: "
+                                                                "(2.117000016612675, -1.0)"),
+        (OffspringModel(mean_f=TableMap((0.5,), (1.0, math.nan))), "negative or NaN conditional mean at eta=0.75"),
+        (OffspringModel(kind="deterministic", mean_f=TableMap((0.5,), (1.0, 1.5)), mean_m=ConstantMap(2.0)),
+         "deterministic offspring needs integer means, got (1.5, 2.0) at eta=0.75"),
+    ],
+)
+def test_offspring_means_refuse_bad_means(model, text):
+    # the first bad column of the flattened eta is named, whatever the shape
+    for eta in (np.array([0.0, 0.25, 0.75, 1.0]), np.array([[0.0, 0.25], [0.75, 1.0]])):
+        with pytest.raises(ConfigurationError) as err:
+            model.means(eta)
+        assert str(err.value).startswith(text)
+
+
 def test_deterministic_family():
     env = EnvironmentModel(std=0.5)
     model = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.0), mean_m=ConstantMap(2.0))

@@ -377,6 +377,19 @@ def test_poisson_totals_are_drawn_in_one_place():
     assert owners and set(owners) == {"model._poisson_totals"}
 
 
+def test_a_bad_mean_is_refused_when_its_window_is_drawn():
+    # the first window (50 generations of 4 replicates) holds a negative female mean from generation 16 on;
+    # the window's means are refused as it is drawn, before generation 1 takes an offspring draw
+    env, off = EnvironmentModel(std=0.5), OffspringModel(mean_f=TableMap((1.0,), (1.0, -1.0)))
+    eta = env.sample_rows([derive_stream(2, i) for i in range(4)], 50)
+    assert (eta >= 1.0).any(axis=1).all() and (eta >= 1.0).argmax(axis=1).min() == 15
+    stream = derive_stream(99)
+    state = stream.bit_generator.state
+    with pytest.raises(ConfigurationError, match="negative or NaN conditional mean at eta="):
+        run_block(asexual(), env, off, 100, 50, [derive_stream(2, i) for i in range(4)], stream)
+    assert stream.bit_generator.state == state
+
+
 def _reference_bundle(rule, env_model, offspring_model, n0, steps, replicates, stream):
     # the replicate-major bundle loop with a live mask at every step
     env_rng, off_rng = stream.spawn(2)
@@ -611,26 +624,30 @@ def test_block_engine_raises_the_sampling_errors(monkeypatch):
 
 
 def test_block_overflow_tags_only_the_replicates_that_cross_the_guard(monkeypatch):
-    # the female mean jumps past the guard only where eta >= 1.25
+    # the female mean jumps past the guard only where eta >= 1.25; a deterministic law's infinite mean is
+    # tagged the same way, and its integer check raises no warning on it
     monkeypatch.setattr(stats, "BLOCK", 16)
     env, rule = EnvironmentModel(std=0.5), monogamous(1)
-    off = OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0))
-    cap, seed, reps = 200, 5, 40
-    run = run_extinction_records(env, off, rule, 1000, reps, cap, seed, recording="full")
-    rows = np.bincount(all_steps(run)["replicate_id"], minlength=reps)
-    tagged = 0
-    for i in range(reps):
-        tau, over, steps_run = int(run.tau[i]), int(run.overflow_step[i]), int(run.steps_run[i])
-        assert rows[i] == (0 if over else steps_run)
-        eta = env.sample(derive_stream(seed, 0, i).spawn(2)[0], size=cap)
-        if over:
-            tagged += 1
-            assert tau == -1 and steps_run == over
-            assert eta[steps_run - 1] >= 1.25 and np.all(eta[: steps_run - 1] < 1.25)
-        else:
-            assert steps_run == (cap if tau < 0 else tau)
-            assert np.all(eta[:steps_run] < 1.25)
-    assert 0 < tagged < reps
+    for off in (
+        OffspringModel(mean_f=TableMap((1.25,), (1.0, 1e301)), mean_m=ConstantMap(1.0)),
+        OffspringModel(kind="deterministic", mean_f=TableMap((1.25,), (1.0, math.inf)), mean_m=ConstantMap(1.0)),
+    ):
+        cap, seed, reps = 200, 5, 40
+        run = run_extinction_records(env, off, rule, 1000, reps, cap, seed, recording="full")
+        rows = np.bincount(all_steps(run)["replicate_id"], minlength=reps)
+        tagged = 0
+        for i in range(reps):
+            tau, over, steps_run = int(run.tau[i]), int(run.overflow_step[i]), int(run.steps_run[i])
+            assert rows[i] == (0 if over else steps_run)
+            eta = env.sample(derive_stream(seed, 0, i).spawn(2)[0], size=cap)
+            if over:
+                tagged += 1
+                assert tau == -1 and steps_run == over
+                assert eta[steps_run - 1] >= 1.25 and np.all(eta[: steps_run - 1] < 1.25)
+            else:
+                assert steps_run == (cap if tau < 0 else tau)
+                assert np.all(eta[:steps_run] < 1.25)
+        assert 0 < tagged < reps
 
 
 # 40 replicates in blocks of 16 (BLOCK monkeypatched): offspring model, n0, step cap, seed

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -265,7 +266,7 @@ def test_workers_start_the_largest_blocks_first(tmp_path, monkeypatch):
             return map(worker, tasks)
 
     run_experiment(small_config(replicates=40, threads=1), out_prefix=tmp_path / "t1")
-    monkeypatch.setattr(stats, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     run_experiment(small_config(replicates=40, threads=2), out_prefix=tmp_path / "t2")
     assert started == [(1000, 0), (1000, 16), (1000, 32), (100, 0), (100, 16), (100, 32)]
     for suffix in ("summary.json", "replicates.csv"):
@@ -507,7 +508,7 @@ def test_workers_are_no_more_than_the_tasks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(stats, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     runs = run_replicates(small_config(n_grid=(100, 300, 1000), replicates=20, threads=64))
     assert workers == [3]
     assert [run.tau.size for run in runs] == [20, 20, 20]
