@@ -82,7 +82,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=_real_flag("--beta", 1.0), default=None,
                    help="moment parameter > 1; sets the hitting threshold exponent 2/(1+beta) (default 3)")
     p.add_argument("--d", type=_int_flag("--d"), default=None,
-                   help="monogamous pairing capacity, positive integer (default 1)")
+                   help="monogamous pairing capacity, positive integer (default 1); refused under other rules")
     p.add_argument("--config", type=Path, default=None, help="JSON config file; flags override its values")
 
 
@@ -297,13 +297,9 @@ def _cmd_lemma_sweep(args) -> int:
     if args.out:
         write_sweep_csv(args.out, sweep)
     print(f"lemma-sweep: rows={sweep.ratios[:, :, 0].size} r3_hard_violations={sweep.r3_hard_violations}")
-    for name, per_n0 in sweep.slopes.items():
-        if isinstance(per_n0, dict):
-            for n0, (slope, se) in per_n0.items():
-                print(f"  {name}[N={n0}]: slope={slope:.4f} se={se:.4f}")
-        else:
-            slope, se = per_n0
-            print(f"  {name}: slope={slope:.4f} se={se:.4f}")
+    for name, per_n0 in sweep.slopes.items():  # one grid point: no slopes in N
+        for n0, (slope, se) in per_n0.items():
+            print(f"  {name}[N={n0}]: slope={slope:.4f} se={se:.4f}")
     return 0
 
 

@@ -15,7 +15,8 @@ flags override file values):
 Mean maps are ``scale * exp(eta + shift)`` (give ``{"constant": v}``
 for an environment-independent mean), ``scale`` and ``constant`` at
 least 0.  The monogamous capacity ``d`` is a positive integer or a step
-table ``{"breakpoints": [...], "values": [...]}`` of integer values.
+table ``{"breakpoints": [...], "values": [...]}`` of integer values; the
+other rules refuse a ``d``.
 ``alpha`` must satisfy ``1/alpha < beta`` so the derived moment order
 ``1 + delta`` stays below ``beta``; ``beta`` also sets the hitting
 threshold of coupled runs.  Every number, a config value or a flag's
@@ -175,11 +176,11 @@ def build_rule(section: Optional[dict]) -> MatingRule:
     alpha = read_real(section.get("alpha", 0.5), "rule.alpha")
     if kind == "monogamous":
         return monogamous(_build_d(section.get("d")), alpha=alpha)
-    if kind == "polygamous":
-        return polygamous(alpha=alpha)
-    if kind == "asexual":
-        return asexual(alpha=alpha)
-    raise ConfigurationError(f"unknown rule kind {kind!r} (choose from monogamous, polygamous, asexual)")
+    if kind not in ("polygamous", "asexual"):
+        raise ConfigurationError(f"unknown rule kind {kind!r} (choose from monogamous, polygamous, asexual)")
+    if section.get("d") is not None:
+        raise ConfigurationError(f"rule.d (--d) is the monogamous pairing capacity; the {kind} rule has none")
+    return (polygamous if kind == "polygamous" else asexual)(alpha=alpha)
 
 
 def build_model_triple(

@@ -344,15 +344,22 @@ class OffspringModel:
             raise ConfigurationError(text.format(e=np.ravel(eta)[i], f=flat[0, i], m=flat[1, i]))
         return means
 
-    def totals(self, cur, means: np.ndarray, lam: np.ndarray, top: float, stream: np.random.Generator) -> np.ndarray:
-        """The stacked female and male totals of ``cur`` couples at ``means`` (from ``means()``).
+    def totals(self, cur, means: np.ndarray, stream: np.random.Generator) -> tuple:
+        """``(totals, drawn)``: the stacked female and male totals of ``cur`` couples at ``means`` (from ``means()``).
 
-        ``_poisson_totals(lam, top, stream)``, with ``lam = cur * means`` and ``top = lam.max()``
-        at most ``MEAN_GUARD``, or ``cur`` times the deterministic means.
+        ``drawn`` is None when every requested total ``lam = cur * means`` is at most ``MEAN_GUARD``;
+        else it masks the columns drawn, leaving out those above the guard or NaN (``0 * inf``).
+        The totals are ``_poisson_totals`` of the drawn ``lam``, or ``cur`` times the deterministic means.
         """
+        lam = cur * means
+        top, drawn = lam.max(), None
+        if not top <= MEAN_GUARD:
+            drawn = (lam <= MEAN_GUARD).all(axis=0)
+            cur, means, lam = cur[drawn], np.broadcast_to(means, lam.shape)[:, drawn], lam[:, drawn]
+            top = lam.max(initial=0.0)
         if self.kind == "poisson":
-            return _poisson_totals(lam, top, stream)
-        return cur * np.round(means)
+            return _poisson_totals(lam, top, stream), drawn
+        return cur * np.round(means), drawn
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +439,13 @@ class MatingRule:
     def delta(self) -> float:
         return 1.0 / self.alpha - 1.0
 
+    def capacity(self, eta) -> Optional[np.ndarray]:
+        """A monogamous rule's capacity over ``eta``, the float64 image of ``L``'s int64 cast; None for other rules.
+
+        The step loops evaluate it once per window (per path for a bundle) and hand ``mate_array`` a column.
+        """
+        return np.asarray(self.d(eta), dtype=np.int64).astype(float) if self.kind == "monogamous" else None
+
 
 def monogamous(d=1, alpha: float = 0.5) -> MatingRule:
     """min(x, y * d(z)); the approximant is the same map on the reals."""
@@ -480,11 +494,7 @@ def asexual(alpha: float = 0.5) -> MatingRule:
 
 
 def mate_array(rule: MatingRule, f: np.ndarray, m: np.ndarray, eta, d=None) -> np.ndarray:
-    """``rule.L(f, m, eta)``, or ``min(f, m * d)`` given a monogamous rule's capacity ``d``.
-
-    ``d`` is ``rule.d(eta)`` cast to int64 (or its float64 image, for
-    float64 counts), evaluated once for many generations.
-    """
+    """``rule.L(f, m, eta)``, or ``min(f, m * d)`` given a column ``d`` of ``rule.capacity(eta)``."""
     return rule.L(f, m, eta) if d is None else np.minimum(f, m * d)
 
 

@@ -126,15 +126,6 @@ class BlockRun:
     steps: tuple
 
 
-def _capacity(rule: MatingRule, eta: np.ndarray) -> Optional[np.ndarray]:
-    """A monogamous rule's capacity over ``eta``, the float64 image of ``L``'s int64 cast; None for other rules.
-
-    The step loops evaluate it once per window (per path for a bundle)
-    and hand ``mate_array`` one generation's column.
-    """
-    return np.asarray(rule.d(eta), dtype=np.int64).astype(float) if rule.kind == "monogamous" else None
-
-
 def run_block(
     rule: MatingRule,
     env_model: EnvironmentModel,
@@ -156,11 +147,12 @@ def run_block(
     ``stream``.  Counts are float64, exact below 2^53,
     and follow the sampling rules element by element: one Poisson draw
     per sex with mean count times conditional mean, the normal
-    approximation above ``POISSON_EXACT_MAX`` (``OffspringModel.totals``),
-    an overflow tag for the replicate whose requested total exceeds
-    ``MEAN_GUARD``, and absorption at 0.  ``OffspringModel.means`` builds
-    the live replicates' means once per window and refuses a bad one
-    before the window's first generation.
+    approximation above ``POISSON_EXACT_MAX``, no draw for a replicate
+    whose requested total exceeds ``MEAN_GUARD`` (``OffspringModel.totals``),
+    which the block overflow-tags and drops, and absorption at 0.
+    ``OffspringModel.means`` builds the live replicates' means, and
+    ``MatingRule.capacity`` a monogamous rule's capacity, once per window;
+    a bad mean is refused before the window's first generation.
 
     With ``epsilon`` the block is a coupled run: each window is drawn
     for the replicates whose process is alive or whose walk has not hit
@@ -234,23 +226,17 @@ def run_block(
             # the steps whose counts a coupled run reports; -1 never matches
             tgt = np.where(theta[rows, None] >= 0, theta[rows, None] + np.array([0, k]), -1)
             means_w = offspring_model.means(eta)
-            d_w = _capacity(rule, eta)
+            d_w = rule.capacity(eta)
             pending = set(tgt[(tgt > first) & (tgt <= first + width)].tolist())
             for j in range(width):
                 n = first + j + 1
-                means = means_w[:, :, j]
-                lam = cur * means
-                top = lam.max()
-                if not top <= MEAN_GUARD:
-                    ok = ~(lam > MEAN_GUARD).any(axis=0)
-                    overflow_step[rows[~ok]] = n
-                    compact(ok)
+                (f, m), drawn = offspring_model.totals(cur, means_w[:, :, j], stream)
+                if drawn is not None:
+                    overflow_step[rows[~drawn]] = n
+                    compact(drawn)
                     if rows.size == 0:
                         break
-                    means, lam = means_w[:, :, j], lam[:, ok]
-                    top = lam.max()
                 e = eta[:, j]
-                f, m = offspring_model.totals(cur, means, lam, top, stream)
                 nxt = np.asarray(mate_array(rule, f, m, e, None if d_w is None else d_w[:, j]), dtype=float)
                 died = np.count_nonzero(nxt) < nxt.size
                 dead = nxt == 0 if died else None
@@ -350,15 +336,16 @@ def run_frozen_bundle(
     and draws each generation by ``run_block``'s rules
     (``OffspringModel.totals``); the path's offspring means and capacity
     are evaluated once, as arrays, like a block window's, so a bad mean is
-    refused before the first step.  A requested total above ``MEAN_GUARD``
-    raises ``OverflowGuardError`` instead of tagging the replicate:
-    dropping it would bias the ratios.  Rows are drawn whole: an extinct
-    replicate has Poisson mean 0, which draws nothing from the stream,
-    and stays extinct even under a rule with ``L(0, 0) > 0``.  Steps
-    whose bundle-average parent count is zero yield NaN ratios (nothing
-    left to condition on), so the loop stops once every replicate is
-    extinct.  The r3 standard error is the linearized ratio-estimator
-    error.
+    refused before the first step.  An infinite mean on the path, which
+    the noise scale cannot take, and a requested total above ``MEAN_GUARD``
+    (a column ``totals`` leaves out) raise ``OverflowGuardError`` instead
+    of tagging the replicate: dropping it would bias the ratios.  Rows are
+    drawn whole: an extinct replicate has Poisson mean 0, which draws
+    nothing from the stream, and stays extinct even under a rule with
+    ``L(0, 0) > 0``.  Steps whose bundle-average parent count is zero
+    yield NaN ratios (nothing left to condition on), so the loop stops
+    once every replicate is extinct.  The r3 standard error is the
+    linearized ratio-estimator error.
     """
     if replicates < 2:
         raise ConfigurationError("frozen bundles need at least 2 replicates")
@@ -368,11 +355,14 @@ def run_frozen_bundle(
     eta = np.asarray(env_model.sample(env_rng, size=steps), dtype=float)
     xi = walk_increments(rule, offspring_model, eta)
     S = np.cumsum(xi)
+    means_path = offspring_model.means(eta)
+    infinite = (means_path == np.inf).any(axis=0)
+    if infinite.any():
+        raise OverflowGuardError(f"bundle scale too large: the offspring mean at step {infinite.argmax() + 1} is infinite")
     zeta = noise_scales(rule, offspring_model, eta)[0]
     delta = rule.delta
     p = 1.0 + delta
-    means_path = offspring_model.means(eta)
-    d_path = _capacity(rule, eta)
+    d_path = rule.capacity(eta)
     ratios = np.full((4, steps), np.nan)
     r2, r3, r3_se, r4 = ratios
     prev = np.full(replicates, float(n0))
@@ -381,12 +371,9 @@ def run_frozen_bundle(
         if mean_prev <= 0.0:
             break
         e = eta[j - 1 : j]
-        means = means_path[:, j - 1 : j]
-        lam = prev * means
-        top = lam.max()
-        if not top <= MEAN_GUARD:
+        (f, m), drawn = offspring_model.totals(prev, means_path[:, j - 1 : j], off_rng)
+        if drawn is not None:
             raise OverflowGuardError(f"bundle scale too large: an offspring total at step {j} exceeds {MEAN_GUARD:g}")
-        f, m = offspring_model.totals(prev, means, lam, top, off_rng)
         cur = np.where(prev > 0, mate_array(rule, f, m, e, None if d_path is None else d_path[j - 1]), 0.0)
         growth = math.exp(float(xi[j - 1]))
         resid = cur - prev * growth

@@ -347,6 +347,48 @@ def test_audit_refuses_an_omega1_that_overflows_without_a_warning(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    ("mean_f", "message"),
+    [
+        ({"shift": 800}, "bundle scale too large: the offspring mean at step 1 is infinite"),
+        ({"constant": 1e301}, "bundle scale too large: an offspring total at step 1 exceeds 1e+300"),
+    ],
+    ids=["infinite", "finite-above-guard"],
+)
+def test_lemma_sweep_refuses_a_mean_past_the_guard_as_a_runtime_error(tmp_path, capsys, mean_f, message):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"offspring": {"mean_f": mean_f}}))
+    code, stdout, stderr = run_cli(capsys, "lemma-sweep", "--config", str(cfg), "--paths", "2", "--replicates", "20",
+                                   "--max-steps", "5")
+    assert code == 2 and stdout == ""
+    assert [json.loads(line) for line in stderr.splitlines()] == [{"error": "runtime", "message": message}]
+    if "shift" in mean_f:  # the audit's noise scale still refuses an infinite mean as a configuration error
+        for argv in (["audit", "--replicates", "100"], ["experiment", "--n-grid", "1000", "--replicates", "5"]):
+            code, _, stderr = run_cli(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / argv[0]))
+            assert code == 1 and json.loads(stderr) == {
+                "error": "configuration", "message": "infinite conditional mean in the noise scale"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "config"),
+    [
+        (["--rule", "polygamous", "--d", "2"], None),
+        ([], {"rule": {"kind": "asexual", "d": 3}}),
+    ],
+    ids=["flag", "config"],
+)
+def test_a_capacity_under_a_rule_without_one_is_refused(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)]
+    code, stdout, stderr = run_cli(capsys, "simulate", *argv, "--n0", "50", "--replicates", "2")
+    assert code == 1 and stdout == ""
+    lines = [json.loads(line) for line in stderr.splitlines()]
+    assert len(lines) == 1 and lines[0]["error"] == "configuration" and "rule.d" in lines[0]["message"]
+
+
 def test_zero_scale_mean_past_the_double_range_is_zero(tmp_path, capsys):
     # exp(eta + 800) overflows to inf; the zero scale makes the female mean 0, not 0 * inf = NaN
     cfg = tmp_path / "model.json"

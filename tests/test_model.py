@@ -36,6 +36,7 @@ from bbpre import (
 )
 from bbpre import model as model_module
 from bbpre.model import (
+    MEAN_GUARD,
     MOMENT_ORDER_MAX,
     MOMENT_SERIES_MAX,
     POISSON_EXACT_MAX,
@@ -161,6 +162,57 @@ def test_poisson_totals_above_the_exact_range_are_normal_draws_only():
     got = _poisson_totals(lam, lam.max(), got_rng)
     assert np.array_equal(got, np.rint(lam + np.sqrt(lam) * ref_rng.standard_normal(lam.shape)))
     assert got_rng.random() == ref_rng.random()
+
+
+def test_offspring_totals_within_the_guard_draw_every_column():
+    cur, means = np.array([3.0, 40.0, 2e12]), np.array([[1.5, 0.0, 2.0], [0.5, 3.0, 1.0]])
+    got_rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    totals, drawn = OffspringModel().totals(cur, means, got_rng)
+    lam = cur * means
+    assert drawn is None and np.array_equal(totals, _poisson_totals(lam, lam.max(), ref_rng))
+    assert got_rng.random() == ref_rng.random()
+
+
+def test_offspring_totals_leave_out_the_columns_above_the_guard():
+    # a block's means: column 1 asks for 2e300 (finite, above the guard), column 3 for inf
+    cur, means = np.array([3.0, 1e200, 40.0, 7.0]), np.array([[1.5, 2e100, 0.0, np.inf], [0.5, 1.0, 3.0, 1.0]])
+    got_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    totals, drawn = OffspringModel().totals(cur, means, got_rng)
+    kept = cur[[0, 2]] * means[:, [0, 2]]
+    assert np.array_equal(drawn, [True, False, True, False])
+    assert np.array_equal(totals, _poisson_totals(kept, kept.max(), ref_rng))
+    assert got_rng.random() == ref_rng.random()
+
+
+def test_offspring_totals_leave_out_a_dead_replicate_under_an_infinite_mean():
+    # a bundle's (2, 1) means: the dead replicate's female total is 0 * inf = NaN, the live one's inf
+    rng = np.random.default_rng(37)
+    state = rng.bit_generator.state
+    with np.errstate(invalid="ignore"):
+        totals, drawn = OffspringModel().totals(np.array([0.0, 4.0]), np.array([[np.inf], [2.0]]), rng)
+    assert np.array_equal(drawn, [False, False]) and totals.shape == (2, 0)
+    assert rng.bit_generator.state == state
+
+
+def test_offspring_totals_draw_nothing_when_every_column_is_above_the_guard():
+    cur, means = np.array([1e200, 2.0]), np.array([[1e101, 1.0], [1.0, np.inf]])
+    assert not (cur * means <= MEAN_GUARD).all(axis=0).any()
+    rng = np.random.default_rng(41)
+    state = rng.bit_generator.state
+    totals, drawn = OffspringModel().totals(cur, means, rng)
+    assert np.array_equal(drawn, [False, False]) and totals.shape == (2, 0)
+    assert rng.bit_generator.state == state
+
+
+def test_deterministic_totals_mask_the_couple_counts_too():
+    model = OffspringModel(kind="deterministic", mean_f=ConstantMap(2.0), mean_m=ConstantMap(1.0))
+    rng = np.random.default_rng(43)
+    state = rng.bit_generator.state
+    block = model.totals(np.array([2.0, 1e200, 3.0]), np.array([[2.0, 2e100, 1.0], [1.0, 1.0, 4.0]]), rng)
+    bundle = model.totals(np.array([1e300, 3.0]), np.array([[2.0], [1.0]]), rng)
+    assert np.array_equal(block[0], [[4.0, 3.0], [2.0, 12.0]]) and np.array_equal(block[1], [True, False, True])
+    assert np.array_equal(bundle[0], [[6.0], [3.0]]) and np.array_equal(bundle[1], [False, True])
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5)])

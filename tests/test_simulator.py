@@ -364,17 +364,37 @@ def test_bundle_totals_past_the_exact_poisson_range_take_the_normal_approximatio
     assert np.all(np.isfinite(r3)) and np.all(np.abs(r3 - 1.0) <= 4.0 * r3_se)
 
 
+def _owners(match):
+    # "module.Class.function" of the innermost definition around each node of the package that matches
+    owners = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if match(node):
+            owners.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return owners
+
+
 def test_poisson_totals_are_drawn_in_one_place():
     # blocks and bundles share one sampling rule: no other code of the package draws a Poisson total
-    owners = []
-    for path in sorted(Path(model.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "poisson":
-                inner = [(b - a, name) for a, b, name in spans if a <= node.lineno <= b]
-                owners.append(f"{path.stem}.{min(inner)[1] if inner else '<module>'}")
+    owners = _owners(lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "poisson")
     assert owners and set(owners) == {"model._poisson_totals"}
+
+
+def test_the_sampling_guard_is_applied_in_one_place():
+    # no step loop compares a requested total against MEAN_GUARD: OffspringModel.totals does, for both
+    def guard(node):
+        sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        return any(getattr(side, "id", getattr(side, "attr", None)) == "MEAN_GUARD" for side in sides)
+
+    owners = _owners(guard)
+    assert owners and set(owners) == {"model.OffspringModel.totals"}
 
 
 def test_a_bad_mean_is_refused_when_its_window_is_drawn():
@@ -839,7 +859,7 @@ def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):
         return run_block(rule, env, off, 200, 400, streams, derive_stream(16), epsilon=1.0, recording="sparse")
 
     fast = run()
-    monkeypatch.setattr(simulator, "_capacity", lambda rule, eta: None)  # rule.L at every generation
+    monkeypatch.setattr(model.MatingRule, "capacity", lambda self, eta: None)  # rule.L at every generation
     slow = run()
     assert np.any(fast.tau > 0) and np.any(fast.tau < 0)
     assert np.array_equal(all_steps(fast), all_steps(slow)) and fast.steps[0].size > 0
