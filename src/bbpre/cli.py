@@ -137,8 +137,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("limit-law", help="tabulate the reference law to CSV")
     p.add_argument("--sigma", type=_real_flag("--sigma"), default=1.0,
                    help="scale parameter > 0 (std of one walk increment)")
-    p.add_argument("--table", type=_parse_table, default=None, help="t grid start:stop:count (t > 0)")
-    p.add_argument("--quantiles", type=_parse_quantiles, default=None, help="comma-separated levels in (0,1)")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--table", type=_parse_table, default=None, help="t grid start:stop:count (t > 0)")
+    grid.add_argument("--quantiles", type=_parse_quantiles, default=None, help="comma-separated levels in (0,1)")
     p.add_argument("--out", type=Path, default=None, help="CSV output path (default: stdout)")
 
     p = sub.add_parser("lemma-sweep", help="frozen-bundle ratio diagnostics and slope fits")
@@ -321,9 +322,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         _emit_error("configuration", str(exc))
+        return 1
+    except OSError as exc:  # only outputs are opened here: a config file's read error is a ConfigurationError
+        if exc.filename is None:
+            raise
+        _emit_error("configuration", f"cannot write {exc.filename}: {exc.strerror}")
         return 1
     except BbpreError as exc:
         _emit_error("runtime", str(exc))

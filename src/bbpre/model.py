@@ -538,14 +538,14 @@ def walk_increments(rule: MatingRule, model: OffspringModel, eta) -> np.ndarray:
     return xi
 
 
-def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tuple:
+def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray, means: np.ndarray) -> tuple:
     """Per-step noise scale ``zeta`` and its components ``(omega1, omega2, omega3)``.
 
     ``zeta = ln+ (omega1 + omega2 + omega3)`` elementwise over an
     environment array; see the module docstring for the components.
-    The means are ``model.means(eta)``, refused as the step loops refuse
-    them; a non-finite ``omega1``, an infinite mean and a centered moment
-    that overflows float64 are refused too.
+    ``means`` is ``model.means(eta)``, built (and its bad means refused)
+    by the caller; a non-finite ``omega1``, an infinite mean and a
+    centered moment that overflows float64 are refused here.
     """
     p = 1.0 + rule.delta
     with np.errstate(over="ignore"):  # refused below
@@ -553,7 +553,6 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray) -> tu
     if not np.all(np.isfinite(w1)):
         raise ConfigurationError(f"the Lipschitz and residual scales to the order {p:g} are not finite")
     w1 = np.broadcast_to(w1, eta.shape)
-    means = model.means(eta)
     if not np.all(means < np.inf):
         raise ConfigurationError("infinite conditional mean in the noise scale")
     w2 = means[0] + means[1]
@@ -791,7 +790,7 @@ def audit_conditions(
     # zeta needs per-eta centered moments; cap the subsample when the
     # moment order forces the series evaluation
     zeta_n = samples if 1.0 + rule.delta == 2.0 else min(samples, 20_000)
-    zeta, w1, w2, w3 = noise_scales(rule, offspring_model, eta[:zeta_n])
+    zeta, w1, w2, w3 = noise_scales(rule, offspring_model, eta[:zeta_n], offspring_model.means(eta[:zeta_n]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         mean_xi, se_mean = _mean_se(xi)
         centered2 = (xi - mean_xi) ** 2

@@ -336,16 +336,16 @@ def run_frozen_bundle(
     and draws each generation by ``run_block``'s rules
     (``OffspringModel.totals``); the path's offspring means and capacity
     are evaluated once, as arrays, like a block window's, so a bad mean is
-    refused before the first step.  An infinite mean on the path, which
-    the noise scale cannot take, and a requested total above ``MEAN_GUARD``
-    (a column ``totals`` leaves out) raise ``OverflowGuardError`` instead
-    of tagging the replicate: dropping it would bias the ratios.  Rows are
-    drawn whole: an extinct replicate has Poisson mean 0, which draws
-    nothing from the stream, and stays extinct even under a rule with
-    ``L(0, 0) > 0``.  Steps whose bundle-average parent count is zero
-    yield NaN ratios (nothing left to condition on), so the loop stops
-    once every replicate is extinct.  The r3 standard error is the
-    linearized ratio-estimator error.
+    refused before the first step.  ``noise_scales`` takes the same means
+    but not an infinite one: that, and a requested total above
+    ``MEAN_GUARD`` (a column ``totals`` leaves out), raise
+    ``OverflowGuardError`` instead of tagging the replicate: dropping it
+    would bias the ratios.  Rows are drawn whole: an extinct replicate
+    has Poisson mean 0, which draws nothing from the stream, and stays
+    extinct even under a rule with ``L(0, 0) > 0``.  Steps whose
+    bundle-average parent count is zero yield NaN ratios (nothing left
+    to condition on), so the loop stops once every replicate is extinct.
+    The r3 standard error is the linearized ratio-estimator error.
     """
     if replicates < 2:
         raise ConfigurationError("frozen bundles need at least 2 replicates")
@@ -359,7 +359,7 @@ def run_frozen_bundle(
     infinite = (means_path == np.inf).any(axis=0)
     if infinite.any():
         raise OverflowGuardError(f"bundle scale too large: the offspring mean at step {infinite.argmax() + 1} is infinite")
-    zeta = noise_scales(rule, offspring_model, eta)[0]
+    zeta = noise_scales(rule, offspring_model, eta, means_path)[0]
     delta = rule.delta
     p = 1.0 + delta
     d_path = rule.capacity(eta)

@@ -325,7 +325,6 @@ class SummaryRow:
     frac_n_theta_k_pos: Optional[float]
     n_theta_observed: int
     n_theta_k_observed: int
-    mean_tau_scaled: Optional[float]
     median_tau_scaled: Optional[float]
     total_steps: int
 
@@ -413,9 +412,9 @@ def summarize_records(
     overflow-tagged replicate counts as censored, in ``replicates`` and
     ``overflow_count``, and in no other statistic: not in
     ``censored_count``, the replicates censored at the cap, nor in the
-    window frequencies or the mean.  Raises ``ExcessCensoringError``
-    when the censored fraction of the untagged replicates exceeds the
-    law's tail beyond ``max_steps`` plus ``CENSORING_SLACK``.
+    window frequencies.  Raises ``ExcessCensoringError`` when the
+    censored fraction of the untagged replicates exceeds the law's tail
+    beyond ``max_steps`` plus ``CENSORING_SLACK``.
     """
     scale = math.log(n0) ** 2
     usable = run.overflow_step == 0
@@ -441,11 +440,6 @@ def summarize_records(
     frac_pos = int(np.count_nonzero(obs_theta > 0)) / obs_theta.size if obs_theta.size else None
     frac_k_pos = int(np.count_nonzero(obs_k > 0)) / obs_k.size if obs_k.size else None
 
-    # censored replicates contribute the cap: a documented lower bound on
-    # the uncensorable mean (the limit law itself has no mean)
-    mean_tau = (
-        float((int(taus.sum()) + censored * max_steps) / n_usable / scale) if n_usable else None
-    )
     median_tau = _censored_median(tau_scaled, n_total) if n_total else None
 
     return SummaryRow(
@@ -462,7 +456,6 @@ def summarize_records(
         frac_n_theta_k_pos=frac_k_pos,
         n_theta_observed=obs_theta.size,
         n_theta_k_observed=obs_k.size,
-        mean_tau_scaled=mean_tau,
         median_tau_scaled=median_tau,
         total_steps=int(run.steps_run.sum()),
     )
@@ -473,7 +466,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
 
     When ``out_prefix`` is given, writes ``<prefix>_replicates.csv``,
     one ``<prefix>_ecdf_tau_N<count>.csv`` per grid point, and
-    ``<prefix>_summary.json``.  Raises ``OverflowGuardError``, before
+    ``<prefix>_summary.json`` into an existing directory.  Raises ``OverflowGuardError``, before
     summarizing any grid point or writing anything, when every
     replicate of some grid point is overflow-tagged.
     """
@@ -505,8 +498,6 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         beta=config.offspring.beta,
     )
     if out_prefix is not None:
-        out_prefix = Path(out_prefix)
-        out_prefix.parent.mkdir(parents=True, exist_ok=True)
         write_replicates_csv(Path(f"{out_prefix}_replicates.csv"), runs)
         for n0, run in runs.items():
             taus = run.tau[(run.overflow_step == 0) & (run.tau >= 0)]

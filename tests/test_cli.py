@@ -114,6 +114,46 @@ def test_limit_law_table_count_is_an_exact_integer(tmp_path, capsys):
     assert "--table" in payload["message"]
 
 
+def test_limit_law_refuses_a_table_with_quantiles(capsys):
+    code, stdout, stderr = run_cli(capsys, "limit-law", "--table", "0.1:1:3", "--quantiles", "0.5")
+    assert code == 1 and stdout == ""
+    (line,) = stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "configuration"
+    assert "--table" in payload["message"] and "--quantiles" in payload["message"]
+
+
+# A small run of each command; its --out is appended.
+OUT_RUNS = {
+    "simulate": ["simulate", "--n0", "50", "--replicates", "5"],
+    "coupled": ["coupled", "--n0", "50", "--replicates", "5"],
+    "audit": ["audit", "--replicates", "100"],
+    "experiment": ["experiment", "--n-grid", "100", "--replicates", "20", "--seed", "1"],
+    "limit-law": ["limit-law"],
+    "lemma-sweep": ["lemma-sweep", "--n0", "100", "--paths", "2", "--replicates", "20", "--max-steps", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_out_in_a_missing_directory_is_created(tmp_path, capsys, command):
+    out = tmp_path / "a" / "b" / "out"
+    code, _, _ = run_cli(capsys, *OUT_RUNS[command], "--out", str(out))
+    assert code == 0
+    assert (tmp_path / "a" / "b" / ("out_summary.json" if command == "experiment" else "out")).is_file()
+
+
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_out_that_cannot_be_written_is_a_configuration_error(tmp_path, capsys, command):
+    # an --out that is a directory (for experiment, the prefix's first file)
+    out = tmp_path / "out"
+    (tmp_path / ("out_replicates.csv" if command == "experiment" else "out")).mkdir()
+    code, _, stderr = run_cli(capsys, *OUT_RUNS[command], "--out", str(out))
+    assert code == 1
+    (line,) = stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "configuration" and str(out) in payload["message"]
+
+
 def test_audit_polygamous_reports_c4_witness(tmp_path, capsys):
     out = tmp_path / "audit.json"
     code, stdout, _ = run_cli(

@@ -73,7 +73,7 @@ DIGESTS = {
         "exp_ecdf_tau_N100.csv": "f844743eb9348fe6736da65196437f5ca1309b8c29b6b6e0d8e72c0a9a5284df",
         "exp_ecdf_tau_N1000.csv": "1f081e8722ae3beb7f8ea4ad5b05c72b9537b478d766080947d1561bcc314a52",
         "exp_replicates.csv": "24cdc2626bbca5f86383acbbdf02683ee271531f69173b44453a37fcb18cd0d3",
-        "exp_summary.json": "f67ae2ba3823d468a86b259b7d641c5a31779fe56c28f25119514d440d75190e",
+        "exp_summary.json": "5e52e5b5bddf1a136fb5b649fadce577fdc3bd382ecc0457fa46d48c14d8d463",
     },
     "coupled": {
         "coupled.csv": "aa88d13291f5ca840d5f4290ed8b24064835a81c36bee4704eaa88eaa201002f",

@@ -257,7 +257,8 @@ def test_deterministic_family():
     steps = all_steps(run)
     assert np.all(run.tau == -1) and np.all(run.overflow_step == 0) and steps.size == 30
     assert np.all(steps["F_total"] == 7) and np.all(steps["M_total"] == 14) and np.all(steps["N"] == 7)
-    assert not noise_scales(asexual(alpha=0.4), model, np.array([0.0, 1.3]))[3].any()
+    eta = np.array([0.0, 1.3])
+    assert not noise_scales(asexual(alpha=0.4), model, eta, model.means(eta))[3].any()
     bad = OffspringModel(kind="deterministic", mean_f=ConstantMap(1.5), mean_m=ConstantMap(1.0))
     with pytest.raises(ConfigurationError):
         run_extinction_records(env, bad, asexual(), 3, 3, 10, 4)
@@ -394,14 +395,16 @@ def test_noise_scale_refuses_a_moment_sum_that_overflows():
     lam = float(model.mean_f(np.array([7.5]))[0])
     oracle = log_domain_moment(lam, 100.0, 8000)
     assert oracle == pytest.approx(4.3e242, rel=0.01)
-    assert noise_scales(rule, model, np.array([7.5]))[3][0] == pytest.approx(2.0 * oracle, rel=ORACLE_RTOL)
+    eta = np.array([7.5])
+    assert noise_scales(rule, model, eta, model.means(eta))[3][0] == pytest.approx(2.0 * oracle, rel=ORACLE_RTOL)
     # at a mean of e^11 (5.99e4) the moment itself, 2.4e317, is past the double range: it is refused
     with pytest.raises(ConfigurationError, match="order 100 overflows float64"):
-        noise_scales(rule, model, np.array([7.5, 11.0]))
+        noise_scales(rule, model, np.array([7.5, 11.0]), model.means(np.array([7.5, 11.0])))
     # a mean past the double range (eta > 709.78) is refused at any order, before any sum
+    eta = np.array([0.0, 800.0])
     for alpha in (0.5, 0.4):
         with pytest.raises(ConfigurationError, match="infinite"):
-            noise_scales(monogamous(1, alpha=alpha), OffspringModel(), np.array([0.0, 800.0]))
+            noise_scales(monogamous(1, alpha=alpha), OffspringModel(), eta, OffspringModel().means(eta))
 
 
 def test_even_moments_equal_their_closed_forms():
@@ -470,12 +473,12 @@ def test_one_large_mean_is_summed_over_a_window_around_it():
 def test_noise_scales_sum_the_series_in_bounded_passes():
     # 2,000 means up to 788: one matrix of all their series from k = 0 peaks at 74 MiB, bounded passes at 16 MiB
     eta = EnvironmentModel(std=2.0).sample(np.random.default_rng(4), 2_000)
-    rule = monogamous(1, alpha=0.4)
+    rule, means = monogamous(1, alpha=0.4), OffspringModel().means(eta)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        w3 = noise_scales(rule, OffspringModel(), eta)[3]
+        w3 = noise_scales(rule, OffspringModel(), eta, means)[3]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -849,7 +852,8 @@ def test_audit_polygamous_reports_approximation_witness(canonical_env, canonical
 
 
 def test_omega_components_at_eta_zero(canonical_rule, canonical_offspring):
-    zeta, w1, w2, w3 = noise_scales(canonical_rule, canonical_offspring, np.zeros(1))
+    eta = np.zeros(1)
+    zeta, w1, w2, w3 = noise_scales(canonical_rule, canonical_offspring, eta, canonical_offspring.means(eta))
     assert w2[0] == 2.0  # mean_f + mean_m = 1 + 1 exactly
     assert w1[0] == 2.0  # lipschitz^2 + rho^2 with both scales 1
     assert w3[0] == 2.0  # two Poisson(1) variances at moment order 2
