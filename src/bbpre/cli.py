@@ -28,6 +28,7 @@ from .stats import (
     AUDIT_STREAM_KEY,
     ExperimentConfig,
     LemmaSweepConfig,
+    experiment_outputs,
     lemma_bound_sweep,
     run_experiment,
     run_extinction_records,
@@ -180,7 +181,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         write_replicates_csv(args.out, {args.n0: run})
         if recording != "terminal":
-            write_trajectories_csv(args.out.parent / (args.out.stem + "_trajectories.csv"), run.steps)
+            write_trajectories_csv(_outputs(args)[1], run.steps)
     overflow = run.overflow_step > 0
     censored = np.count_nonzero((run.tau < 0) & ~overflow)
     print(
@@ -314,6 +315,14 @@ _COMMANDS = {
 }
 
 
+def _outputs(args) -> list:
+    """The files a command writes: ``--out``, and ``simulate``'s trajectories; ``experiment``'s under its prefix."""
+    if args.command == "experiment":
+        return experiment_outputs(args.out, args.n_grid)
+    full = args.command == "simulate" and args.recording != "terminal"
+    return [args.out, args.out.parent / (args.out.stem + "_trajectories.csv")] if full else [args.out]
+
+
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
@@ -324,6 +333,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.out is not None:
             args.out.parent.mkdir(parents=True, exist_ok=True)
+            for path in _outputs(args):  # refused before any work, not once the writer opens it
+                if path.is_dir():
+                    raise ConfigurationError(f"cannot write {path}: Is a directory")
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         _emit_error("configuration", str(exc))

@@ -177,16 +177,18 @@ class EnvironmentModel:
         if not (math.isfinite(self.mean) and math.isfinite(self.std)) or self.std < 0:
             raise ConfigurationError(f"normal environment needs finite mean and std >= 0, got mean={self.mean}, std={self.std}")
 
-    def sample(self, stream: np.random.Generator, size) -> np.ndarray:
-        """Draw ``size`` environment values; deterministic given the stream state."""
-        return self.mean + self.std * stream.standard_normal(size)
+    def sample(self, stream: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` environment values, the one row of ``sample_rows``; deterministic given the stream state."""
+        return self.sample_rows([stream], size)[0]
 
     def sample_rows(self, streams, width: int) -> np.ndarray:
-        """One row per stream of the ``width`` values ``sample(stream, size=width)`` draws."""
+        """One row per stream of ``width`` values, ``mean + std * standard_normal(width)`` formed in place."""
         z = np.empty((len(streams), width))
         for stream, row in zip(streams, z):
             stream.standard_normal(out=row)
-        return self.mean + self.std * z
+        z *= self.std
+        z += self.mean
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,9 @@ class OffspringModel:
         A negative or NaN mean is refused, and so is a non-integer mean of
         the deterministic family; an infinite one is left to the guards.
         """
-        means = np.array([self.mean_f(eta), self.mean_m(eta)], dtype=float)
+        means = np.empty((2,) + np.shape(eta))
+        means[0] = self.mean_f(eta)  # one map's output at a time
+        means[1] = self.mean_m(eta)
         flat = means.reshape(2, -1)
         if not (flat >= 0.0).all():
             bad, text = ~(flat >= 0.0).all(axis=0), "negative or NaN conditional mean at eta={e}: ({f}, {m})"
@@ -560,7 +564,10 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray, means
     if not np.all(np.isfinite(moments)):
         raise ConfigurationError(f"the Poisson centered moment of order {p:g} overflows float64")
     cf, cm = moments
-    zeta = np.maximum(0.0, np.log(w1 + w2 + cf + cm))
+    zeta = w1 + w2  # then + cf, + cm, ln and the max with 0, in one buffer
+    zeta += cf
+    zeta += cm
+    np.maximum(0.0, np.log(zeta, out=zeta), out=zeta)
     return zeta, w1, w2, cf + cm
 
 
@@ -590,6 +597,8 @@ def analytic_sigma_xi(rule: MatingRule, env: EnvironmentModel, model: OffspringM
 # ---------------------------------------------------------------------------
 
 _MAX_WITNESSES = 10
+# C1-C4 evaluate their rule over consecutive slices of this many samples.
+_CHECK_CHUNK = 8192
 # C1 draws its counts from 0 to _SUPERADDITIVITY_COUNT_RANGE.
 _SUPERADDITIVITY_COUNT_RANGE = 50
 # C2 and C3 draw the approximant's arguments uniformly from [0, _BOX).
@@ -649,16 +658,21 @@ def _py(v):
     return v
 
 
-def _verdict(condition: str, bad: np.ndarray, columns: tuple, casts: tuple, detail: dict, **last) -> ConditionCheck:
-    """A sampled check's verdict from the indices ``bad`` of its violating samples.
+def _verdict(condition: str, n: int, evaluate: Callable, casts: tuple, detail: dict) -> ConditionCheck:
+    """A sampled check's verdict; ``evaluate(s)`` gives the violation mask and columns of the samples in slice ``s``.
 
-    The first ``_MAX_WITNESSES`` are the witnesses: one entry of each
-    column, cast by the matching entry of ``casts`` (``int`` or
-    ``float``).  ``detail`` gains the violation count, then ``last``.
+    The slices are consecutive, of ``_CHECK_CHUNK`` of the ``n`` samples.  The first ``_MAX_WITNESSES`` violations
+    are the witnesses: one entry of each column, cast by the matching entry of ``casts`` (``int`` or ``float``).
+    ``detail`` gains the violation count.
     """
-    witnesses = [tuple(cast(col[i]) for cast, col in zip(casts, columns)) for i in bad[:_MAX_WITNESSES]]
-    return ConditionCheck(condition, "fail" if bad.size else "pass", witnesses,
-                          {**detail, "violations": int(bad.size), **last})
+    witnesses, violations = [], 0
+    for start in range(0, n, _CHECK_CHUNK):
+        mask, columns = evaluate(slice(start, start + _CHECK_CHUNK))
+        bad = np.flatnonzero(mask)
+        violations += bad.size
+        witnesses += [tuple(cast(col[i]) for cast, col in zip(casts, columns))
+                      for i in bad[: _MAX_WITNESSES - len(witnesses)]]
+    return ConditionCheck(condition, "fail" if violations else "pass", witnesses, {**detail, "violations": violations})
 
 
 def check_superadditivity(
@@ -670,12 +684,15 @@ def check_superadditivity(
     """Sampled superadditivity check L(x+u, y+v, z) >= L(x,y,z) + L(u,v,z)."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    pts = stream.integers(0, _SUPERADDITIVITY_COUNT_RANGE + 1, size=(trials, 4))
+    pts = stream.integers(0, _SUPERADDITIVITY_COUNT_RANGE + 1, size=(trials, 4), dtype=np.int32)
     z = env_model.sample(stream, trials)
-    x, y, u, v = (pts[:, i].astype(np.int64) for i in range(4))
-    lhs = rule.L(x + u, y + v, z)
-    rhs = rule.L(x, y, z) + rule.L(u, v, z)
-    return _verdict("C1", np.where(lhs < rhs)[0], (x, y, u, v, z, lhs, rhs), (int,) * 4 + (float, int, int),
+    def evaluate(s):
+        x, y, u, v = (pts[s, i].astype(np.int64) for i in range(4))
+        lhs = rule.L(x + u, y + v, z[s])
+        rhs = rule.L(x, y, z[s]) + rule.L(u, v, z[s])
+        return lhs < rhs, (x, y, u, v, z[s], lhs, rhs)
+
+    return _verdict("C1", trials, evaluate, (int,) * 4 + (float, int, int),
                     {"trials": trials, "count_range": _SUPERADDITIVITY_COUNT_RANGE})
 
 
@@ -690,12 +707,14 @@ def check_lipschitz(
         raise ConfigurationError("trials must be >= 1")
     pts = stream.uniform(0.0, _BOX, size=(trials, 4))
     z = env_model.sample(stream, trials)
-    x, y, u, v = (pts[:, i] for i in range(4))
-    lhs = np.abs(rule.g(x, y, z) - rule.g(u, v, z))
-    lam = np.broadcast_to(np.asarray(rule.lipschitz(z), dtype=float), lhs.shape)
-    rhs = lam * (np.abs(x - u) + np.abs(y - v))
-    return _verdict("C2", np.where(lhs > rhs + 1e-12 * (1.0 + rhs))[0], (x, y, u, v, z, lhs, rhs), (float,) * 7,
-                    {"trials": trials, "box": _BOX})
+    def evaluate(s):
+        x, y, u, v = (pts[s, i] for i in range(4))
+        lhs = np.abs(rule.g(x, y, z[s]) - rule.g(u, v, z[s]))
+        lam = np.broadcast_to(np.asarray(rule.lipschitz(z[s]), dtype=float), lhs.shape)
+        rhs = lam * (np.abs(x - u) + np.abs(y - v))
+        return lhs > rhs + 1e-12 * (1.0 + rhs), (x, y, u, v, z[s], lhs, rhs)
+
+    return _verdict("C2", trials, evaluate, (float,) * 7, {"trials": trials, "box": _BOX})
 
 
 def check_homogeneity(
@@ -711,10 +730,12 @@ def check_homogeneity(
     y = stream.uniform(0.0, _BOX, size=trials)
     t = stream.uniform(0.0, 10.0, size=trials)
     z = env_model.sample(stream, trials)
-    tg = t * rule.g(x, y, z)
-    lhs = np.abs(rule.g(t * x, t * y, z) - tg)
-    return _verdict("C3", np.where(lhs > 1e-12 * (1.0 + np.abs(tg)))[0], (x, y, t, z, lhs), (float,) * 5,
-                    {"trials": trials, "box": _BOX})
+    def evaluate(s):
+        tg = t[s] * rule.g(x[s], y[s], z[s])
+        lhs = np.abs(rule.g(t[s] * x[s], t[s] * y[s], z[s]) - tg)
+        return lhs > 1e-12 * (1.0 + np.abs(tg)), (x[s], y[s], t[s], z[s], lhs)
+
+    return _verdict("C3", trials, evaluate, (float,) * 5, {"trials": trials, "box": _BOX})
 
 
 def check_approximation(
@@ -730,17 +751,24 @@ def check_approximation(
     """
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
-    x = stream.integers(0, _RESIDUAL_COUNT_RANGE + 1, size=grid).astype(np.int64)
-    y = stream.integers(0, _RESIDUAL_COUNT_RANGE + 1, size=grid).astype(np.int64)
-    y[(x + y) == 0] = 1
+    xs = stream.integers(0, _RESIDUAL_COUNT_RANGE + 1, size=grid, dtype=np.int32)
+    ys = stream.integers(0, _RESIDUAL_COUNT_RANGE + 1, size=grid, dtype=np.int32)
+    ys[(xs + ys) == 0] = 1
     z = env_model.sample(stream, grid)
-    resid = np.abs(rule.L(x, y, z) - rule.g(x.astype(float), y.astype(float), z))
-    scale = (x + y).astype(float) ** rule.alpha
-    ratio = resid / scale
-    bound = np.broadcast_to(np.asarray(rule.rho(z), dtype=float), ratio.shape)
-    return _verdict("C4", np.where(ratio > bound * (1.0 + 1e-12))[0], (x, y, z, resid, bound * scale),
-                    (int, int, float, float, float), {"grid": grid, "count_range": _RESIDUAL_COUNT_RANGE},
-                    max_ratio=float(ratio.max()))
+    tops = []
+    def evaluate(s):
+        x, y = xs[s].astype(np.int64), ys[s].astype(np.int64)
+        resid = np.abs(rule.L(x, y, z[s]) - rule.g(x.astype(float), y.astype(float), z[s]))
+        scale = (x + y).astype(float) ** rule.alpha
+        ratio = resid / scale
+        bound = np.broadcast_to(np.asarray(rule.rho(z[s]), dtype=float), ratio.shape)
+        tops.append(ratio.max())
+        return ratio > bound * (1.0 + 1e-12), (x, y, z[s], resid, bound * scale)
+
+    check = _verdict("C4", grid, evaluate, (int, int, float, float, float),
+                     {"grid": grid, "count_range": _RESIDUAL_COUNT_RANGE})
+    check.detail["max_ratio"] = float(np.max(tops))
+    return check
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -784,19 +812,26 @@ def audit_conditions(
         },
     )
 
-    eta = np.asarray(env_model.sample(stream, size=samples), dtype=float)
+    # each moment array is reduced as soon as it exists, and dropped
+    eta = env_model.sample(stream, size=samples)
     xi = walk_increments(rule, offspring_model, eta)
     p_beta = 1.0 + offspring_model.beta
-    # zeta needs per-eta centered moments; cap the subsample when the
-    # moment order forces the series evaluation
-    zeta_n = samples if 1.0 + rule.delta == 2.0 else min(samples, 20_000)
-    zeta, w1, w2, w3 = noise_scales(rule, offspring_model, eta[:zeta_n], offspring_model.means(eta[:zeta_n]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         mean_xi, se_mean = _mean_se(xi)
         centered2 = (xi - mean_xi) ** 2
         var_xi = float(centered2.mean())
         se_var = float(np.sqrt(max(float((centered2**2).mean()) - var_xi**2, 0.0) / samples))
+        del centered2
         abs_xi, se_abs_xi = _mean_se(np.abs(xi) ** p_beta)
+    del xi
+    # zeta needs per-eta centered moments; cap the subsample when the
+    # moment order forces the series evaluation
+    zeta_n = samples if 1.0 + rule.delta == 2.0 else min(samples, 20_000)
+    zeta, *omegas = noise_scales(rule, offspring_model, eta[:zeta_n], offspring_model.means(eta[:zeta_n]))
+    del eta
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        w1, w2, w3 = (float(w.mean()) for w in omegas)
+        del omegas
         abs_zeta, se_abs_zeta = _mean_se(np.abs(zeta) ** p_beta)
         moments = {
             "mean_xi": mean_xi,
@@ -807,9 +842,9 @@ def audit_conditions(
             "abs_xi_moment_se": se_abs_xi,
             "abs_zeta_moment": abs_zeta,
             "abs_zeta_moment_se": se_abs_zeta,
-            "omega1_mean": float(w1.mean()),
-            "omega2_mean": float(w2.mean()),
-            "omega3_mean": float(w3.mean()),
+            "omega1_mean": w1,
+            "omega2_mean": w2,
+            "omega3_mean": w3,
             "moment_order": p_beta,
         }
     if not np.all(np.isfinite(list(moments.values()))):

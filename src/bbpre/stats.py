@@ -67,6 +67,7 @@ __all__ = [
     "SummaryRow",
     "SummaryReport",
     "run_experiment",
+    "experiment_outputs",
     "run_replicates",
     "run_extinction_records",
     "write_replicates_csv",
@@ -461,13 +462,18 @@ def summarize_records(
     )
 
 
+def experiment_outputs(out_prefix: Path, n_grid: Sequence) -> list:
+    """The paths ``run_experiment`` writes at ``out_prefix``: replicates, one ECDF per grid point, then the summary."""
+    return [Path(f"{out_prefix}_{name}") for name in ("replicates.csv", *(f"ecdf_tau_N{n0}.csv" for n0 in n_grid),
+                                                      "summary.json")]
+
+
 def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) -> SummaryReport:
     """Full sweep: ``run_replicates(config)``, then per-N KS distances and window frequencies.
 
-    When ``out_prefix`` is given, writes ``<prefix>_replicates.csv``,
-    one ``<prefix>_ecdf_tau_N<count>.csv`` per grid point, and
-    ``<prefix>_summary.json`` into an existing directory.  Raises ``OverflowGuardError``, before
-    summarizing any grid point or writing anything, when every
+    When ``out_prefix`` is given, writes ``experiment_outputs(out_prefix, config.n_grid)`` (an
+    ECDF only for a grid point with an uncensored replicate) into an existing directory.  Raises
+    ``OverflowGuardError``, before summarizing any grid point or writing anything, when every
     replicate of some grid point is overflow-tagged.
     """
     sigma, sigma_source, sigma_se = resolve_sigma(config)
@@ -498,17 +504,18 @@ def run_experiment(config: ExperimentConfig, out_prefix: Optional[Path] = None) 
         beta=config.offspring.beta,
     )
     if out_prefix is not None:
-        write_replicates_csv(Path(f"{out_prefix}_replicates.csv"), runs)
-        for n0, run in runs.items():
+        replicates_path, *ecdf_paths, summary_path = experiment_outputs(out_prefix, config.n_grid)
+        write_replicates_csv(replicates_path, runs)
+        for (n0, run), ecdf_path in zip(runs.items(), ecdf_paths):
             taus = run.tau[(run.overflow_step == 0) & (run.tau >= 0)]
             if taus.size:
                 write_ecdf_csv(
-                    Path(f"{out_prefix}_ecdf_tau_N{n0}.csv"),
+                    ecdf_path,
                     _scaled_sorted(taus, math.log(n0) ** 2),
                     run.tau.size,
                     law,
                 )
-        Path(f"{out_prefix}_summary.json").write_text(report.to_json() + "\n")
+        summary_path.write_text(report.to_json() + "\n")
     return report
 
 

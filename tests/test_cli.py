@@ -142,16 +142,39 @@ def test_out_in_a_missing_directory_is_created(tmp_path, capsys, command):
     assert (tmp_path / "a" / "b" / ("out_summary.json" if command == "experiment" else "out")).is_file()
 
 
-@pytest.mark.parametrize("command", sorted(OUT_RUNS))
-def test_out_that_cannot_be_written_is_a_configuration_error(tmp_path, capsys, command):
-    # an --out that is a directory (for experiment, the prefix's first file)
-    out = tmp_path / "out"
-    (tmp_path / ("out_replicates.csv" if command == "experiment" else "out")).mkdir()
-    code, _, stderr = run_cli(capsys, *OUT_RUNS[command], "--out", str(out))
-    assert code == 1
+# The bbpre.cli name of each command's run: a refused --out must be refused before it is called.
+OUT_ENTRIES = {
+    "simulate": "run_extinction_records",
+    "coupled": "run_replicates",
+    "audit": "audit_conditions",
+    "experiment": "run_experiment",
+    "lemma-sweep": "lemma_bound_sweep",
+}
+# Each case: the command, extra flags, and the one of its output files that is made a directory.
+UNWRITABLE = {
+    **{command: (command, [], "out") for command in OUT_RUNS if command != "experiment"},
+    "experiment": ("experiment", [], "out_replicates.csv"),
+    "experiment-ecdf": ("experiment", ["--n-grid", "100,1000"], "out_ecdf_tau_N1000.csv"),
+    "experiment-summary": ("experiment", [], "out_summary.json"),
+    "simulate-trajectories": ("simulate", ["--recording", "full"], "out_trajectories.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_out_that_cannot_be_written_is_a_configuration_error(tmp_path, capsys, monkeypatch, case):
+    command, flags, blocked = UNWRITABLE[case]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} started its run before refusing its --out")
+
+    if command in OUT_ENTRIES:
+        monkeypatch.setattr(cli, OUT_ENTRIES[command], must_not_run)
+    (tmp_path / blocked).mkdir()
+    code, stdout, stderr = run_cli(capsys, *OUT_RUNS[command], *flags, "--out", str(tmp_path / "out"))
+    assert code == 1 and stdout == ""
     (line,) = stderr.splitlines()
     payload = json.loads(line)
-    assert payload["error"] == "configuration" and str(out) in payload["message"]
+    assert payload == {"error": "configuration", "message": f"cannot write {tmp_path / blocked}: Is a directory"}
 
 
 def test_audit_polygamous_reports_c4_witness(tmp_path, capsys):

@@ -45,6 +45,7 @@ from bbpre.model import (
     _poisson_totals,
     _stirlerr,
 )
+from bbpre.stats import AUDIT_SAMPLES
 from recorded import all_steps
 
 ALL_RULES = [monogamous(1), monogamous(3), polygamous(), asexual()]
@@ -75,6 +76,19 @@ def test_equal_seeds_give_identical_streams():
     a = env.sample(derive_stream(99, 1), size=50)
     b = env.sample(derive_stream(99, 1), size=50)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mean, std", [(0.3, 0.7), (0.3, 0.0), (-0.0, 0.0)])
+def test_environment_draws_are_mean_plus_std_times_standard_normals(mean, std):
+    # bit for bit against the plain expression on cloned streams, signed zeros included, and the streams end equal
+    env = EnvironmentModel(mean=mean, std=std)
+    stream, clone = derive_stream(61), derive_stream(61)
+    assert env.sample(stream, 1001).tobytes() == (mean + std * clone.standard_normal(1001)).tobytes()
+    assert stream.bit_generator.state == clone.bit_generator.state
+    streams, clones = [derive_stream(62, i) for i in range(3)], [derive_stream(62, i) for i in range(3)]
+    want = np.array([mean + std * c.standard_normal(17) for c in clones])
+    assert env.sample_rows(streams, 17).tobytes() == want.tobytes()
+    assert [s.bit_generator.state for s in streams] == [c.bit_generator.state for c in clones]
 
 
 def test_environment_validation():
@@ -751,6 +765,93 @@ def test_broken_rule_witnesses_are_pinned(check, seed, trials, witnesses, detail
     assert [type(v) for v in result.detail.values()] == [type(v) for _, v in detail]
 
 
+def _full_verdict(bad, columns, casts, detail, **last):
+    """The checks' verdict from the violation indices of all their samples at once."""
+    witnesses = [tuple(cast(col[i]) for cast, col in zip(casts, columns)) for i in bad[:10]]
+    return "fail" if bad.size else "pass", witnesses, {**detail, "violations": int(bad.size), **last}
+
+
+def _full_c1(rule, trials, stream, env):
+    pts = stream.integers(0, 51, size=(trials, 4))
+    z = env.mean + env.std * stream.standard_normal(trials)
+    x, y, u, v = (pts[:, i].astype(np.int64) for i in range(4))
+    lhs = rule.L(x + u, y + v, z)
+    rhs = rule.L(x, y, z) + rule.L(u, v, z)
+    return _full_verdict(np.where(lhs < rhs)[0], (x, y, u, v, z, lhs, rhs), (int,) * 4 + (float, int, int),
+                         {"trials": trials, "count_range": 50})
+
+
+def _full_c2(rule, trials, stream, env):
+    pts = stream.uniform(0.0, 100.0, size=(trials, 4))
+    z = env.mean + env.std * stream.standard_normal(trials)
+    x, y, u, v = (pts[:, i] for i in range(4))
+    lhs = np.abs(rule.g(x, y, z) - rule.g(u, v, z))
+    lam = np.broadcast_to(np.asarray(rule.lipschitz(z), dtype=float), lhs.shape)
+    rhs = lam * (np.abs(x - u) + np.abs(y - v))
+    return _full_verdict(np.where(lhs > rhs + 1e-12 * (1.0 + rhs))[0], (x, y, u, v, z, lhs, rhs), (float,) * 7,
+                         {"trials": trials, "box": 100.0})
+
+
+def _full_c3(rule, trials, stream, env):
+    x = stream.uniform(0.0, 100.0, size=trials)
+    y = stream.uniform(0.0, 100.0, size=trials)
+    t = stream.uniform(0.0, 10.0, size=trials)
+    z = env.mean + env.std * stream.standard_normal(trials)
+    tg = t * rule.g(x, y, z)
+    lhs = np.abs(rule.g(t * x, t * y, z) - tg)
+    return _full_verdict(np.where(lhs > 1e-12 * (1.0 + np.abs(tg)))[0], (x, y, t, z, lhs), (float,) * 5,
+                         {"trials": trials, "box": 100.0})
+
+
+def _full_c4(rule, grid, stream, env):
+    x = stream.integers(0, 1001, size=grid).astype(np.int64)
+    y = stream.integers(0, 1001, size=grid).astype(np.int64)
+    y[(x + y) == 0] = 1
+    z = env.mean + env.std * stream.standard_normal(grid)
+    resid = np.abs(rule.L(x, y, z) - rule.g(x.astype(float), y.astype(float), z))
+    scale = (x + y).astype(float) ** rule.alpha
+    ratio = resid / scale
+    bound = np.broadcast_to(np.asarray(rule.rho(z), dtype=float), ratio.shape)
+    return _full_verdict(np.where(ratio > bound * (1.0 + 1e-12))[0], (x, y, z, resid, bound * scale),
+                         (int, int, float, float, float), {"grid": grid, "count_range": 1000},
+                         max_ratio=float(ratio.max()))
+
+
+# the broken rule of test_superadditivity_finds_broken_rule: ceil(x / 2) is not superadditive
+HALF_CEIL = MatingRule(kind="custom", L=_ceil_half, g=lambda x, y, z: x / 2.0, lipschitz=lambda z: 1.0,
+                       rho=lambda z: 1.0)
+
+
+@pytest.mark.parametrize("rule", [monogamous(2), polygamous(), HALF_CEIL], ids=["monogamous2", "polygamous", "broken"])
+@pytest.mark.parametrize(
+    "check, full",
+    [(check_superadditivity, _full_c1), (check_lipschitz, _full_c2), (check_homogeneity, _full_c3),
+     (check_approximation, _full_c4)],
+    ids=["C1", "C2", "C3", "C4"],
+)
+@pytest.mark.parametrize("chunk", [model_module._CHECK_CHUNK, 7])
+def test_sampled_checks_in_slices_match_the_whole_sample(monkeypatch, rule, check, full, chunk):
+    # the checks draw as before and evaluate their rule slice by slice: same draws, verdict, witnesses and detail
+    monkeypatch.setattr(model_module, "_CHECK_CHUNK", chunk)
+    env = EnvironmentModel(mean=0.1, std=1.3)
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        stream, clone = derive_stream(70, n), derive_stream(70, n)
+        got = check(rule, n, stream, env)
+        verdict, witnesses, detail = full(rule, n, clone, env)
+        assert (got.verdict, got.witnesses) == (verdict, witnesses)
+        assert [tuple(map(type, w)) for w in got.witnesses] == [tuple(map(type, w)) for w in witnesses]
+        assert list(got.detail.items()) == list(detail.items())
+        assert [type(v) for v in got.detail.values()] == [type(v) for v in detail.values()]
+        assert stream.bit_generator.state == clone.bit_generator.state
+
+
+def test_sampled_checks_find_witnesses_across_slices(monkeypatch):
+    # at most 7 witnesses a slice: the 10 are gathered from several, and the count goes on past them
+    monkeypatch.setattr(model_module, "_CHECK_CHUNK", 7)
+    check = check_superadditivity(HALF_CEIL, 200, derive_stream(70, 200), EnvironmentModel(mean=0.1, std=1.3))
+    assert len(check.witnesses) == 10 and check.detail["violations"] > 10, check.detail
+
+
 def test_exhaustive_superadditivity_small_grid():
     # full enumeration on counts <= 8 at fixed environments (oracle for the sampled check)
     grid = np.arange(9)
@@ -849,6 +950,20 @@ def test_audit_polygamous_reports_approximation_witness(canonical_env, canonical
     report = audit_conditions(polygamous(), canonical_env, canonical_offspring, 10_000, derive_stream(406))
     assert report.verdict("C4") == "fail"
     assert report.witnesses("C4")
+
+
+def test_audit_holds_only_the_arrays_it_reduces(canonical_env, canonical_offspring, canonical_rule):
+    # at an experiment's sample count the whole audit traced 9.9 MiB when C1 held its 100,000 samples' int64
+    # counts and rule values at once; in slices, and with each moment array dropped once reduced, 5.3 MiB
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        audit_conditions(canonical_rule, canonical_env, canonical_offspring, AUDIT_SAMPLES, derive_stream(36, 2**31))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak / 2**20
 
 
 def test_omega_components_at_eta_zero(canonical_rule, canonical_offspring):
