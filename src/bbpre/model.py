@@ -14,14 +14,14 @@ Built-in mating rules:
 * ``asexual()``     -- second component ignored, ``L(x, y, z) = x``,
   which reduces the dynamics to a simple (one-sex) branching process.
 
-Every rule carries a real-valued approximant ``g`` that is Lipschitz
-and positively homogeneous in its first two arguments, the Lipschitz
-scale ``lipschitz(z)``, a residual scale ``rho(z)`` bounding
-``|L - g| <= rho(z) (x + y)^alpha``, and the exponent ``alpha`` in
-(0, 1).  Every callable (``L``, ``g``, ``log_g``, the parameter maps)
-has one implementation: it takes arrays and applies elementwise, and
-takes a Python number as a 0-d array.  The associated random walk
-increment is
+A rule is its functions, with no label: ``L``, a real-valued
+approximant ``g`` that is Lipschitz and positively homogeneous in its
+first two arguments, the Lipschitz scale ``lipschitz(z)``, a residual
+scale ``rho(z)`` bounding ``|L - g| <= rho(z) (x + y)^alpha``, the
+exponent ``alpha`` in (0, 1), and optionally ``log_g``.  Every callable
+(``L``, ``g``, ``log_g``, the parameter maps) has one implementation: it
+takes arrays and applies elementwise, and takes a Python number as a 0-d
+array.  The associated random walk increment is
 
     xi(eta) = ln g(mean_f(eta), mean_m(eta), eta),
 
@@ -422,17 +422,14 @@ class MatingRule:
     built-in rules.  Every callable takes arrays and applies
     elementwise: ``L`` is called on whole arrays of counts (int64 or
     float64) and environment values, so a custom ``L`` must be written
-    with numpy operations too.  ``d`` is the monogamous pairing
-    capacity map.
+    with numpy operations too.
     """
 
-    kind: str
     L: Callable
     g: Callable
     lipschitz: Callable
     rho: Callable
     alpha: float = 0.5
-    d: Optional[Callable] = None
     log_g: Optional[Callable] = None
 
     def __post_init__(self):
@@ -444,29 +441,31 @@ class MatingRule:
         return 1.0 / self.alpha - 1.0
 
     def capacity(self, eta) -> Optional[np.ndarray]:
-        """A monogamous rule's capacity over ``eta``, the float64 image of ``L``'s int64 cast; None for other rules.
+        """The built-in monogamous ``L``'s capacity over ``eta``, the float64 image of its own cast; else None.
 
-        The step loops evaluate it once per window (per path for a bundle) and hand ``mate_array`` a column.
+        The step loops evaluate it once per window (per path for a bundle) and hand ``mate_array`` a column;
+        any other ``L`` they call at each generation.
         """
-        return np.asarray(self.d(eta), dtype=np.int64).astype(float) if self.kind == "monogamous" else None
+        L = self.L
+        return np.asarray(L.d(eta), dtype=L.dtype).astype(float) if isinstance(L, _CapacityMin) else None
 
 
 def monogamous(d=1, alpha: float = 0.5) -> MatingRule:
-    """min(x, y * d(z)); the approximant is the same map on the reals."""
-    if isinstance(d, (int, float)):
-        if int(d) != d or int(d) < 1:
-            raise ConfigurationError("monogamous capacity d must be a positive integer")
-        dmap = ConstantMap(float(int(d)))
-    else:
-        dmap = d
+    """min(x, y * d(z)); the approximant is the same map on the reals.
+
+    ``d`` is a positive integer, or a ``ConstantMap`` or ``TableMap`` whose values are; any other callable is
+    taken as given, ``L`` casting its values to int64 and ``g`` taking them as they are.
+    """
+    dmap = ConstantMap(float(d)) if isinstance(d, (int, float, np.number)) else d
+    values = (dmap.value,) if isinstance(dmap, ConstantMap) else dmap.values if isinstance(dmap, TableMap) else ()
+    if not all(v >= 1 and float(v).is_integer() for v in values):
+        raise ConfigurationError("monogamous capacity d must be a positive integer")
     return MatingRule(
-        kind="monogamous",
         L=_CapacityMin(dmap, np.int64),
         g=_CapacityMin(dmap, float),
         lipschitz=_MaxOneOf(dmap),
         rho=ConstantMap(1.0),
         alpha=alpha,
-        d=dmap,
         log_g=_MonogamousLogG(dmap),
     )
 
@@ -474,7 +473,6 @@ def monogamous(d=1, alpha: float = 0.5) -> MatingRule:
 def polygamous(alpha: float = 0.5) -> MatingRule:
     """x * min(1, y); approximated by g(x, y, z) = x."""
     return MatingRule(
-        kind="polygamous",
         L=_polygamous_l,
         g=_first,
         lipschitz=ConstantMap(1.0),
@@ -487,7 +485,6 @@ def polygamous(alpha: float = 0.5) -> MatingRule:
 def asexual(alpha: float = 0.5) -> MatingRule:
     """L(x, y, z) = x: ignores males, reducing to a one-sex process."""
     return MatingRule(
-        kind="asexual",
         L=_first,
         g=_first,
         lipschitz=ConstantMap(1.0),
@@ -572,24 +569,21 @@ def noise_scales(rule: MatingRule, model: OffspringModel, eta: np.ndarray, means
 
 
 def analytic_sigma_xi(rule: MatingRule, env: EnvironmentModel, model: OffspringModel) -> Optional[float]:
-    """Exact std of the walk increment when it is eta plus a constant.
+    """Exact std of the walk increment when it is eta plus a constant, read from the built-in log forms of ``g``.
 
-    That holds for exponential mean maps with unit slope under any
-    built-in rule (monogamous needs a constant capacity map); returns
-    None when no analytic form applies and Monte Carlo is required.
+    ``ln g = ln x`` (polygamous, asexual) needs ``mean_f`` to be an
+    ``ExpMeanMap`` of scale > 0, and ``min(ln x, ln y + ln d)`` with a
+    ``ConstantMap`` capacity ``d > 0`` (monogamous) needs both means to be.
+    Any other ``log_g`` returns None: Monte Carlo is required.
     """
-    if env.kind != "normal":
+    log_g = rule.log_g
+    if log_g is _first_log:
+        means = (model.mean_f,)
+    elif isinstance(log_g, _MonogamousLogG) and isinstance(log_g.d, ConstantMap) and log_g.d.value > 0:
+        means = (model.mean_f, model.mean_m)
+    else:
         return None
-    if not (isinstance(model.mean_f, ExpMeanMap) and model.mean_f.scale > 0):
-        return None
-    if rule.kind == "monogamous":
-        if not (isinstance(model.mean_m, ExpMeanMap) and model.mean_m.scale > 0):
-            return None
-        if not isinstance(rule.d, ConstantMap) or rule.d.value <= 0:
-            return None
-    elif rule.kind not in ("polygamous", "asexual"):
-        return None
-    return env.std
+    return env.std if all(isinstance(mean, ExpMeanMap) and mean.scale > 0 for mean in means) else None
 
 
 # ---------------------------------------------------------------------------

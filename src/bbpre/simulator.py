@@ -151,7 +151,7 @@ def run_block(
     whose requested total exceeds ``MEAN_GUARD`` (``OffspringModel.totals``),
     which the block overflow-tags and drops, and absorption at 0.
     ``OffspringModel.means`` builds the live replicates' means, and
-    ``MatingRule.capacity`` a monogamous rule's capacity, once per window;
+    ``MatingRule.capacity`` the built-in monogamous ``L``'s capacity, once per window;
     a bad mean is refused before the window's first generation.
 
     With ``epsilon`` the block is a coupled run: each window is drawn

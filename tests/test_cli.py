@@ -150,31 +150,36 @@ OUT_ENTRIES = {
     "experiment": "run_experiment",
     "lemma-sweep": "lemma_bound_sweep",
 }
-# Each case: the command, extra flags, and the one of its output files that is made a directory.
+# Each case: the command, extra flags, its --out, and the path refused with the reason.  "file" is a regular
+# file; a path refused as a directory is made one.
 UNWRITABLE = {
-    **{command: (command, [], "out") for command in OUT_RUNS if command != "experiment"},
-    "experiment": ("experiment", [], "out_replicates.csv"),
-    "experiment-ecdf": ("experiment", ["--n-grid", "100,1000"], "out_ecdf_tau_N1000.csv"),
-    "experiment-summary": ("experiment", [], "out_summary.json"),
-    "simulate-trajectories": ("simulate", ["--recording", "full"], "out_trajectories.csv"),
+    **{command: (command, [], "out", "out", "Is a directory") for command in OUT_RUNS if command != "experiment"},
+    "experiment": ("experiment", [], "out", "out_replicates.csv", "Is a directory"),
+    "experiment-ecdf": ("experiment", ["--n-grid", "100,1000"], "out", "out_ecdf_tau_N1000.csv", "Is a directory"),
+    "experiment-summary": ("experiment", [], "out", "out_summary.json", "Is a directory"),
+    "simulate-trajectories": ("simulate", ["--recording", "full"], "out", "out_trajectories.csv", "Is a directory"),
+    "below-a-file": ("simulate", [], "file/out", "file", "File exists"),
+    "two-below-a-file": ("experiment", [], "file/a/out", "file/a", "Not a directory"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNWRITABLE))
 def test_out_that_cannot_be_written_is_a_configuration_error(tmp_path, capsys, monkeypatch, case):
-    command, flags, blocked = UNWRITABLE[case]
+    command, flags, out, blocked, reason = UNWRITABLE[case]
 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} started its run before refusing its --out")
 
     if command in OUT_ENTRIES:
         monkeypatch.setattr(cli, OUT_ENTRIES[command], must_not_run)
-    (tmp_path / blocked).mkdir()
-    code, stdout, stderr = run_cli(capsys, *OUT_RUNS[command], *flags, "--out", str(tmp_path / "out"))
+    (tmp_path / "file").write_text("")
+    if reason == "Is a directory":
+        (tmp_path / blocked).mkdir()
+    code, stdout, stderr = run_cli(capsys, *OUT_RUNS[command], *flags, "--out", str(tmp_path / out))
     assert code == 1 and stdout == ""
     (line,) = stderr.splitlines()
     payload = json.loads(line)
-    assert payload == {"error": "configuration", "message": f"cannot write {tmp_path / blocked}: Is a directory"}
+    assert payload == {"error": "configuration", "message": f"cannot write {tmp_path / blocked}: {reason}"}
 
 
 def test_audit_polygamous_reports_c4_witness(tmp_path, capsys):
@@ -278,7 +283,7 @@ def test_bad_flag_value_names_the_flag(capsys):
     assert "--n0" in payload["message"]
     code, _, stderr = run_cli(capsys, "experiment", "--n-grid", "10,5")
     assert code == 1
-    for table in ("5:1:10", "1:1e400:3", "inf:5:3", "nan:5:3"):
+    for table in ("5:1:10", "1:1e400:3", "inf:5:3", "nan:5:3", "1:2"):
         code, stdout, stderr = run_cli(capsys, "limit-law", "--table", table)
         assert code == 1 and stdout == ""
         assert "--table" in json.loads(stderr.strip().splitlines()[-1])["message"]
@@ -589,9 +594,11 @@ def test_unknown_top_level_config_keys_are_rejected(tmp_path, capsys):
         '{"rule": {"d": {"breakpoints": [0], "values": [1.5, 2]}}}',
         '{"rule": {"d": 1e400}}',
         '{"rule": {"d": 1' + "0" * 400 + '}}',
+        '{"rule": {"d": {"breakpoints": [1, 0], "values": [1, 2, 3]}}}',
     ],
     ids=["env-mean-string", "env-string", "beta-null", "d-table-without-breakpoints", "shift-nan", "constant-nan",
-         "std-true", "d-true", "beta-overflow", "breakpoint-nan", "d-table-fraction", "d-overflow", "d-400-digits"],
+         "std-true", "d-true", "beta-overflow", "breakpoint-nan", "d-table-fraction", "d-overflow", "d-400-digits",
+         "breakpoints-unsorted"],
 )
 def test_malformed_config_values_are_configuration_errors(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

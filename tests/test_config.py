@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bbpre import ConfigurationError, ConstantMap, ExpMeanMap, TableMap
+from bbpre import ConfigurationError, ConstantMap, ExpMeanMap, TableMap, monogamous
 from bbpre.cli import main
 from bbpre.config import build_model_triple, build_offspring, build_rule, load_config_file
 
@@ -42,8 +42,7 @@ def test_defaults_are_the_canonical_model():
     assert env.std == 0.5 and env.mean == 0.0
     assert offspring.kind == "poisson"
     assert offspring.mean_f == ExpMeanMap(1.0, 0.0)
-    assert rule.kind == "monogamous"
-    assert rule.alpha == 0.5
+    assert rule == monogamous(1)
     assert rule.delta == 1.0
 
 
@@ -60,9 +59,8 @@ def test_constant_mean_map():
 
 def test_capacity_table():
     rule = build_rule({"kind": "monogamous", "d": {"breakpoints": [0.0], "values": [1, 3]}})
-    assert isinstance(rule.d, TableMap)
-    assert rule.d(-1.0) == 1.0
-    assert rule.d(0.5) == 3.0
+    assert rule == monogamous(TableMap((0.0,), (1, 3)))
+    assert rule.L(10, 2, -1.0) == 2
     assert rule.L(10, 2, 0.5) == 6
 
 

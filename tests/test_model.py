@@ -547,19 +547,21 @@ def _scalar_exp_mean(scale, shift):
 
 
 @pytest.mark.parametrize(
-    "rule, oracle",
+    "rule, oracle, dtype",
     [
-        (monogamous(1), _scalar_monogamous_l(lambda z: 1.0)),
-        (monogamous(3), _scalar_monogamous_l(lambda z: 3.0)),
-        (monogamous(TableMap((-0.3, 0.4), (1, 2, 3))), _scalar_monogamous_l(_scalar_table((-0.3, 0.4), (1, 2, 3)))),
-        # a fractional capacity is truncated to an integer
-        (monogamous(TableMap((0.0,), (1.5, 2.7))), _scalar_monogamous_l(_scalar_table((0.0,), (1.5, 2.7)))),
-        (polygamous(), _scalar_polygamous_l),
-        (asexual(), _scalar_asexual_l),
+        (monogamous(1), _scalar_monogamous_l(lambda z: 1.0), np.int64),
+        (monogamous(3), _scalar_monogamous_l(lambda z: 3.0), np.int64),
+        (monogamous(TableMap((-0.3, 0.4), (1, 2, 3))), _scalar_monogamous_l(_scalar_table((-0.3, 0.4), (1, 2, 3))),
+         np.int64),
+        # a fractional capacity from a map that is not a built-in one is taken as given, and L truncates it
+        (monogamous(lambda z: TableMap((0.0,), (1.5, 2.7))(z)), _scalar_monogamous_l(_scalar_table((0.0,), (1.5, 2.7))),
+         np.int64),
+        (polygamous(), _scalar_polygamous_l, np.int64),
+        (asexual(), _scalar_asexual_l, float),
     ],
     ids=["monogamous1", "monogamous3", "monogamous-table", "monogamous-fractional", "polygamous", "asexual"],
 )
-def test_array_mating_matches_the_scalar_form(rule, oracle):
+def test_array_mating_matches_the_scalar_form(rule, oracle, dtype):
     grid = np.arange(13)
     zs = np.array([-1.0, -0.3, 0.0, 0.4, 2.0])
     x, y, z = (a.ravel() for a in np.meshgrid(grid, grid, zs, indexing="ij"))
@@ -567,7 +569,7 @@ def test_array_mating_matches_the_scalar_form(rule, oracle):
     for counts in (np.int64, float):  # the audit checks pass int64 counts, the step loops float64
         got = rule.L(x.astype(counts), y.astype(counts), z)
         assert got.shape == x.shape and got.tolist() == want
-    assert rule.L(x, y, z).dtype == (float if rule.kind == "asexual" else np.int64)
+    assert rule.L(x, y, z).dtype == dtype
     assert all(rule.L(a, b, c) == w for a, b, c, w in zip(x.tolist(), y.tolist(), z.tolist(), want))
 
 
@@ -577,7 +579,7 @@ def test_array_mating_matches_the_scalar_form(rule, oracle):
         (ConstantMap(2.0), lambda z: 2.0, 0.3),
         (TableMap((-0.3, 0.4), (1, 2, 3)), _scalar_table((-0.3, 0.4), (1, 2, 3)), -0.3),
         (TableMap((-0.3, 0.4), (1, 2, 3)), _scalar_table((-0.3, 0.4), (1, 2, 3)), 5.0),
-        (monogamous(TableMap((0.0,), (0.5, 2.0))).lipschitz, lambda z: max(1.0, 0.5 if z < 0 else 2.0), -1.0),
+        (model_module._MaxOneOf(TableMap((0.0,), (0.5, 2.0))), lambda z: max(1.0, 0.5 if z < 0 else 2.0), -1.0),
         (ExpMeanMap(), _scalar_exp_mean(1.0, 0.0), 0.7),
         (ExpMeanMap(scale=2.0, shift=800.0), _scalar_exp_mean(2.0, 800.0), 0.0),  # overflows to inf
         (ExpMeanMap(scale=0.0, shift=800.0), _scalar_exp_mean(0.0, 800.0), 0.0),  # 0, not 0 * inf
@@ -617,9 +619,14 @@ def test_alpha_range_is_validated():
 
 
 def test_monogamous_capacity_must_be_positive_integer():
-    for bad in (0, -1, 1.5):
-        with pytest.raises(ConfigurationError):
+    # a positive integer, or a built-in map of them: L casts its capacity to int64 and g does not, so at (10, 4) a
+    # capacity of 1.5 would give L = 4 and g = 6
+    for bad in (0, -1, 1.5, ConstantMap(1.5), ConstantMap(0.0), TableMap((0.0,), (0, 2)), TableMap((0.0,), (1, 2.5))):
+        with pytest.raises(ConfigurationError, match="monogamous capacity d must be a positive integer"):
             monogamous(bad)
+    assert monogamous(ConstantMap(2.0)) == monogamous(np.int64(2)) == monogamous(2)
+    rule = monogamous(TableMap((0.0,), (1, 3)))
+    assert (rule.L(10, 4, -1.0), rule.L(10, 4, 1.0), rule.g(10.0, 4.0, 1.0)) == (4, 10, 10.0)
 
 
 def test_delta_from_alpha():
@@ -671,6 +678,10 @@ def test_constant_map_log_is_np_log_and_a_nan_increment_is_a_configuration_error
         walk_increments(monogamous(1), model, eta)
 
 
+def _first_squared(x, y, z):
+    return np.asarray(x, dtype=float) ** 2
+
+
 def test_analytic_sigma_detection():
     env = EnvironmentModel(std=0.4)
     assert analytic_sigma_xi(monogamous(1), env, OffspringModel()) == 0.4
@@ -678,6 +689,36 @@ def test_analytic_sigma_detection():
     assert analytic_sigma_xi(polygamous(), env, OffspringModel()) == 0.4
     const = OffspringModel(mean_f=ConstantMap(2.0), mean_m=ConstantMap(2.0))
     assert analytic_sigma_xi(monogamous(1), env, const) is None
+    # g = x^2 makes the increment 2 eta, and a custom log form is not recognised
+    square = MatingRule(L=asexual().L, g=_first_squared, lipschitz=ConstantMap(1.0), rho=ConstantMap(1.0))
+    assert analytic_sigma_xi(square, env, OffspringModel()) is None
+
+
+SIGMA_RULES = {"monogamous1": monogamous(1), "monogamous3": monogamous(3),
+               "monogamous-table": monogamous(TableMap((0.0,), (1, 3))),
+               "polygamous": polygamous(), "asexual": asexual()}
+SIGMA_MODELS = {"canonical": OffspringModel(),
+                "shifted": OffspringModel(mean_f=ExpMeanMap(1.0, 0.1), mean_m=ExpMeanMap(1.0, 0.1)),
+                "constant-m": OffspringModel(mean_m=ConstantMap(2.0)),
+                "zero-f": OffspringModel(mean_f=ExpMeanMap(scale=0.0)),
+                "zero-m": OffspringModel(mean_m=ExpMeanMap(scale=0.0))}
+# analytic_sigma_xi under EnvironmentModel(mean=0.1, std=0.7): its std where the increment is eta plus a constant
+SIGMA_BEFORE = {
+    "monogamous1": {"canonical": 0.7, "shifted": 0.7, "constant-m": None, "zero-f": None, "zero-m": None},
+    "monogamous3": {"canonical": 0.7, "shifted": 0.7, "constant-m": None, "zero-f": None, "zero-m": None},
+    "monogamous-table": {"canonical": None, "shifted": None, "constant-m": None, "zero-f": None, "zero-m": None},
+    "polygamous": {"canonical": 0.7, "shifted": 0.7, "constant-m": 0.7, "zero-f": None, "zero-m": 0.7},
+    "asexual": {"canonical": 0.7, "shifted": 0.7, "constant-m": 0.7, "zero-f": None, "zero-m": 0.7},
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SIGMA_RULES))
+@pytest.mark.parametrize("offspring", sorted(SIGMA_MODELS))
+def test_analytic_sigma_of_the_built_in_rules_is_read_from_their_log_forms(rule, offspring):
+    got = analytic_sigma_xi(SIGMA_RULES[rule], EnvironmentModel(mean=0.1, std=0.7), SIGMA_MODELS[offspring])
+    assert got == SIGMA_BEFORE[rule][offspring] and type(got) is type(SIGMA_BEFORE[rule][offspring])
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +741,6 @@ def test_superadditivity_sampled_passes_for_builtins(rng):
 
 def test_superadditivity_finds_broken_rule(rng):
     broken = MatingRule(
-        kind="custom",
         L=lambda x, y, z: np.ceil(x / 2),
         g=lambda x, y, z: x / 2.0,
         lipschitz=lambda z: 1.0,
@@ -721,7 +761,7 @@ def _tenth_square(x, y, z):
 
 
 # fails C1 (ceil(x/2) is not superadditive), C2 and C3 (x^2/10 is neither 1-Lipschitz nor homogeneous)
-BROKEN = MatingRule(kind="custom", L=_ceil_half, g=_tenth_square, lipschitz=ConstantMap(1.0), rho=ConstantMap(1.0))
+BROKEN = MatingRule(L=_ceil_half, g=_tenth_square, lipschitz=ConstantMap(1.0), rho=ConstantMap(1.0))
 
 
 @pytest.mark.parametrize(
@@ -818,8 +858,7 @@ def _full_c4(rule, grid, stream, env):
 
 
 # the broken rule of test_superadditivity_finds_broken_rule: ceil(x / 2) is not superadditive
-HALF_CEIL = MatingRule(kind="custom", L=_ceil_half, g=lambda x, y, z: x / 2.0, lipschitz=lambda z: 1.0,
-                       rho=lambda z: 1.0)
+HALF_CEIL = MatingRule(L=_ceil_half, g=lambda x, y, z: x / 2.0, lipschitz=lambda z: 1.0, rho=lambda z: 1.0)
 
 
 @pytest.mark.parametrize("rule", [monogamous(2), polygamous(), HALF_CEIL], ids=["monogamous2", "polygamous", "broken"])
@@ -863,7 +902,7 @@ def test_exhaustive_superadditivity_small_grid():
         for z in (-1.0, 0.0, 2.0):
             lhs = mate_array(rule, x + u, y + v, z)
             rhs = mate_array(rule, x, y, z) + mate_array(rule, u, v, z)
-            assert np.all(lhs >= rhs), rule.kind
+            assert np.all(lhs >= rhs), rule
 
 
 def test_lipschitz_check_passes_for_builtins(rng):

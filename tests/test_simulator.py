@@ -264,16 +264,26 @@ def test_coupled_degenerate_environment_censors_theta():
     assert np.all(run.steps_run == 300)
 
 
-def test_coupled_bookkeeping_matches_full_recording():
+@pytest.mark.parametrize("cells", [7, 2**14])
+def test_coupled_bookkeeping_matches_full_recording(monkeypatch, cells):
     # oracles on the same block: its full recording gives the counts, and the
     # cumulative sum of each replicate's environment child stream gives the
     # walk (the canonical increment is eta itself)
+    monkeypatch.setattr(simulator, "ENV_WINDOW_CELLS", cells)
+    widths = []
+    sample_rows = EnvironmentModel.sample_rows
+    monkeypatch.setattr(EnvironmentModel, "sample_rows",
+                        lambda self, streams, width: widths.append(width) or sample_rows(self, streams, width))
     env, off, rule = canonical()
     n0, cap, size = 100, 3_000, 30
     spec_thr = math.exp(0.5 * math.log(math.log(n0))) - math.log(n0)
     k = math.floor(0.2 * math.log(n0) ** 2)
     streams = [derive_stream(11, seed).spawn(2)[0] for seed in range(size)]
     run = run_block(rule, env, off, n0, cap, streams, derive_stream(11, size), epsilon=0.2, recording="full")
+    # a process that dies in a window before the one where its walk hits leaves its walk row in later
+    # windows, whose increments and sums are then re-indexed to the live process rows
+    window = np.searchsorted(np.cumsum(widths), np.stack([run.tau, run.theta]), side="left")
+    assert np.any((run.tau > 0) & (run.theta > 0) & (window[0] < window[1]))
     hits = 0
     for i in range(size):
         tau, theta = int(run.tau[i]), int(run.theta[i])
@@ -521,7 +531,6 @@ def test_step_major_bundle_matches_the_replicate_major_reference(case, n0, steps
     doubling = OffspringModel(kind="deterministic", mean_f=ConstantMap(2.0), mean_m=ConstantMap(1.0))
     # a rule with L(0, 0) = 1: an extinct replicate must still stay extinct
     revives = model.MatingRule(
-        kind="custom",
         L=lambda x, y, z: np.where((x == 0) & (y == 0), 1, np.minimum(x, y)),
         g=lambda x, y, z: np.minimum(x, y),
         lipschitz=lambda z: np.ones_like(z),
@@ -893,6 +902,49 @@ def test_each_replicate_reads_its_stream_once(monkeypatch):
         run = run_block(rule, env, offspring, 1000, cap, streams, derive_stream(17), epsilon=epsilon)
         counts = np.array([read[id(s)] for s in streams])
         assert np.all(counts >= run.steps_run) and np.all(counts < run.steps_run + 7)
+
+
+class _Counted:
+    """A rule function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _min_3y(x, y, z):
+    return np.minimum(x, 3 * y)
+
+
+def _log_min_3y(lx, ly, z):
+    return np.minimum(lx, ly + np.log(3.0))
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_a_custom_rule_mates_through_its_own_l(monkeypatch, seed):
+    # monogamous(3)'s functions with no label: the custom L is called at each generation, and the built-in
+    # rule mates through its capacity, taken once per window; the runs are the same
+    env, off = EnvironmentModel(std=0.5), OffspringModel()
+    L = _Counted(_min_3y)
+    custom = model.MatingRule(L=L, g=_min_3y, lipschitz=ConstantMap(3.0), rho=ConstantMap(1.0), log_g=_log_min_3y)
+
+    def run(rule):
+        streams = [derive_stream(seed, i).spawn(2)[0] for i in range(40)]
+        return run_block(rule, env, off, 30, 600, streams, derive_stream(seed, 40), epsilon=0.5, recording="full")
+
+    assert custom.capacity(np.zeros(3)) is None
+    mine = run(custom)
+    with monkeypatch.context() as patch:
+        patch.setattr(model._CapacityMin, "__call__", lambda *args: pytest.fail("the built-in L was called"))
+        built_in = run(monogamous(3))
+    assert L.calls == np.unique(all_steps(mine)["n"]).size > 1
+    assert np.any(mine.tau > 0) and np.any(mine.tau < 0)
+    assert np.array_equal(all_steps(mine), all_steps(built_in))
+    for name in ("tau", "overflow_step", "steps_run", "theta", "n_theta", "n_theta_plus_k"):
+        assert np.array_equal(getattr(mine, name), getattr(built_in, name), equal_nan=True), name
 
 
 def test_block_capacity_per_window_matches_mating_each_generation(monkeypatch):

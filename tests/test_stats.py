@@ -10,12 +10,14 @@ import pytest
 
 from bbpre import (
     ConfigurationError,
+    ConstantMap,
     EnvironmentModel,
     ExcessCensoringError,
     ExpMeanMap,
     FirstPassageLaw,
     LemmaSweep,
     LemmaSweepConfig,
+    MatingRule,
     OffspringModel,
     ExperimentConfig,
     TableMap,
@@ -201,6 +203,17 @@ def test_summary_reconciles_and_serializes(tmp_path):
     # totals reconcile exactly: every replicate is censored, overflowed, or in the ECDF
     row100 = report.rows[0]
     assert len(ecdf_lines) - 1 == row100.replicates - row100.censored_count - row100.overflow_count
+
+
+def _first_squared(x, y, z):
+    return np.asarray(x, dtype=float) ** 2
+
+
+def test_a_custom_approximant_takes_a_monte_carlo_sigma():
+    # g = x^2 makes the increment 2 eta: its sigma is twice the environment's, not the analytic 0.5
+    rule = MatingRule(L=polygamous().L, g=_first_squared, lipschitz=ConstantMap(1.0), rho=ConstantMap(1.0))
+    sigma, source, se = stats.resolve_sigma(small_config(rule=rule))
+    assert source == "monte_carlo" and abs(sigma - 1.0) < 0.01 and se > 0
 
 
 def test_experiment_outputs_are_deterministic(tmp_path):
